@@ -1,26 +1,40 @@
-"""Exact p-adic scalars, matrices, and Iwahori cell decomposition.
+"""Exact p-adic matrices and the Iwahori cell decomposition.
 
-Everything is a rational number viewed inside Q_p: a `Fraction` plus a
-prime.  No completions, no floats.  The three decompositions provided:
+Everything is a rational number viewed inside Q_p: a ``Fraction`` plus a
+prime.  No completions, no floats.
 
-* ``iwasawa``: g = b k with b upper triangular and k in K = GL_n(Z_p)
-  (integral entries, unit determinant), by column operations over Z_p.
-* ``residue_bruhat``: an invertible matrix over F_p equals b1 P_w b2 with
-  b1, b2 upper triangular, by row/column clearing from a bottom-most
-  pivot per column.
-* ``iwahori_cell``: g = n . diag(p^kbar) . t0 . P_w . j with n upper
-  unitriangular over Q, t0 diagonal with unit entries, and j in the
-  Iwahori subgroup J (integral, upper triangular and invertible mod p).
-  The pair (kbar, w) labels the cell of g uniquely; the other factors
-  are witnesses and the product is asserted to reconstruct g exactly.
+Every invertible g lies in exactly one Iwahori cell,
 
-Lifts from F_p to Z always use the representatives {0, ..., p-1}.
+    g = n . diag(p^kbar) . t0 . P_w . j,
+
+with n upper unitriangular over Q, t0 diagonal with unit entries, P_w the
+permutation matrix of w and j in the Iwahori subgroup J (integral, upper
+triangular and invertible mod p).  The pair (kbar, w) labels the cell;
+the other factors are witnesses.  Two independent algorithms find it:
+
+* ``cell_label``: the label alone, read off the valuations of the minors
+  on the bottom rows of g (the formula and its proof are in its
+  docstring).  Integer arithmetic only.
+* ``iwahori_cell``: the label with exact witnesses, by elimination:
+  ``iwasawa`` writes g = b k with b upper triangular over Q and k in
+  K = GL_n(Z_p), by column operations over Z_p; ``residue_bruhat`` writes
+  k mod p as b1 P_w b2 over F_p, by row/column clearing from a
+  bottom-most pivot per column; pushing the lift of b1 through the
+  diagonal of b gives n, t0 and j.  With ``check`` the witnesses are
+  verified to lie in their subgroups and to reconstruct g exactly.
+
+A broken invariant of a decomposition raises ``DecompositionError``, which
+``python -O`` does not switch off.  Matrix products clear denominators
+per row and column, so each entry is one integer dot product over one
+denominator.  Lifts from F_p to Z always use the representatives
+{0, ..., p-1}.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -29,9 +43,9 @@ from .weyl import Permutation
 
 __all__ = [
     "Cell",
+    "DecompositionError",
     "MatrixFormatError",
     "PAdicMatrix",
-    "PAdicScalar",
     "SingularMatrixError",
     "cell_label",
     "frac_mod_p",
@@ -41,9 +55,7 @@ __all__ = [
     "iwasawa",
     "matrix_from_json",
     "matrix_to_json",
-    "psi_phase",
     "residue_bruhat",
-    "valuation",
 ]
 
 INFINITE = math.inf
@@ -55,6 +67,10 @@ class SingularMatrixError(ValueError):
 
 class MatrixFormatError(ValueError):
     """A serialized matrix does not match the expected JSON shape."""
+
+
+class DecompositionError(ArithmeticError):
+    """A computed factorization broke one of its invariants."""
 
 
 def _int_valuation(a: int, p: int) -> int:
@@ -99,40 +115,13 @@ def frac_mod_p(x: Fraction, p: int) -> int:
     return (x.numerator * pow(x.denominator, -1, p)) % p
 
 
-@dataclass(frozen=True)
-class PAdicScalar:
-    """A rational viewed in Q_p: exact value plus the prime."""
-
-    value: Fraction
-    prime: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def valuation(self) -> Union[int, float]:
-        return frac_valuation(self.value, self.prime)
-
-    def psi_phase(self) -> Fraction:
-        return frac_psi_phase(self.value, self.prime)
-
-    def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
-        assert self.prime == other.prime
-        return PAdicScalar(self.value + other.value, self.prime)
-
-    def __mul__(self, other: "PAdicScalar") -> "PAdicScalar":
-        assert self.prime == other.prime
-        return PAdicScalar(self.value * other.value, self.prime)
-
-
-def valuation(x: PAdicScalar) -> Union[int, float]:
-    return x.valuation()
-
-
-def psi_phase(x: PAdicScalar) -> Fraction:
-    return x.psi_phase()
-
-
 _Rows = tuple[tuple[Fraction, ...], ...]
+
+
+def _cleared(xs) -> tuple[list[int], int]:
+    """Integers a and the lcm d of the denominators with xs[i] == a[i] / d."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,10 @@ class PAdicMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.entries)
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
+        rows = tuple(
+            tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
+            for row in self.entries
+        )
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "entries", rows)
@@ -155,7 +147,7 @@ class PAdicMatrix:
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "PAdicMatrix":
-        return cls(p, tuple(tuple(Fraction(e) for e in row) for row in rows))
+        return cls(p, rows)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "PAdicMatrix":
@@ -195,13 +187,15 @@ class PAdicMatrix:
     def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.p != other.p or self.n != other.n:
             raise ValueError("matrix context mismatch")
-        a, b = self.entries, other.entries
-        n = self.n
-        bt = tuple(zip(*b))
+        # Row i of self is a_i / d_i and column j of other is b_j / e_j with
+        # integer vectors, so entry (i, j) is (a_i . b_j) / (d_i e_j).
+        rows = [_cleared(row) for row in self.entries]
+        cols = [_cleared(col) for col in zip(*other.entries)]
         return PAdicMatrix(
             self.p,
             tuple(
-                tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
+                tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for b, e in cols)
+                for a, d in rows
             ),
         )
 
@@ -335,7 +329,8 @@ def iwasawa(g: PAdicMatrix, check: bool = True) -> tuple[PAdicMatrix, PAdicMatri
     Works rows n..1; in each row the pivot among the not-yet-fixed columns
     is an entry of minimal valuation (ties to the smallest column index).
     All column operations are right multiplications by elements of K.
-    With ``check`` the factors are re-multiplied and compared to g.
+    With ``check``, k is verified to lie in K and the factors are
+    re-multiplied and compared to g; a failure raises DecompositionError.
     """
     n, p = g.n, g.p
     a = [list(row) for row in g.entries]
@@ -371,10 +366,13 @@ def iwasawa(g: PAdicMatrix, check: bool = True) -> tuple[PAdicMatrix, PAdicMatri
                 k[i] = [k[i][col] + c * k[j][col] for col in range(n)]
     b = PAdicMatrix.from_rows(p, a)
     kmat = PAdicMatrix.from_rows(p, k)
-    assert b.is_upper_triangular()
+    if not b.is_upper_triangular():
+        raise DecompositionError(f"Iwasawa b factor is not upper triangular: {b!r}")
     if check:
-        assert kmat.is_in_k(), kmat
-        assert b * kmat == g
+        if not kmat.is_in_k():
+            raise DecompositionError(f"Iwasawa k factor is not in GL_n(Z_p): {kmat!r}")
+        if b * kmat != g:
+            raise DecompositionError(f"Iwasawa factors do not multiply back to {g!r}")
     return b, kmat
 
 
@@ -420,8 +418,8 @@ def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[lis
     w = Permutation(tuple(w_of_col))
     for i in range(n):
         for j in range(n):
-            expected = 1 if i + 1 == w(j + 1) else 0
-            assert a[i][j] == expected, "reduction did not reach a permutation matrix"
+            if a[i][j] != (1 if i + 1 == w(j + 1) else 0):
+                raise DecompositionError(f"reduction did not reach a permutation matrix: {a}")
     return w, b1, b2
 
 
@@ -452,8 +450,9 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     The combined steps: iwasawa g = b k; split b into a unipotent part
     and a diagonal; Bruhat-reduce k mod p and lift; push the leftover
     triangular lift through the diagonal.  (kbar, w) is the unique cell
-    label; witnesses are asserted to live in their subgroups and, when
-    ``check`` is set, to reconstruct g entry for entry.
+    label.  The witnesses n and t0 are always verified to lie in their
+    subgroups; with ``check``, j is verified to lie in J and the factors to
+    reconstruct g entry for entry.  A failure raises DecompositionError.
     """
     n, p = g.n, g.p
     b, k = iwasawa(g, check=check)
@@ -486,22 +485,71 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     n_total = n_b * n2
     t0_total = PAdicMatrix.diagonal(p, tuple(u * t for u, t in zip(unit_diag, t01)))
     cell = Cell(kbar, w, n_total, t0_total, j_factor)
-    assert n_total.is_upper_unitriangular()
-    assert all(frac_valuation(t, p) == 0 for t in t0_total.diagonal_entries())
+    if not n_total.is_upper_unitriangular():
+        raise DecompositionError(f"n witness is not upper unitriangular: {n_total!r}")
+    if any(frac_valuation(t, p) != 0 for t in t0_total.diagonal_entries()):
+        raise DecompositionError(f"t0 witness has a non-unit entry: {t0_total!r}")
     if check:
-        assert j_factor.is_in_iwahori(), j_factor
-        assert cell.reconstruct() == g
+        if not j_factor.is_in_iwahori():
+            raise DecompositionError(f"j witness is not in the Iwahori subgroup: {j_factor!r}")
+        if cell.reconstruct() != g:
+            raise DecompositionError(f"cell witnesses do not reconstruct {g!r}")
     return cell
 
 
 def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
-    """The (kbar, w) label of the cell of g, without witness factors.
+    """The (kbar, w) label of the cell of g, from minors on its bottom rows.
 
-    Fast path for sweeps that compare labels only; agrees with
-    ``iwahori_cell(g).kbar`` and ``.w`` by construction (both read the
-    label off the same two reductions).
+    Let D_{i,S} be the minor of g on its bottom i rows and the columns in
+    S, and m_i the least valuation of D_{i,S} over all i-sets S (m_0 = 0).
+    Then
+
+        k_{n-i+1} = m_i - m_{i-1},
+
+    and the least S with v(D_{i,S}) = m_i is T_i = w^{-1}({n-i+1, ..., n}),
+    so w^{-1}(n-i+1) is the one column of T_i outside T_{i-1}.
+
+    Why: in g = n . t . P_w . j with t = diag(p^kbar) t0, the bottom i rows
+    of n are [0 | U] with U unitriangular, so left multiplication by n
+    keeps every bottom-row minor.  The bottom i rows of t . P_w are those
+    rows of t times the coordinate rows of the columns T_i, so
+    D_{i,S}(g) = +-(t_{n-i+1} ... t_n) det j[T_i, S].  As j is integral and
+    upper triangular mod p with unit diagonal, det j[T_i, S] is integral,
+    a unit for S = T_i, and divisible by p unless T_i <= S entry by entry
+    in sorted order (minors of a triangular matrix vanish below that
+    order).  So T_i is the least minimizer in every order that refines
+    the entrywise one; the code compares the bitmasks sum_{s in S} 2^s.
+
+    Each row is cleared of its denominators once (which shifts the
+    valuations of its minors by v of the row's lcm), and step i pushes in
+    row n-i+1 by a Laplace expansion along it,
+    D_{i,S} = sum_{s in S} +-g_{n-i+1,s} D_{i-1,S-{s}}: about n 2^(n-1)
+    integer multiply-adds in all.  If every i-minor vanishes for some i,
+    g is singular and SingularMatrixError is raised.
     """
-    b, k = iwasawa(g, check=False)
-    kbar = tuple(int(frac_valuation(d, g.p)) for d in b.diagonal_entries())
-    w, _, _ = residue_bruhat(k.reduce_mod_p(), g.p)
-    return kbar, w
+    n, p = g.n, g.p
+    kbar = [0] * n
+    window = [0] * n
+    minors = {0: 1}  # column bitmask S -> D_{i,S} of the cleared rows, nonzero only
+    prev_mask, prev_min = 0, 0
+    for r in range(n - 1, -1, -1):
+        row, d = _cleared(g.entries[r])
+        pushed: dict[int, int] = {}
+        for mask, minor in minors.items():
+            for c in range(n):
+                bit = 1 << c
+                if mask & bit or not row[c]:
+                    continue
+                # Laplace sign: c is preceded in S by the columns of mask below it
+                term = row[c] * minor
+                if (mask & (bit - 1)).bit_count() % 2:
+                    term = -term
+                pushed[mask | bit] = pushed.get(mask | bit, 0) + term
+        minors = {mask: minor for mask, minor in pushed.items() if minor}
+        if not minors:
+            raise SingularMatrixError("matrix is singular")
+        best_v, best_mask = min((_int_valuation(minor, p), mask) for mask, minor in minors.items())
+        kbar[r] = best_v - prev_min - _int_valuation(d, p)
+        window[(best_mask & ~prev_mask).bit_length() - 1] = r + 1
+        prev_mask, prev_min = best_mask, best_v
+    return tuple(kbar), Permutation(tuple(window))

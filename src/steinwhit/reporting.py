@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CheckResult", "all_passed", "as_dicts"]
+__all__ = ["CheckResult", "all_passed"]
 
 
 @dataclass(frozen=True)
@@ -18,9 +18,3 @@ class CheckResult:
 
 def all_passed(results: list[CheckResult]) -> bool:
     return all(r.passed for r in results)
-
-
-def as_dicts(results: list[CheckResult]) -> list[dict]:
-    return [
-        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-    ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .padic import PAdicMatrix
+from .padic import DecompositionError, PAdicMatrix
 from .weyl import Permutation, Weight
 
 __all__ = [
@@ -80,7 +80,8 @@ def random_iwahori(rng: random.Random, n: int, p: int) -> PAdicMatrix:
         * random_torus_units(rng, n, p)
         * PAdicMatrix.from_rows(p, lower)
     )
-    assert out.is_in_iwahori()
+    if not out.is_in_iwahori():
+        raise DecompositionError(f"N_O . T_O . N^-_pO product left the Iwahori subgroup: {out!r}")
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, frac_psi_phase, iwahori_cell
+from .padic import PAdicMatrix, frac_psi_phase, frac_valuation, iwasawa, residue_bruhat
 from .principal_series import generator_cosets
 from .reporting import CheckResult
 from .sampling import random_group_element
@@ -119,14 +119,29 @@ def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
     return WhittakerValue.monomial(sign, (eps_exp * ksum) % n, q_exp)
 
 
-def eval_matrix(g: PAdicMatrix, eps_exp: int = 0, check: bool = False) -> WhittakerValue:
-    """Value at an arbitrary group element, via its cell decomposition."""
-    cell = iwahori_cell(g, check=check)
-    base = eval_cell(cell.kbar, cell.w, eps_exp)
+def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
+    """Value at an arbitrary group element: the cell value times psi(n).
+
+    The label and the superdiagonal of the unipotent witness n come from
+    the same two reductions as in ``iwahori_cell``, g = b k and
+    k = b1 P_w b2 mod p, without building the other witnesses: n is the
+    product of the unitriangular parts of b and of d b1 d^{-1} (d the
+    diagonal of b), so its entry (i, i+1) is the sum of theirs.
+    """
+    p = g.p
+    b, k = iwasawa(g, check=False)
+    diag = b.diagonal_entries()
+    kbar = tuple(int(frac_valuation(d, p)) for d in diag)
+    w, b1, _ = residue_bruhat(k.reduce_mod_p(), p)
+    base = eval_cell(kbar, w, eps_exp)
     if base.zero:
         return base
     offsets = [
-        frac_psi_phase(cell.n_factor.entries[i][i + 1], g.p) for i in range(g.n - 1)
+        frac_psi_phase(
+            (b.entries[i][i + 1] + Fraction(b1[i][i + 1], b1[i + 1][i + 1]) * diag[i]) / diag[i + 1],
+            p,
+        )
+        for i in range(g.n - 1)
     ]
     psi = sum(offsets, Fraction(0)) % 1
     return WhittakerValue.monomial(base.sign, base.eps_exp, base.q_exp, psi)
@@ -175,7 +190,8 @@ def eval_recursive(kbar: Weight, w: Permutation, eps_exp: int = 0, base: int = 1
     if numerator.zero:
         return WhittakerValue.zero_value()
     denominator = diag(shift)
-    assert not denominator.zero
+    if denominator.zero:
+        raise ArithmeticError(f"diagonal value at the dominance shift {shift} vanished")
     ell = w.length()
     sign = numerator.sign * denominator.sign * (-1) ** ell
     q_exp = numerator.q_exp - denominator.q_exp - ell

@@ -1,7 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -68,6 +74,52 @@ def test_singular_matrix_raises():
         m.inverse()
     with pytest.raises(SingularMatrixError):
         iwasawa(m)
+    with pytest.raises(SingularMatrixError):
+        cell_label(m)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0], [0, 0]],
+        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],  # a zero row above the bottom one
+        [[1, 0, 0], [0, 1, 1], [0, 2, 2]],  # the bottom two rows are dependent
+        [[Fraction(1, 3), 1, 0], [1, 3, 0], [5, 7, 0]],  # a zero column
+    ],
+)
+def test_cell_label_raises_on_singular_input(rows):
+    with pytest.raises(SingularMatrixError):
+        cell_label(PAdicMatrix.from_rows(3, rows))
+
+
+def _naive_product(a: PAdicMatrix, b: PAdicMatrix) -> PAdicMatrix:
+    n = a.n
+    return PAdicMatrix.from_rows(a.p, [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ])
+
+
+rationals = st.fractions(max_denominator=60).filter(lambda x: abs(x.numerator) < 10**6)
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = draw(st.sampled_from([rationals, st.integers(-50, 50)]))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[e if i == j else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    other = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    return PAdicMatrix.from_rows(3, rows), PAdicMatrix.from_rows(3, other)
+
+
+@given(matrix_pairs())
+def test_product_equals_naive_triple_loop(pair):
+    a, b = pair
+    assert a * b == _naive_product(a, b)
+    assert b * a == _naive_product(b, a)
+    assert all(isinstance(e, Fraction) for row in (a * b).entries for e in row)
 
 
 def test_iwasawa_frozen_example():
@@ -132,11 +184,27 @@ def test_cell_witnesses_live_in_their_groups():
 
 
 def test_cell_label_matches_full_decomposition():
-    rng = random.Random(14)
-    for _ in range(25):
-        g = random_cell_product(rng, 3, 3)[0]
-        cell = iwahori_cell(g)
-        assert cell_label(g) == (cell.kbar, cell.w)
+    """Minors and elimination are independent; both must find the built label."""
+    for n, p in product((2, 3, 4, 5), (2, 3, 5, 7)):
+        rng = random.Random(f"minors:{n}:{p}")
+        for _ in range(12):
+            g, kbar, w = random_cell_product(rng, n, p)
+            for h in [g] + [g * random_iwahori(rng, n, p) for _ in range(4)]:
+                cell = iwahori_cell(h)
+                assert cell_label(h) == (cell.kbar, cell.w) == (kbar, w)
+
+
+def test_cell_label_matches_elimination_on_arbitrary_matrices():
+    rng = random.Random(15)
+    for n, p in [(2, 2), (3, 3), (4, 2), (4, 5)]:
+        for _ in range(20):
+            rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, p, p * p, 3 * p, 7])) for _ in range(n)]
+                    for _ in range(n)]
+            g = PAdicMatrix.from_rows(p, rows)
+            if g.det() == 0:
+                continue
+            cell = iwahori_cell(g)
+            assert cell_label(g) == (cell.kbar, cell.w)
 
 
 def test_right_iwahori_translation_keeps_label():
@@ -185,3 +253,37 @@ def test_cell_is_value_object():
     assert isinstance(c1, Cell)
     assert c1.kbar == (0, 0)
     assert c1.n_factor == PAdicMatrix.identity(2, p)
+
+
+def test_check_raises_under_optimize_flag():
+    """With a planted wrong permutation from residue_bruhat, check=True must
+    raise even under ``python -O``, which strips ``assert`` statements."""
+    script = textwrap.dedent(
+        """
+        from steinwhit import padic
+        from steinwhit.weyl import Permutation
+
+        true_bruhat = padic.residue_bruhat
+
+        def wrong_bruhat(rows, p):
+            w, b1, b2 = true_bruhat(rows, p)
+            return w * Permutation.simple(w.n, 1), b1, b2
+
+        padic.residue_bruhat = wrong_bruhat
+        g = padic.PAdicMatrix.from_rows(3, [[1, 2], [3, 4]])
+        try:
+            padic.iwahori_cell(g, check=True)
+        except padic.DecompositionError as exc:
+            print("raised", exc)
+        else:
+            print("accepted")
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised j witness is not in the Iwahori subgroup"), proc.stdout

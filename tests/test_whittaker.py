@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from steinwhit.affine_weyl import ExtAffineElement, realize
-from steinwhit.padic import PAdicMatrix
-from steinwhit.sampling import random_group_element, random_iwahori
+from steinwhit.padic import PAdicMatrix, SingularMatrixError, frac_psi_phase, iwahori_cell
+from steinwhit.sampling import random_cell_product, random_group_element, random_iwahori
 from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations, dominance_shift
 from steinwhit.whittaker import (
@@ -104,6 +104,38 @@ def test_eval_matrix_is_right_iwahori_invariant():
             base = eval_matrix(g, 1)
             for _ in range(5):
                 assert eval_matrix(g * random_iwahori(rng, n, p), 1) == base
+
+
+def _value_from_witnesses(g: PAdicMatrix, eps_exp: int) -> WhittakerValue:
+    """The witness route: the cell value times psi of the superdiagonal of n."""
+    cell = iwahori_cell(g, check=True)
+    base = eval_cell(cell.kbar, cell.w, eps_exp)
+    if base.zero:
+        return base
+    psi = sum(
+        (frac_psi_phase(cell.n_factor.entries[i][i + 1], g.p) for i in range(g.n - 1)),
+        Fraction(0),
+    ) % 1
+    return WhittakerValue.monomial(base.sign, base.eps_exp, base.q_exp, psi)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 7), (3, 3), (4, 2), (5, 5)])
+def test_eval_matrix_matches_witness_route(n, p):
+    rng = random.Random(f"witness:{n}:{p}")
+    phases = set()
+    for _ in range(40):
+        g = random_cell_product(rng, n, p, weight_range=1)[0] * random_iwahori(rng, n, p)
+        value = eval_matrix(g, 1 % n)
+        assert value == _value_from_witnesses(g, 1 % n)
+        phases.add(value.psi)
+    assert len(phases) > 1  # some samples carry a nonzero phase
+
+
+def test_eval_matrix_raises_on_singular_input():
+    with pytest.raises(SingularMatrixError):
+        eval_matrix(PAdicMatrix.from_rows(3, [[1, 2], [2, 4]]))
+    with pytest.raises(SingularMatrixError):
+        eval_matrix(PAdicMatrix.from_rows(2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
 
 
 def test_rotation_matrix_value():
