@@ -7,10 +7,12 @@ Subcommands:
   verify     run the identity suites and report pass/fail per check
 
 Matrices are JSON objects {"p": prime, "entries": [["a/b", ...], ...]}
-read from a file path or "-" for standard input.  Reports go to
-standard output, diagnostics to standard error.  Exit codes: 0 success,
-1 verification failure, 2 parse or configuration error, 3 singular
-input matrix, 4 table size guard violation.
+read from a file path or "-" for standard input.  Entries are integers
+or a/b in lowest terms; p, like --p, must be a prime below
+``padic.PRIME_BOUND`` (about 3.3e24), where primality is decided
+exactly.  Reports go to standard output, diagnostics to standard error.
+Exit codes: 0 success, 1 verification failure, 2 parse or configuration
+error, 3 singular input matrix, 4 table size guard violation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .hecke import verify_presentation
 from .padic import (
     MatrixFormatError,
     SingularMatrixError,
+    is_prime,
     iwahori_cell,
     matrix_from_json,
 )
@@ -56,12 +59,6 @@ _SCALE_RE = re.compile(r"^([+-]?)(?:1|q(?:\^(-?\d+))?)$")
 
 class UsageError(Exception):
     """Configuration or input problem; maps to exit code 2."""
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def _parse_scale(text: str) -> tuple[int, int]:
@@ -99,7 +96,11 @@ def _read_matrix(path: str):
 def _check_config(n: int, p: int, eps_exp: int) -> int:
     if n < 2:
         raise UsageError(f"--n must be at least 2, got {n}")
-    if not _is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise UsageError(f"--p {exc}") from exc
+    if not prime:
         raise UsageError(f"--p must be prime, got {p}")
     return eps_exp % n
 
@@ -189,6 +190,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _verify_suites(args: argparse.Namespace) -> list[tuple[str, CheckResult]]:
     eps_exp = _check_config(args.n, args.p, args.eps_exp)
+    if args.samples < 0:
+        raise UsageError(f"--samples must be non-negative, got {args.samples}")
     named: list[tuple[str, CheckResult]] = []
     if args.suite in ("hecke", "all"):
         for r in verify_presentation(args.n):

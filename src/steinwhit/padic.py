@@ -17,17 +17,22 @@ the other factors are witnesses.  Two independent algorithms find it:
   docstring).  Integer arithmetic only.
 * ``iwahori_cell``: the label with exact witnesses, by elimination:
   ``iwasawa`` writes g = b k with b upper triangular over Q and k in
-  K = GL_n(Z_p), by column operations over Z_p; ``residue_bruhat`` writes
-  k mod p as b1 P_w b2 over F_p, by row/column clearing from a
-  bottom-most pivot per column; pushing the lift of b1 through the
-  diagonal of b gives n, t0 and j.  With ``check`` the witnesses are
-  verified to lie in their subgroups and to reconstruct g exactly.
+  K = GL_n(Z_p), by column operations over Z_p on integer columns;
+  ``residue_bruhat`` writes k mod p as b1 P_w b2 over F_p, by row/column
+  clearing from a bottom-most pivot per column; back substitution
+  against the integer lift of b1 gives j, and pushing b1 through the
+  diagonal of b gives n and t0.  With ``check`` the witnesses are
+  verified, once, to lie in their subgroups and to reconstruct g
+  exactly; ``iwasawa`` itself checks nothing (its tests hold it to a
+  ``Fraction`` oracle).
 
 A broken invariant of a decomposition raises ``DecompositionError``, which
-``python -O`` does not switch off.  Matrix products clear denominators
-per row and column, so each entry is one integer dot product over one
-denominator.  Lifts from F_p to Z always use the representatives
-{0, ..., p-1}.
+``python -O`` does not switch off.  The hot paths work on integer
+vectors over one denominator each: a matrix product is one integer dot
+product per entry, ``iwasawa`` updates cleared columns and
+``cell_label`` cleared rows.  Lifts from F_p to Z always use the
+representatives {0, ..., p-1}.  Primes are decided by ``is_prime``
+(deterministic Miller-Rabin) below ``PRIME_BOUND``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -46,11 +52,13 @@ __all__ = [
     "DecompositionError",
     "MatrixFormatError",
     "PAdicMatrix",
+    "PRIME_BOUND",
     "SingularMatrixError",
     "cell_label",
     "frac_mod_p",
     "frac_psi_phase",
     "frac_valuation",
+    "is_prime",
     "iwahori_cell",
     "iwasawa",
     "matrix_from_json",
@@ -59,6 +67,11 @@ __all__ = [
 ]
 
 INFINITE = math.inf
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); a larger p is refused, not guessed at.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class SingularMatrixError(ValueError):
@@ -71,6 +84,39 @@ class MatrixFormatError(ValueError):
 
 class DecompositionError(ArithmeticError):
     """A computed factorization broke one of its invariants."""
+
+
+def is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin.
+
+    Exact for every p below PRIME_BOUND; ValueError at or above it.
+
+    >>> [q for q in range(30) if is_prime(q)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> is_prime(1000000000000000003), is_prime(3215031751)
+    (True, False)
+    """
+    if p >= PRIME_BOUND:
+        raise ValueError(f"must be below {PRIME_BOUND}, got {p}")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _int_valuation(a: int, p: int) -> int:
@@ -116,6 +162,12 @@ def frac_mod_p(x: Fraction, p: int) -> int:
 
 
 _Rows = tuple[tuple[Fraction, ...], ...]
+_ZERO = Fraction(0)
+
+
+def _p_power(p: int, v: int) -> tuple[int, int]:
+    """Integers (up, down) with p^v == up / down."""
+    return (p**v, 1) if v >= 0 else (1, p**-v)
 
 
 def _cleared(xs) -> tuple[list[int], int]:
@@ -244,22 +296,21 @@ class PAdicMatrix:
     def reduce_mod_p(self) -> list[list[int]]:
         return [[frac_mod_p(e, self.p) for e in row] for row in self.entries]
 
-    def is_integral(self) -> bool:
-        return all(e.denominator % self.p != 0 for row in self.entries for e in row)
-
-    def is_in_k(self) -> bool:
-        """Integral with unit determinant: an element of GL_n(Z_p)."""
-        return self.is_integral() and frac_valuation(self.det(), self.p) == 0
-
     def is_in_iwahori(self) -> bool:
-        """In K and upper triangular invertible mod p."""
-        if not self.is_in_k():
-            return False
-        for i in range(self.n):
-            if frac_valuation(self.entries[i][i], self.p) != 0:
-                return False
-            for j in range(i):
-                if frac_valuation(self.entries[i][j], self.p) < 1:
+        """Integral, with a unit diagonal and p dividing every entry below it.
+
+        Such a matrix is in K without a determinant: mod p it is upper
+        triangular, so det is congruent to the product of the diagonal,
+        a unit.
+        """
+        p = self.p
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if e.denominator % p == 0:
+                    return False
+                if i == j and e.numerator % p == 0:
+                    return False
+                if j < i and e.numerator % p:
                     return False
         return True
 
@@ -283,6 +334,10 @@ class PAdicMatrix:
         return f"PAdicMatrix(p={self.p}, [{body}])"
 
 
+# An integer, or a/b with b > 0 and gcd(a, b) = 1: what matrix_to_json writes.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def matrix_to_json(m: PAdicMatrix) -> str:
     doc = {
         "p": m.p,
@@ -301,7 +356,11 @@ def matrix_from_json(doc) -> PAdicMatrix:
     if not isinstance(doc, dict) or set(doc) - {"p", "entries"} or "p" not in doc or "entries" not in doc:
         raise MatrixFormatError("expected an object with fields 'p' and 'entries'")
     p = doc["p"]
-    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    try:
+        prime = isinstance(p, int) and is_prime(p)
+    except ValueError as exc:
+        raise MatrixFormatError(f"'p' {exc}") from exc
+    if not prime:
         raise MatrixFormatError(f"'p' must be a prime integer, got {p!r}")
     entries = doc["entries"]
     if not isinstance(entries, list) or not entries:
@@ -315,65 +374,78 @@ def matrix_from_json(doc) -> PAdicMatrix:
         for e in row:
             if isinstance(e, bool) or not isinstance(e, (str, int)):
                 raise MatrixFormatError(f"bad rational entry {e!r}")
+            m = _RATIONAL_RE.fullmatch(e) if isinstance(e, str) else None
+            if isinstance(e, str) and m is None:
+                raise MatrixFormatError(f"bad rational entry {e!r}: expected an integer or a/b in lowest terms")
             try:
-                parsed.append(Fraction(e))
+                x = Fraction(e)
             except (ValueError, ZeroDivisionError) as exc:
                 raise MatrixFormatError(f"bad rational entry {e!r}") from exc
+            if m is not None and m[2] is not None and x.denominator != int(m[2]):
+                raise MatrixFormatError(f"rational entry {e!r} is not in lowest terms")
+            parsed.append(x)
         rows.append(parsed)
     return PAdicMatrix.from_rows(p, rows)
 
 
-def iwasawa(g: PAdicMatrix, check: bool = True) -> tuple[PAdicMatrix, PAdicMatrix]:
+def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
     """g = b k with b upper triangular over Q and k in GL_n(Z_p).
 
-    Works rows n..1; in each row the pivot among the not-yet-fixed columns
-    is an entry of minimal valuation (ties to the smallest column index).
-    All column operations are right multiplications by elements of K.
-    With ``check``, k is verified to lie in K and the factors are
-    re-multiplied and compared to g; a failure raises DecompositionError.
+    Column elimination over Z_p on rows n..1.  In each row the pivot among
+    the not-yet-fixed columns is an entry of least valuation v (ties to
+    the smallest column index); it is swapped into place and its column
+    is scaled so that the pivot becomes exactly p^v, and the columns to
+    its left are cleared against it.  Every column operation is a right
+    multiplication by an element of K, so b is upper triangular with
+    diagonal p^kbar and k = b^{-1} g.
+
+    The working columns are integer vectors over one denominator, cut to
+    the rows not yet fixed and reduced by their gcd after each update.  k
+    is never updated: until step i its row i is a coordinate row, and
+    step i adds to it exactly the multiples of the coordinate rows that
+    clear row i of the working matrix.  So row i of k is row i of the
+    working matrix at step i over p^v, with its columns put back in their
+    original order.
     """
     n, p = g.n, g.p
-    a = [list(row) for row in g.entries]
-    k = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # Invariant: g == (current a) * (current k); ops update both.
+    cols = [_cleared(col) for col in zip(*g.entries)]
+    order = list(range(n))  # working column j is column order[j] of g
+    b = [[_ZERO] * n for _ in range(n)]
+    k = [[_ZERO] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        best = None
-        best_v = None
+        best, best_v = None, 0
         for j in range(i + 1):
-            if a[i][j] == 0:
-                continue
-            v = frac_valuation(a[i][j], p)
-            if best_v is None or v < best_v:
-                best, best_v = j, v
+            a, d = cols[j]
+            if a[i]:
+                v = _int_valuation(a[i], p) - _int_valuation(d, p)
+                if best is None or v < best_v:
+                    best, best_v = j, v
         if best is None:
             raise SingularMatrixError("matrix is singular")
-        if best != i:
-            for row in a:
-                row[best], row[i] = row[i], row[best]
-            k[best], k[i] = k[i], k[best]
-        pivot = a[i][i]
-        unit = pivot / Fraction(p) ** best_v
-        inv_unit = 1 / unit
-        for row in a:
-            row[i] *= inv_unit
-        k[i] = [unit * e for e in k[i]]
-        piv = a[i][i]
-        for j in range(i):
-            if a[i][j] != 0:
-                c = a[i][j] / piv
-                for row in a:
-                    row[j] -= c * row[i]
-                k[i] = [k[i][col] + c * k[j][col] for col in range(n)]
-    b = PAdicMatrix.from_rows(p, a)
-    kmat = PAdicMatrix.from_rows(p, k)
-    if not b.is_upper_triangular():
-        raise DecompositionError(f"Iwasawa b factor is not upper triangular: {b!r}")
-    if check:
-        if not kmat.is_in_k():
-            raise DecompositionError(f"Iwasawa k factor is not in GL_n(Z_p): {kmat!r}")
-        if b * kmat != g:
-            raise DecompositionError(f"Iwasawa factors do not multiply back to {g!r}")
-    return b, kmat
+        cols[best], cols[i] = cols[i], cols[best]
+        order[best], order[i] = order[i], order[best]
+        up, down = _p_power(p, best_v)
+        for j in range(i + 1):
+            a, d = cols[j]
+            if a[i]:
+                k[i][order[j]] = Fraction(a[i] * down, d * up)
+        piv, _ = cols.pop()
+        t = piv[i]
+        for r in range(i):
+            if piv[r]:
+                b[r][i] = Fraction(piv[r] * up, t * down)
+        b[i][i] = Fraction(up, down)
+        # column j -= (a_ij / a_ii) column i, over the denominator d t
+        for j, (a, d) in enumerate(cols):
+            c = a[i]
+            if c:
+                a = [x * t - c * y for x, y in zip(a[:i], piv)]
+                d *= t
+                e = math.gcd(d, *a)
+                cols[j] = ([x // e for x in a], d // e)
+            else:
+                cols[j] = (a[:i], d)
+    return PAdicMatrix(p, tuple(map(tuple, b))), PAdicMatrix(p, tuple(map(tuple, k)))
 
 
 def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[list[int]], list[list[int]]]:
@@ -434,64 +506,77 @@ class Cell:
     j_factor: PAdicMatrix
 
     def reconstruct(self) -> PAdicMatrix:
+        """The product of the witnesses, for a diagonal t0, as one product.
+
+        Row r of diag(p^kbar) . t0 . P_w . j is p^{k_r} t0_r times row
+        w^{-1}(r) of j, so g is n times j with its rows permuted and scaled.
+        """
         p = self.n_factor.p
-        return (
-            self.n_factor
-            * PAdicMatrix.weight_matrix(p, self.kbar)
-            * self.t0_factor
-            * PAdicMatrix.permutation(p, self.w)
-            * self.j_factor
+        winv = self.w.inverse()
+        scales = (Fraction(p) ** k * t for k, t in zip(self.kbar, self.t0_factor.diagonal_entries()))
+        right = tuple(
+            tuple(s * x for x in self.j_factor.entries[winv(r) - 1])
+            for r, s in enumerate(scales, start=1)
         )
+        return self.n_factor * PAdicMatrix(p, right)
 
 
 def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     """Decompose g into its Iwahori cell with exact witnesses.
 
-    The combined steps: iwasawa g = b k; split b into a unipotent part
-    and a diagonal; Bruhat-reduce k mod p and lift; push the leftover
-    triangular lift through the diagonal.  (kbar, w) is the unique cell
-    label.  The witnesses n and t0 are always verified to lie in their
-    subgroups; with ``check``, j is verified to lie in J and the factors to
-    reconstruct g entry for entry.  A failure raises DecompositionError.
+    ``iwasawa`` gives g = b k with diag(b) = p^kbar, and ``residue_bruhat``
+    gives k = b1 P_w b2 mod p; b1 is lifted to the integers with entries in
+    {0, ..., p-1}.  Then
+
+        j = P_{w^-1} b1^{-1} k,   t0 = diag(b1),   n = b b1 t0^{-1} p^{-kbar},
+
+    and j is found by back substitution against the triangular b1 on
+    integer rows.  (kbar, w) is the unique cell label.  The witnesses n and
+    t0 are always verified to lie in their subgroups; with ``check``, j is
+    verified to lie in J and the cell to reconstruct g entry for entry,
+    once each.  A failure raises DecompositionError.
     """
     n, p = g.n, g.p
-    b, k = iwasawa(g, check=check)
-    diag = b.diagonal_entries()
-    kbar = tuple(int(frac_valuation(d, p)) for d in diag)
-    unit_diag = tuple(d / Fraction(p) ** kv for d, kv in zip(diag, kbar))
-    n_b = PAdicMatrix.from_rows(
-        p,
-        [
-            [b.entries[i][j] / diag[j] for j in range(n)]
-            for i in range(n)
-        ],
-    )
-    w, b1_res, _ = residue_bruhat(k.reduce_mod_p(), p)
-    b1 = PAdicMatrix.from_rows(p, b1_res)  # naive lift, entries in {0..p-1}
-    j_factor = PAdicMatrix.permutation(p, w.inverse()) * b1.inverse() * k
-    t01 = b1.diagonal_entries()
-    # Push d = p^kbar t0 through the unitriangular part of b1:
-    # d n1 d^{-1} scales entry (i, j) by d_i / d_j.
-    n2 = PAdicMatrix.from_rows(
-        p,
-        [
-            [
-                (b1.entries[i][j] / t01[j]) * (diag[i] / diag[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
-    n_total = n_b * n2
-    t0_total = PAdicMatrix.diagonal(p, tuple(u * t for u, t in zip(unit_diag, t01)))
-    cell = Cell(kbar, w, n_total, t0_total, j_factor)
-    if not n_total.is_upper_unitriangular():
-        raise DecompositionError(f"n witness is not upper unitriangular: {n_total!r}")
-    if any(frac_valuation(t, p) != 0 for t in t0_total.diagonal_entries()):
-        raise DecompositionError(f"t0 witness has a non-unit entry: {t0_total!r}")
+    b, k = iwasawa(g)
+    kbar = tuple(int(frac_valuation(x, p)) for x in b.diagonal_entries())
+    k_rows = [_cleared(row) for row in k.entries]
+    if any(d % p == 0 for _, d in k_rows):
+        raise DecompositionError(f"Iwasawa k factor is not integral: {k!r}")
+    w, b1, _ = residue_bruhat([[x * pow(d, -1, p) for x in row] for row, d in k_rows], p)
+    # y = b1^{-1} k, bottom row first; each row an integer vector over one denominator
+    y: list = [None] * n
+    for r in range(n - 1, -1, -1):
+        row, d = k_rows[r]
+        terms = [(b1[r][c], y[c]) for c in range(r + 1, n) if b1[r][c]]
+        den = math.lcm(d, *(e for _, (_, e) in terms))
+        acc = [x * (den // d) for x in row]
+        for coef, (vec, e) in terms:
+            f = coef * (den // e)
+            acc = [x - f * z for x, z in zip(acc, vec)]
+        den *= b1[r][r]
+        e = math.gcd(den, *acc)
+        y[r] = ([x // e for x in acc], den // e)
+    j_factor = PAdicMatrix(p, tuple(
+        tuple(Fraction(x, d) for x in vec) for vec, d in (y[w(r) - 1] for r in range(1, n + 1))
+    ))
+    # n = b n2 with n2 = b1 t0^{-1} p^{-kbar}: column c of b1 over b1[c][c] p^{k_c}
+    up_down = [_p_power(p, kv) for kv in kbar]
+    n2 = PAdicMatrix(p, tuple(
+        tuple(Fraction(x * down, b1[c][c] * up) if x else _ZERO
+              for c, (x, (up, down)) in enumerate(zip(row, up_down)))
+        for row in b1
+    ))
+    cell = Cell(kbar, w, b * n2, PAdicMatrix.diagonal(p, [b1[i][i] for i in range(n)]), j_factor)
+    if not cell.n_factor.is_upper_unitriangular():
+        raise DecompositionError(f"n witness is not upper unitriangular: {cell.n_factor!r}")
+    t0 = cell.t0_factor
+    if t0 != PAdicMatrix.diagonal(p, t0.diagonal_entries()) or any(
+        frac_valuation(t, p) != 0 for t in t0.diagonal_entries()
+    ):
+        raise DecompositionError(f"t0 witness is not a diagonal of units: {t0!r}")
     if check:
-        if not j_factor.is_in_iwahori():
-            raise DecompositionError(f"j witness is not in the Iwahori subgroup: {j_factor!r}")
+        if not cell.j_factor.is_in_iwahori():
+            raise DecompositionError(f"j witness is not in the Iwahori subgroup: {cell.j_factor!r}")
         if cell.reconstruct() != g:
             raise DecompositionError(f"cell witnesses do not reconstruct {g!r}")
     return cell

@@ -129,7 +129,7 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     diagonal of b), so its entry (i, i+1) is the sum of theirs.
     """
     p = g.p
-    b, k = iwasawa(g, check=False)
+    b, k = iwasawa(g)
     diag = b.diagonal_entries()
     kbar = tuple(int(frac_valuation(d, p)) for d in diag)
     w, b1, _ = residue_bruhat(k.reduce_mod_p(), p)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from steinwhit.cli import main
+from steinwhit.padic import PRIME_BOUND
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
 ROTATION_2_P3 = '{"p": 3, "entries": [["0", "1"], ["3", "0"]]}'
@@ -200,6 +206,11 @@ def test_verify_rejects_non_prime(capsys, monkeypatch):
     )
     assert code == 2
     assert "prime" in err
+    code, _, err = run(
+        capsys, monkeypatch, ["verify", "hecke", "--n", "2", "--p", str(PRIME_BOUND)]
+    )
+    assert code == 2
+    assert "must be below" in err
 
 
 def test_verify_csv(capsys, monkeypatch):
@@ -212,3 +223,47 @@ def test_verify_csv(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert lines[0] == "suite,name,passed"
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def _cli_process(argv, stdin: str, timeout: float):
+    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinwhit.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_large_primes_are_decided_fast():
+    big_prime = 1000000000000000003
+    doc = json.dumps({"p": big_prime, "entries": [["0", "1"], [str(big_prime), "0"]]})
+    proc, elapsed = _cli_process(["decompose", "-"], doc, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kbar"] == [0, 1]
+    assert elapsed < 10
+    above = json.dumps({"p": PRIME_BOUND + 2, "entries": [["1", "0"], ["0", "1"]]})
+    proc, elapsed = _cli_process(["eval", "-"], above, timeout=30)
+    assert proc.returncode == 2
+    assert "must be below" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 10
+
+
+@pytest.mark.parametrize("entry", ["2/4", "0.5"])
+def test_entries_not_in_lowest_terms_exit_2(capsys, monkeypatch, entry):
+    doc = json.dumps({"p": 2, "entries": [[entry, "0"], ["0", "1"]]})
+    for command in ("decompose", "eval"):
+        code, out, err = run(capsys, monkeypatch, [command, "-"], doc)
+        assert (code, out) == (2, "")
+        assert entry in err
+
+
+def test_verify_rejects_negative_samples(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, monkeypatch, ["verify", "whittaker", "--n", "2", "--p", "3", "--samples", "-3"]
+    )
+    assert (code, out) == (2, "")
+    assert "--samples" in err

@@ -10,10 +10,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinwhit.padic import (
+    PRIME_BOUND,
     Cell,
     MatrixFormatError,
     PAdicMatrix,
@@ -21,6 +22,7 @@ from steinwhit.padic import (
     cell_label,
     frac_psi_phase,
     frac_valuation,
+    is_prime,
     iwahori_cell,
     iwasawa,
     matrix_from_json,
@@ -130,6 +132,85 @@ def test_iwasawa_frozen_example():
     assert b * k == g
 
 
+def _in_k(m: PAdicMatrix) -> bool:
+    """Integral with a unit determinant: an element of GL_n(Z_p)."""
+    p = m.p
+    return all(e.denominator % p for row in m.entries for e in row) and frac_valuation(m.det(), p) == 0
+
+
+def _iwasawa_oracle(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
+    """Column elimination in Fraction arithmetic, updating k as it goes.
+
+    The same pivot rule as ``iwasawa`` (least valuation in row i among
+    columns <= i, ties to the smallest column) and the same normalization
+    (the pivot becomes exactly p^v), but no cleared integers and no
+    shortcut for k: every column operation is applied to k as a row
+    operation, keeping g == a k throughout.
+    """
+    n, p = g.n, g.p
+    a = [list(row) for row in g.entries]
+    k = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        candidates = [(frac_valuation(a[i][j], p), j) for j in range(i + 1) if a[i][j] != 0]
+        if not candidates:
+            raise SingularMatrixError("matrix is singular")
+        v, best = min(candidates)
+        for row in a:
+            row[best], row[i] = row[i], row[best]
+        k[best], k[i] = k[i], k[best]
+        unit = a[i][i] / Fraction(p) ** v
+        for row in a:
+            row[i] /= unit
+        k[i] = [unit * e for e in k[i]]
+        for j in range(i):
+            c = a[i][j] / a[i][i]
+            if c:
+                for row in a:
+                    row[j] -= c * row[i]
+                k[i] = [x + c * y for x, y in zip(k[i], k[j])]
+    return PAdicMatrix.from_rows(p, a), PAdicMatrix.from_rows(p, k)
+
+
+@st.composite
+def iwasawa_inputs(draw):
+    """Matrices with non-integral entries, valuations from -6 to 8 and,
+    one time in four, a row that is a combination of the others."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    entry = st.builds(
+        lambda num, v, den: Fraction(num, den) * Fraction(p) ** v,
+        st.integers(-40, 40),
+        st.integers(-6, 8),
+        st.sampled_from([1, 2, 3, 7, 11]),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        r = draw(st.integers(0, n - 1))
+        coeffs = [draw(entry) for _ in range(n)]
+        rows[r] = [
+            sum((c * rows[s][j] for s, c in enumerate(coeffs) if s != r), Fraction(0)) for j in range(n)
+        ]
+    return PAdicMatrix.from_rows(p, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(iwasawa_inputs())
+def test_iwasawa_matches_fraction_oracle(g):
+    try:
+        expected = _iwasawa_oracle(g)
+    except SingularMatrixError:
+        assert g.det() == 0
+        with pytest.raises(SingularMatrixError):
+            iwasawa(g)
+        return
+    b, k = iwasawa(g)
+    assert (b, k) == expected
+    assert b.is_upper_triangular()
+    assert all(d == Fraction(g.p) ** frac_valuation(d, g.p) for d in b.diagonal_entries())
+    assert _in_k(k)
+    assert b * k == g
+
+
 def test_iwasawa_properties_random():
     rng = random.Random(4)
     for n, p in [(2, 2), (3, 3), (4, 5)]:
@@ -137,7 +218,7 @@ def test_iwasawa_properties_random():
             g = random_cell_product(rng, n, p)[0]
             b, k = iwasawa(g)
             assert b.is_upper_triangular()
-            assert k.is_in_k()
+            assert _in_k(k)
             assert b * k == g
 
 
@@ -240,11 +321,39 @@ def test_json_round_trip():
         '{"p": 2, "entries": [[1.5, "0"], ["0", "1"]]}',
         '{"p": 2}',
         "not json at all",
+    ]
+    # entries must be integers or a/b in lowest terms
+    + [
+        json.dumps({"p": 3, "entries": [[entry, "0"], ["0", "1"]]})
+        for entry in ["2/4", "0.5", "0/3", "-6/4", "1/0", " 1", "1e3", "1_000", "+-1", "\u00bd", "3/-4", ""]
     ],
 )
 def test_matrix_parse_errors(doc):
     with pytest.raises(MatrixFormatError):
         matrix_from_json(doc)
+
+
+def test_matrix_entries_in_lowest_terms_parse():
+    m = matrix_from_json('{"p": 3, "entries": [["-3/4", "7"], [-2, "1/9"]]}')
+    assert m.entries == ((Fraction(-3, 4), Fraction(7)), (Fraction(-2), Fraction(1, 9)))
+
+
+def test_is_prime_agrees_with_trial_division():
+    sieve = [q for q in range(2, 5000) if all(q % d for d in range(2, int(q**0.5) + 1))]
+    assert [q for q in range(5000) if is_prime(q)] == sieve
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the first 1, 4, 11 and 12 prime bases, and a product of two primes
+    for composite in [2047, 3215031751, 3825123056546413051, 318665857834031151167461, (2**61 - 1) * (2**19 - 1)]:
+        assert not is_prime(composite)
+    # the largest prime below 2^64, and the largest below the bound
+    for prime in [2**61 - 1, 2**64 - 59, 10**18 + 3, 3317044064679887385961813]:
+        assert is_prime(prime)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(MatrixFormatError):
+        matrix_from_json(json.dumps({"p": PRIME_BOUND + 2, "entries": [["1"]]}))
 
 
 def test_cell_is_value_object():
@@ -253,6 +362,18 @@ def test_cell_is_value_object():
     assert isinstance(c1, Cell)
     assert c1.kbar == (0, 0)
     assert c1.n_factor == PAdicMatrix.identity(2, p)
+
+
+def _run_optimized(script: str) -> str:
+    """Run ``script`` under ``python -O``, which strips ``assert`` statements."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_check_raises_under_optimize_flag():
@@ -279,11 +400,82 @@ def test_check_raises_under_optimize_flag():
             print("accepted")
         """
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    stdout = _run_optimized(script)
+    assert stdout.startswith("raised j witness is not in the Iwahori subgroup"), stdout
+
+
+# Each plant replaces one step of iwahori_cell by a wrong one.  g has
+# w = w0 at p = 5, so a changed entry above the diagonal of b1 is a real
+# fault: P_{w0} u P_{w0} is lower triangular for a unipotent upper u.
+PLANTS = {
+    # a row of k off by p: k stays in K and has the same residue
+    "k_row": (
+        """
+        true_iwasawa = padic.iwasawa
+
+        def planted(g):
+            b, k = true_iwasawa(g)
+            rows = [list(row) for row in k.entries]
+            rows[-1][0] += g.p
+            return b, padic.PAdicMatrix(g.p, tuple(map(tuple, rows)))
+
+        padic.iwasawa = planted
+        """,
+        "cell witnesses do not reconstruct",
+    ),
+    # b1 from the residue Bruhat decomposition with a wrong corner entry
+    "b1_entry": (
+        """
+        true_bruhat = padic.residue_bruhat
+
+        def planted(rows, p):
+            w, b1, b2 = true_bruhat(rows, p)
+            b1 = [list(row) for row in b1]
+            b1[0][-1] = (b1[0][-1] + 1) % p
+            return w, b1, b2
+
+        padic.residue_bruhat = planted
+        """,
+        "j witness is not in the Iwahori subgroup",
+    ),
+    # a unitriangular n witness that is not the right one
+    "n_witness": (
+        """
+        true_cell = padic.Cell
+
+        def planted(kbar, w, n_factor, t0, j):
+            rows = [list(row) for row in n_factor.entries]
+            rows[0][-1] += 1
+            return true_cell(kbar, w, padic.PAdicMatrix(n_factor.p, tuple(map(tuple, rows))), t0, j)
+
+        padic.Cell = planted
+        """,
+        "cell witnesses do not reconstruct",
+    ),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_single_check_catches_planted_faults_under_optimize_flag(plant):
+    """iwahori_cell verifies its witnesses once; that one check must still
+    catch a wrong k row, a wrong b1 entry and a wrong witness under -O."""
+    code, message = PLANTS[plant]
+    script = textwrap.dedent(
+        """
+        from steinwhit import padic
+
+        g = padic.PAdicMatrix.from_rows(5, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        assert padic.iwahori_cell(g, check=True).w.window == (3, 2, 1)
+        """
+    ) + textwrap.dedent(code) + textwrap.dedent(
+        """
+        try:
+            padic.iwahori_cell(g, check=True)
+        except padic.DecompositionError as exc:
+            print("raised", exc)
+        else:
+            print("accepted")
+        """
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised j witness is not in the Iwahori subgroup"), proc.stdout
+    stdout = _run_optimized(script)
+    assert stdout.startswith(f"raised {message}"), stdout

@@ -149,3 +149,36 @@ def test_dominance_is_decrease_after_unshifting(w):
 def test_conjugated_shift_frozen():
     assert conjugated_shift(Permutation.identity(2)) == ((-1, 0), 0)
     assert conjugated_shift(Permutation.longest(2)) == ((-1, -1), 1)
+
+
+def _shift_from_differences(w: Permutation) -> tuple[int, ...]:
+    """The shift rebuilt from the difference condition: consecutive entries
+    differ by 0 over an ascent of w**-1 and by -1 over a descent, last entry 0."""
+    winv = w.inverse()
+    shift = [0] * w.n
+    for i in range(w.n - 1, 0, -1):
+        shift[i - 1] = shift[i] + (0 if winv(i) < winv(i + 1) else -1)
+    return tuple(shift)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dominance_shift_matches_difference_condition(n):
+    for w in all_permutations(n):
+        assert dominance_shift(w) == _shift_from_differences(w), w
+
+
+def test_conjugated_shift_is_central_translate_for_all_small_permutations():
+    for n in range(2, 7):
+        for w in all_permutations(n):
+            weight, z = conjugated_shift(w)
+            target = dominance_shift(Permutation.longest(n) * w)
+            assert tuple(t - x for t, x in zip(target, weight)) == (z,) * n
+
+
+def test_conjugated_shift_raises_when_not_central(monkeypatch):
+    import steinwhit.weyl as weyl
+
+    true_shift = weyl.dominance_shift
+    monkeypatch.setattr(weyl, "dominance_shift", lambda w: (1,) + true_shift(w)[1:])
+    with pytest.raises(ArithmeticError):
+        conjugated_shift(Permutation((2, 3, 1)))
