@@ -20,15 +20,15 @@ True
 >>> length_ext(u), length_ext(s(3, 0)), length_ext(ExtAffineElement.translation((1, 0, 0)))
 (0, 1, 2)
 
-Length is computed by breadth-first search over the subgroup with
-coordinate sum zero (generated by s_0, ..., s_{n-1}), after stripping
-the rotation power; ``length_formula`` is a closed form cross-checked
-against the search in the test suite.
+Length is the Iwahori–Matsumoto closed form (see ``length_ext``), which
+needs O(n^2) steps and ignores right multiplication by the rotation.
+``reduced_word`` strips the rotation power and then peels left descents,
+always the smallest index first, so it returns the lexicographically
+least reduced word.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .padic import PAdicMatrix
@@ -37,12 +37,9 @@ from .weyl import Permutation, Weight
 __all__ = [
     "ExtAffineElement",
     "length_ext",
-    "length_formula",
     "realize",
     "reduced_word",
 ]
-
-_BFS_NODE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,6 @@ class ExtAffineElement:
     @classmethod
     def translation(cls, kbar: Weight) -> "ExtAffineElement":
         return cls(tuple(kbar), Permutation.identity(len(kbar)))
-
-    @classmethod
-    def from_permutation(cls, w: Permutation) -> "ExtAffineElement":
-        return cls((0,) * w.n, w)
 
     @classmethod
     def simple_reflection(cls, n: int, i: int) -> "ExtAffineElement":
@@ -129,83 +122,50 @@ def realize(x: ExtAffineElement, p: int) -> PAdicMatrix:
     return PAdicMatrix.weight_matrix(p, x.lam) * PAdicMatrix.permutation(p, x.w)
 
 
-class _LengthTable:
-    """Breadth-first ball around the identity, with parent pointers."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        ident = ExtAffineElement.identity(n)
-        self.info: dict[ExtAffineElement, tuple[int, ExtAffineElement | None, int | None]]
-        self.info = {ident: (0, None, None)}
-        self.frontier = [ident]
-        self.gens = [ExtAffineElement.simple_reflection(n, i) for i in range(n)]
-
-    def lookup(self, y: ExtAffineElement) -> tuple[int, ExtAffineElement | None, int | None]:
-        while y not in self.info:
-            if len(self.info) > _BFS_NODE_CAP:
-                raise RuntimeError(f"length search ball exceeded {_BFS_NODE_CAP} nodes")
-            self._expand_layer()
-        return self.info[y]
-
-    def _expand_layer(self) -> None:
-        new = []
-        for x in self.frontier:
-            lx = self.info[x][0]
-            for i, s in enumerate(self.gens):
-                z = x * s
-                if z not in self.info:
-                    self.info[z] = (lx + 1, x, i)
-                    new.append(z)
-        self.frontier = new
-
-
-_tables: dict[int, _LengthTable] = {}
-_tables_lock = threading.Lock()
-
-
-def _table(n: int) -> _LengthTable:
-    with _tables_lock:
-        table = _tables.get(n)
-        if table is None:
-            table = _tables[n] = _LengthTable(n)
-        return table
-
-
 def length_ext(x: ExtAffineElement) -> int:
-    """Word length in the generators s_0, ..., s_{n-1}.
+    """Word length in the generators s_0, ..., s_{n-1}, by the closed form
 
-    The rotation part contributes nothing, so the search runs in the
-    coordinate-sum-zero subgroup.
+        sum over pairs i < j of |lam_i - lam_j + [w^{-1}(i) > w^{-1}(j)]|.
+
+    Right multiplication by the rotation leaves the sum unchanged, so the
+    rotation part contributes nothing.
     """
-    m = x.rotation_exponent()
-    y = x * ExtAffineElement.rotation(x.n) ** (-m)
-    return _table(x.n).lookup(y)[0]
+    lam = x.lam
+    winv = x.w.inverse().window
+    total = 0
+    for j in range(1, x.n):
+        for i in range(j):
+            total += abs(lam[i] - lam[j] + (winv[i] > winv[j]))
+    return total
+
+
+# perfbench/workloads.py calls the closed form by its earlier name.
+length_formula = length_ext
 
 
 def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
     """Indices (i_1, ..., i_k) and rotation power m with
-    x == s_{i_1} ... s_{i_k} * rotation^m and k == length_ext(x)."""
-    m = x.rotation_exponent()
-    y = x * ExtAffineElement.rotation(x.n) ** (-m)
-    table = _table(x.n)
-    table.lookup(y)
-    word: list[int] = []
-    while True:
-        _, parent, gen = table.info[y]
-        if parent is None:
-            break
-        word.append(gen)
-        y = parent
-    return tuple(reversed(word)), m
+    x == s_{i_1} ... s_{i_k} * rotation^m and k == length_ext(x).
 
+    The word is the lexicographically least reduced one: i_1 is the
+    smallest left descent of y = x * rotation^{-m}, and so on.  For i >= 1,
+    s_i * y swaps rows i and i + 1, which changes only the pair (i, i + 1)
+    term of ``length_ext``, from |d| to |d - 1| with d = lam_i - lam_{i+1}
+    + [w^{-1}(i) > w^{-1}(i+1)]; so s_i is a descent exactly when d > 0.
+    As s_0 = r^{-1} s_{n-1} r, s_0 is one when the same d, read on rows
+    n and 1, exceeds 1.
 
-def length_formula(x: ExtAffineElement) -> int:
-    """Closed form: sum over pairs i < j of
-    ``abs(lam_i - lam_j + (1 if w^{-1}(i) > w^{-1}(j) else 0))``."""
+    >>> reduced_word(ExtAffineElement.translation((1, 0, 0)))
+    ((1, 2), 1)
+    """
     n = x.n
-    winv = x.w.inverse()
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total += abs(x.lam[i - 1] - x.lam[j - 1] + (1 if winv(i) > winv(j) else 0))
-    return total
+    m = x.rotation_exponent()
+    y = x * ExtAffineElement.rotation(n) ** (-m)
+    gens = [ExtAffineElement.simple_reflection(n, i) for i in range(n)]
+    word: list[int] = []
+    for _ in range(length_ext(y)):
+        lam, winv = y.lam, y.w.inverse().window
+        i = next(i for i in range(n) if lam[i - 1] - lam[i] + (winv[i - 1] > winv[i]) > (i == 0))
+        word.append(i)
+        y = gens[i] * y
+    return tuple(word), m

@@ -132,7 +132,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     g = _read_matrix(args.matrix)
-    eps_exp = _check_config(g.n, g.p, args.eps_exp)
+    eps_exp = args.eps_exp % g.n
     value = eval_matrix(g, eps_exp)
     sign, q_exp = _parse_scale(args.scale)
     value = _apply_scale(value, sign, q_exp)

@@ -366,6 +366,8 @@ def matrix_from_json(doc) -> PAdicMatrix:
     if not isinstance(entries, list) or not entries:
         raise MatrixFormatError("'entries' must be a non-empty list of rows")
     n = len(entries)
+    if n < 2:
+        raise MatrixFormatError(f"'entries' must have at least 2 rows (n >= 2), got {n}")
     rows = []
     for row in entries:
         if not isinstance(row, list) or len(row) != n:

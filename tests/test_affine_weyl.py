@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinwhit.affine_weyl import (
     ExtAffineElement,
     length_ext,
-    length_formula,
     realize,
     reduced_word,
 )
@@ -11,6 +12,55 @@ from steinwhit.padic import PAdicMatrix
 from steinwhit.weyl import Permutation
 
 ROTATION_3 = ExtAffineElement.rotation(3)
+
+# (n, radius) of the full breadth-first balls the length oracle covers
+ORACLE_BALLS = [(2, 10), (3, 7), (4, 5), (5, 4)]
+
+
+def _bfs_ball(n: int, radius: int) -> dict:
+    """Oracle: the ball of the given radius around the identity in the
+    coordinate-sum-zero subgroup, found breadth first by right
+    multiplication with s_0, ..., s_{n-1} in that order.  Maps each element
+    to (length, parent, generator)."""
+    gens = [ExtAffineElement.simple_reflection(n, i) for i in range(n)]
+    ident = ExtAffineElement.identity(n)
+    ball = {ident: (0, None, None)}
+    frontier = [ident]
+    for length in range(1, radius + 1):
+        new = []
+        for x in frontier:
+            for i, s in enumerate(gens):
+                z = x * s
+                if z not in ball:
+                    ball[z] = (length, x, i)
+                    new.append(z)
+        frontier = new
+    return ball
+
+
+def _oracle_word(ball: dict, y: ExtAffineElement) -> tuple[int, ...]:
+    """The word along the parent pointers: the first one breadth-first search meets."""
+    word = []
+    _, parent, gen = ball[y]
+    while parent is not None:
+        word.append(gen)
+        _, parent, gen = ball[parent]
+    return tuple(reversed(word))
+
+
+def _word_product(n: int, word, m: int) -> ExtAffineElement:
+    out = ExtAffineElement.identity(n)
+    for i in word:
+        out = out * ExtAffineElement.simple_reflection(n, i)
+    return out * ExtAffineElement.rotation(n) ** m
+
+
+@st.composite
+def _elements(draw) -> ExtAffineElement:
+    n = draw(st.integers(2, 6))
+    lam = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    window = draw(st.permutations(range(1, n + 1)))
+    return ExtAffineElement(tuple(lam), Permutation(tuple(window)))
 
 
 def test_simple_reflection_zero_is_affine():
@@ -84,8 +134,20 @@ def test_length_matches_closed_formula():
     gens.append(ROTATION_3)
     for _ in range(3):
         elems = [x * g for x in elems for g in gens]
+    balls = {n: _bfs_ball(n, radius) for n, radius in ORACLE_BALLS}
     for x in set(elems):
-        assert length_ext(x) == length_formula(x)
+        m = x.rotation_exponent()
+        y = x * ROTATION_3 ** (-m)
+        assert length_ext(x) == balls[3][y][0]
+        assert reduced_word(x) == (_oracle_word(balls[3], y), m)
+    # every element of every ball, times each rotation power -n..n
+    for n, ball in balls.items():
+        for m in range(-n, n + 1):
+            rotation_m = ExtAffineElement.rotation(n) ** m
+            for y, (length, _, _) in ball.items():
+                x = y * rotation_m
+                assert length_ext(x) == length
+                assert reduced_word(x) == (_oracle_word(ball, y), m)
 
 
 def test_reduced_word_rebuilds_element():
@@ -96,11 +158,34 @@ def test_reduced_word_rebuilds_element():
     )
     word, m = reduced_word(x)
     assert len(word) == length_ext(x)
-    rebuilt = ExtAffineElement.identity(3)
-    for i in word:
-        rebuilt = rebuilt * ExtAffineElement.simple_reflection(3, i)
-    rebuilt = rebuilt * ROTATION_3**m
-    assert rebuilt == x
+    assert _word_product(3, word, m) == x
+
+
+@pytest.mark.parametrize("k", [10, 100])
+def test_long_translation_length_and_word(k):
+    x = ExtAffineElement.translation((k, 0, 0, 0, 0))
+    assert length_ext(x) == 4 * k
+    word, m = reduced_word(x)
+    assert (len(word), m) == (4 * k, k)
+    assert _word_product(5, word, m) == x
+
+
+@settings(deadline=None)
+@given(_elements())
+def test_length_and_reduced_word_properties(x):
+    n = x.n
+    length = length_ext(x)
+    for i in range(n):
+        assert abs(length_ext(x * ExtAffineElement.simple_reflection(n, i)) - length) == 1
+    assert length_ext(x * ExtAffineElement.rotation(n)) == length == length_ext(x.inverse())
+    word, m = reduced_word(x)
+    assert len(word) == length
+    assert _word_product(n, word, m) == x
+    # the word starts with the smallest left descent of x * rotation^{-m}
+    if word:
+        y = x * ExtAffineElement.rotation(n) ** (-m)
+        descents = [i for i in range(n) if length_ext(ExtAffineElement.simple_reflection(n, i) * y) < length]
+        assert word[0] == min(descents)
 
 
 def test_normalize_central():

@@ -131,6 +131,14 @@ def test_missing_file_exit(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["decompose", "eval"])
+def test_one_by_one_matrix_exit_2(capsys, monkeypatch, command):
+    code, out, err = run(capsys, monkeypatch, [command, "-"], '{"p": 2, "entries": [["4"]]}')
+    assert code == 2
+    assert out == ""
+    assert "at least 2 rows" in err
+
+
 def test_table_row_counts(capsys, monkeypatch):
     code, out, _ = run(
         capsys,

@@ -326,7 +326,9 @@ def test_json_round_trip():
     + [
         json.dumps({"p": 3, "entries": [[entry, "0"], ["0", "1"]]})
         for entry in ["2/4", "0.5", "0/3", "-6/4", "1/0", " 1", "1e3", "1_000", "+-1", "\u00bd", "3/-4", ""]
-    ],
+    ]
+    # n must be at least 2
+    + ['{"p": 2, "entries": [["4"]]}'],
 )
 def test_matrix_parse_errors(doc):
     with pytest.raises(MatrixFormatError):
