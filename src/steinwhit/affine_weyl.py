@@ -94,10 +94,16 @@ class ExtAffineElement:
         return ExtAffineElement(lam, winv)
 
     def __pow__(self, k: int) -> "ExtAffineElement":
+        """By repeated squaring: about 2 log2|k| products."""
         base = self if k >= 0 else self.inverse()
+        k = abs(k)
         out = ExtAffineElement.identity(self.n)
-        for _ in range(abs(k)):
-            out = out * base
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def rotation_exponent(self) -> int:

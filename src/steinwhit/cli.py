@@ -12,7 +12,9 @@ or a/b in lowest terms; p, like --p, must be a prime below
 ``padic.PRIME_BOUND`` (about 3.3e24), where primality is decided
 exactly.  Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
-error, 3 singular input matrix, 4 table size guard violation.
+error, 3 singular input matrix, 4 size guard violation (``table`` with
+--range above 6 or --n above 4; ``verify principal``, ``whittaker`` or
+``all`` with n! * p above 3720).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 import sys
 
@@ -53,12 +56,20 @@ EXIT_GUARD = 4
 
 _TABLE_MAX_RANGE = 6
 _TABLE_MAX_N = 4
+# The principal and whittaker suites sum over p cosets per generator and
+# loop over all n! permutations.  5! * 31 keeps every acceptance config,
+# n = 6 with p <= 5 and n = 5 with p <= 31.
+_VERIFY_MAX_COST = 3720
 
 _SCALE_RE = re.compile(r"^([+-]?)(?:1|q(?:\^(-?\d+))?)$")
 
 
 class UsageError(Exception):
     """Configuration or input problem; maps to exit code 2."""
+
+
+class GuardError(Exception):
+    """A size guard refused the configuration; maps to exit code 4."""
 
 
 def _parse_scale(text: str) -> tuple[int, int]:
@@ -153,11 +164,7 @@ def _table_rows(n: int, eps_exp: int, bound: int, include_zeros: bool, sign: int
 def cmd_table(args: argparse.Namespace) -> int:
     eps_exp = _check_config(args.n, args.p, args.eps_exp)
     if args.range > _TABLE_MAX_RANGE or args.n > _TABLE_MAX_N:
-        print(
-            f"table guard: need range <= {_TABLE_MAX_RANGE} and n <= {_TABLE_MAX_N}",
-            file=sys.stderr,
-        )
-        return EXIT_GUARD
+        raise GuardError(f"table guard: need range <= {_TABLE_MAX_RANGE} and n <= {_TABLE_MAX_N}")
     if args.range < 0:
         raise UsageError(f"--range must be non-negative, got {args.range}")
     sign, q_shift = _parse_scale(args.scale)
@@ -190,6 +197,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _verify_suites(args: argparse.Namespace) -> list[tuple[str, CheckResult]]:
     eps_exp = _check_config(args.n, args.p, args.eps_exp)
+    if args.suite != "hecke" and math.factorial(args.n) * args.p > _VERIFY_MAX_COST:
+        raise GuardError(f"verify guard: need n! * p <= {_VERIFY_MAX_COST} for the {args.suite} suite")
     if args.samples < 0:
         raise UsageError(f"--samples must be non-negative, got {args.samples}")
     named: list[tuple[str, CheckResult]] = []
@@ -270,9 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -284,6 +298,9 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"error: singular matrix: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except GuardError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

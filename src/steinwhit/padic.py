@@ -193,6 +193,18 @@ class PAdicMatrix:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _trusted(cls, p: int, rows: _Rows) -> "PAdicMatrix":
+        """Wrap a square tuple of tuples of ``Fraction``s built in this module.
+
+        Skips the per-entry check of ``__post_init__``, which the public
+        constructors keep.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "entries", rows)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -243,7 +255,7 @@ class PAdicMatrix:
         # integer vectors, so entry (i, j) is (a_i . b_j) / (d_i e_j).
         rows = [_cleared(row) for row in self.entries]
         cols = [_cleared(col) for col in zip(*other.entries)]
-        return PAdicMatrix(
+        return PAdicMatrix._trusted(
             self.p,
             tuple(
                 tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for b, e in cols)
@@ -253,7 +265,7 @@ class PAdicMatrix:
 
     def scale(self, c) -> "PAdicMatrix":
         c = Fraction(c)
-        return PAdicMatrix(
+        return PAdicMatrix._trusted(
             self.p, tuple(tuple(c * e for e in row) for row in self.entries)
         )
 
@@ -447,7 +459,7 @@ def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
                 cols[j] = ([x // e for x in a], d // e)
             else:
                 cols[j] = (a[:i], d)
-    return PAdicMatrix(p, tuple(map(tuple, b))), PAdicMatrix(p, tuple(map(tuple, k)))
+    return PAdicMatrix._trusted(p, tuple(map(tuple, b))), PAdicMatrix._trusted(p, tuple(map(tuple, k)))
 
 
 def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[list[int]], list[list[int]]]:
@@ -520,7 +532,7 @@ class Cell:
             tuple(s * x for x in self.j_factor.entries[winv(r) - 1])
             for r, s in enumerate(scales, start=1)
         )
-        return self.n_factor * PAdicMatrix(p, right)
+        return self.n_factor * PAdicMatrix._trusted(p, right)
 
 
 def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
@@ -558,12 +570,12 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
         den *= b1[r][r]
         e = math.gcd(den, *acc)
         y[r] = ([x // e for x in acc], den // e)
-    j_factor = PAdicMatrix(p, tuple(
+    j_factor = PAdicMatrix._trusted(p, tuple(
         tuple(Fraction(x, d) for x in vec) for vec, d in (y[w(r) - 1] for r in range(1, n + 1))
     ))
     # n = b n2 with n2 = b1 t0^{-1} p^{-kbar}: column c of b1 over b1[c][c] p^{k_c}
     up_down = [_p_power(p, kv) for kv in kbar]
-    n2 = PAdicMatrix(p, tuple(
+    n2 = PAdicMatrix._trusted(p, tuple(
         tuple(Fraction(x * down, b1[c][c] * up) if x else _ZERO
               for c, (x, (up, down)) in enumerate(zip(row, up_down)))
         for row in b1

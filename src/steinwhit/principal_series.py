@@ -21,6 +21,7 @@ representatives, listed by ``generator_cosets``.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -90,24 +91,28 @@ def phi_eval(kind: str, g: PAdicMatrix, eps_exp: int) -> PhaseSum:
     return InducedFunction.eigenvector(g.n, g.p, eps_exp, kind).eval(g)
 
 
-def generator_cosets(n: int, p: int, gen) -> list[PAdicMatrix]:
+@functools.lru_cache(maxsize=128)
+def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
     """Right coset representatives of J gen J modulo J.
 
     gen is 1..n-1 for the finite reflections (p representatives
     x_{i,i+1}(t) s_i, t = 0..p-1), 0 for the affine reflection
     (p representatives x_{n,1}(p t) s_0), or the string "rotation"
     (a single coset, the double coset being one-sided).
+
+    The result is cached per (n, p, gen) and immutable: a tuple of frozen
+    matrices, shared by every caller.
     """
     if gen == "rotation":
-        return [realize(ExtAffineElement.rotation(n), p)]
+        return (realize(ExtAffineElement.rotation(n), p),)
     i = int(gen)
     if not 0 <= i < n:
         raise ValueError(f"generator index out of range: {i}")
     if i == 0:
         s0 = realize(ExtAffineElement.simple_reflection(n, 0), p)
-        return [PAdicMatrix.one_param(p, n, n, 1, p * t) * s0 for t in range(p)]
+        return tuple(PAdicMatrix.one_param(p, n, n, 1, p * t) * s0 for t in range(p))
     si = PAdicMatrix.permutation(p, Permutation.simple(n, i))
-    return [PAdicMatrix.one_param(p, n, i, i + 1, t) * si for t in range(p)]
+    return tuple(PAdicMatrix.one_param(p, n, i, i + 1, t) * si for t in range(p))
 
 
 def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:

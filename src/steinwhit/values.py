@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Union
 __all__ = ["PhaseSum"]
 
 Rational = Union[int, Fraction]
+_ZERO = Fraction(0)
 
 
 def _phase_ok(phase: Fraction, p: int) -> bool:
@@ -38,7 +39,15 @@ def _phase_ok(phase: Fraction, p: int) -> bool:
 
 
 class PhaseSum:
-    """Finite sum of terms coeff . eps^e . exp(2 pi i t)."""
+    """Finite sum of terms coeff . eps^e . exp(2 pi i t).
+
+    The terms are kept canonical: every key (e, t) has 0 <= e < n and t a
+    rational in [0, 1) with p-power denominator, and every coefficient is
+    a nonzero ``Fraction``.  Terms from outside the class are validated by
+    ``_add_term``; the internal arithmetic (``+``, ``-``, negation,
+    ``scaled``, ``times_monomial``) starts from canonical terms, so it
+    copies them and only drops coefficients that cancel.
+    """
 
     __slots__ = ("n", "p", "_terms")
 
@@ -74,19 +83,30 @@ class PhaseSum:
         out._add_term(eps_exp, phase, coeff)
         return out
 
+    @classmethod
+    def _canonical(cls, n: int, p: int, terms: dict[tuple[int, Fraction], Fraction]) -> "PhaseSum":
+        """Wrap terms that are already canonical, without validating them."""
+        out = cls.__new__(cls)
+        out.n, out.p, out._terms = n, p, terms
+        return out
+
     def _check(self, other: "PhaseSum") -> None:
         if self.n != other.n or self.p != other.p:
             raise ValueError("value context mismatch")
 
     def __add__(self, other: "PhaseSum") -> "PhaseSum":
         self._check(other)
-        out = PhaseSum(self.n, self.p, self._terms)
-        for (e, t), c in other._terms.items():
-            out._add_term(e, t, c)
-        return out
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            new = terms.get(key, _ZERO) + c
+            if new:
+                terms[key] = new
+            else:
+                del terms[key]
+        return PhaseSum._canonical(self.n, self.p, terms)
 
     def __neg__(self) -> "PhaseSum":
-        return PhaseSum(self.n, self.p, {k: -c for k, c in self._terms.items()})
+        return PhaseSum._canonical(self.n, self.p, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "PhaseSum") -> "PhaseSum":
         return self + (-other)
@@ -95,14 +115,27 @@ class PhaseSum:
         c = Fraction(c)
         if c == 0:
             return PhaseSum.zero(self.n, self.p)
-        return PhaseSum(self.n, self.p, {k: c * v for k, v in self._terms.items()})
+        return PhaseSum._canonical(self.n, self.p, {k: c * v for k, v in self._terms.items()})
 
     def times_monomial(self, coeff: Rational = 1, eps_exp: int = 0, phase: Rational = 0) -> "PhaseSum":
-        """Multiply by coeff . eps^eps_exp . exp(2 pi i phase)."""
-        out = PhaseSum(self.n, self.p)
-        for (e, t), c in self._terms.items():
-            out._add_term(e + eps_exp, t + Fraction(phase), c * Fraction(coeff))
-        return out
+        """Multiply by coeff . eps^eps_exp . exp(2 pi i phase).
+
+        The key shift (e, t) -> (e + eps_exp, t + phase) is a bijection, so
+        no two terms merge; a nonzero phase is validated once, as soon as
+        there is a nonzero term to carry it.
+        """
+        coeff = Fraction(coeff)
+        if coeff == 0 or not self._terms:
+            return PhaseSum.zero(self.n, self.p)
+        if phase:
+            phase = Fraction(phase) % 1
+            if not _phase_ok(phase, self.p):
+                raise ValueError(f"phase {phase} is not a p-power root of unity at p={self.p}")
+        n = self.n
+        return PhaseSum._canonical(n, self.p, {
+            ((e + eps_exp) % n, (t + phase) % 1 if phase else t): c * coeff
+            for (e, t), c in self._terms.items()
+        })
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
         self._check(other)

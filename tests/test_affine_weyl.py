@@ -188,6 +188,18 @@ def test_length_and_reduced_word_properties(x):
         assert word[0] == min(descents)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_is_the_repeated_product(n):
+    s = ExtAffineElement.simple_reflection
+    mixed = s(n, 0) * s(n, n - 1) * ExtAffineElement.translation(tuple(range(n))) * s(n, 1)
+    for x in (ExtAffineElement.rotation(n), s(n, 0), mixed * ExtAffineElement.rotation(n) ** 2):
+        for step in (x, x.inverse()):
+            product = ExtAffineElement.identity(n)
+            for k in range(3 * n + 1):
+                assert x ** (k if step is x else -k) == product
+                product = product * step
+
+
 def test_normalize_central():
     x = ExtAffineElement.translation((3, 2, 2))
     y, m = x.normalize_central()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from steinwhit.cli import main
+from steinwhit.cli import build_parser, main
 from steinwhit.padic import PRIME_BOUND
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
@@ -275,3 +275,44 @@ def test_verify_rejects_negative_samples(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert "--samples" in err
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, monkeypatch):
+    verify = ["verify", "all", "--n", "2", "--p", "3", "--samples", "2", "--seed", "5"]
+    first = run(capsys, monkeypatch, verify)
+    assert first[0] == 0
+    assert run(capsys, monkeypatch, ["eval", "-", "--eps-exp", "1"], DIAG_P_1)[0] == 0
+    assert run(capsys, monkeypatch, ["decompose", "-", "--mod-center"], ROTATION_2_P3)[0] == 0
+    code, out, err = run(capsys, monkeypatch, ["eval", "-"], "{not json")
+    assert (code, out) == (2, "") and "invalid JSON" in err
+    with pytest.raises(SystemExit):
+        main(["verify", "nonsense", "--n", "2", "--p", "3"])
+    capsys.readouterr()
+    assert run(capsys, monkeypatch, verify) == first
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "whittaker", "--n", "2", "--p", "10007", "--samples", "1"],
+        ["verify", "principal", "--n", "7", "--p", "2", "--samples", "1"],
+    ],
+)
+def test_verify_guard_refuses_costly_configs(argv):
+    proc, elapsed = _cli_process(argv, "", timeout=30)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert "verify guard" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 10
+
+
+def test_verify_guard_boundary(capsys, monkeypatch):
+    # 5! * 31 is exactly the bound; the next prime is over it, and the
+    # hecke suite alone is never guarded
+    args = ["--n", "5", "--p", "31", "--samples", "1"]
+    code, out, _ = run(capsys, monkeypatch, ["verify", "all", *args])
+    assert code == 0 and all(r["passed"] for r in json.loads(out))
+    for suite in ("principal", "whittaker", "all"):
+        code, out, err = run(capsys, monkeypatch, ["verify", suite, "--n", "5", "--p", "37"])
+        assert (code, out) == (4, "") and "verify guard" in err
+    assert run(capsys, monkeypatch, ["verify", "hecke", "--n", "7", "--p", "2"])[0] == 0

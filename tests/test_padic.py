@@ -211,6 +211,30 @@ def test_iwasawa_matches_fraction_oracle(g):
     assert b * k == g
 
 
+def _public_copy(m: PAdicMatrix) -> PAdicMatrix:
+    return PAdicMatrix.from_rows(m.p, [list(row) for row in m.entries])
+
+
+@settings(max_examples=100, deadline=None)
+@given(iwasawa_inputs())
+def test_internal_matrices_equal_their_public_construction(g):
+    """Products, Iwasawa factors and cell witnesses skip the per-entry
+    check; they must already be what the public constructor makes."""
+    try:
+        b, k = iwasawa(g)
+    except SingularMatrixError:
+        return
+    cell = iwahori_cell(g)
+    built = [g * g, b * k, b, k, cell.n_factor, cell.t0_factor, cell.j_factor, cell.reconstruct(), g.scale(3)]
+    for m in built:
+        assert type(m.entries) is tuple and len(m.entries) == g.n
+        for row in m.entries:
+            assert type(row) is tuple and len(row) == g.n
+            assert all(type(e) is Fraction for e in row)
+        public = _public_copy(m)
+        assert m == public and hash(m) == hash(public) and repr(m) == repr(public)
+
+
 def test_iwasawa_properties_random():
     rng = random.Random(4)
     for n, p in [(2, 2), (3, 3), (4, 5)]:

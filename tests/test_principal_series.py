@@ -67,6 +67,24 @@ def test_generator_cosets_counts_and_labels():
     assert len(generator_cosets(n, p, "rotation")) == 1
 
 
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 2)])
+def test_generator_cosets_are_cached_tuples(n, p):
+    for i in range(1, n):
+        si = PAdicMatrix.permutation(p, Permutation.simple(n, i))
+        rebuilt = tuple(PAdicMatrix.one_param(p, n, i, i + 1, t) * si for t in range(p))
+        assert generator_cosets(n, p, i) == rebuilt
+    s0 = realize(ExtAffineElement.simple_reflection(n, 0), p)
+    rebuilt = tuple(PAdicMatrix.one_param(p, n, n, 1, p * t) * s0 for t in range(p))
+    assert generator_cosets(n, p, 0) == rebuilt
+    assert generator_cosets(n, p, "rotation") == (realize(ExtAffineElement.rotation(n), p),)
+    for gen in (*range(n), "rotation"):
+        reps = generator_cosets(n, p, gen)
+        assert isinstance(reps, tuple)
+        assert generator_cosets(n, p, gen) is reps
+    # the verify workload's 22 keys (6 configs) fit with room to spare
+    assert generator_cosets.cache_info().maxsize >= 64
+
+
 def test_generator_cosets_are_disjoint():
     n, p = 2, 3
     for gen in (0, 1):

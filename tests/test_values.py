@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinwhit.values import PhaseSum
@@ -111,3 +111,71 @@ def test_ring_identities(a, b, c):
 def test_scaling_matches_monomial_product(a):
     x = mono(Fraction(3), 1, Fraction(1, 2))
     assert x.scaled(a) == x.times_monomial(a)
+
+
+# Sums for the fast-path property: every key is given as the caller would
+# give it (eps exponent outside 0..n-1, phase outside [0, 1)), and b
+# repeats some of a's terms negated, so a + b cancels them.
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    p = draw(st.sampled_from([2, 3, 5]))
+    term = st.tuples(
+        st.integers(-n, 2 * n),
+        st.builds(lambda a, k: Fraction(a, p**k), st.integers(-30, 30), st.integers(0, 3)),
+        coeffs,
+    )
+    a_terms = draw(st.lists(term, max_size=8))
+    b_terms = draw(st.lists(term, max_size=8))
+    b_terms += [(e, t, -c) for e, t, c in draw(st.lists(st.sampled_from(a_terms), max_size=4))] if a_terms else []
+    return n, p, _built(n, p, a_terms), _built(n, p, b_terms)
+
+
+def _built(n, p, terms):
+    total = PhaseSum.zero(n, p)
+    for e, t, c in terms:
+        total = _oracle_add(total, PhaseSum.monomial(n, p, c, e, t))
+    return total
+
+
+def _oracle_add(a, b):
+    """Term by term through the validating constructor."""
+    merged = {}
+    for key, c in list(a.terms()) + list(b.terms()):
+        merged[key] = merged.get(key, 0) + c
+    return PhaseSum(a.n, a.p, merged)
+
+
+def _oracle_times_monomial(a, coeff, e, t):
+    return PhaseSum(a.n, a.p, {(k_e + e, k_t + t): c * coeff for (k_e, k_t), c in a.terms()})
+
+
+def _same(x, y):
+    assert x == y
+    assert repr(x) == repr(y)
+    assert list(x.terms()) == list(y.terms())
+    assert all(c != 0 and 0 <= e < x.n and 0 <= t < 1 for (e, t), c in x.terms())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_pairs(), coeffs, st.integers(-6, 6), st.just(0) | st.integers(-20, 20), st.integers(0, 3))
+def test_internal_arithmetic_matches_term_by_term_oracle(pair, c, e, num, depth):
+    n, p, a, b = pair
+    t = Fraction(num, p**depth)
+    neg_b = PhaseSum(n, p, {k: -v for k, v in b.terms()})
+    _same(a + b, _oracle_add(a, b))
+    _same(a - b, _oracle_add(a, neg_b))
+    _same(-b, neg_b)
+    _same(a.scaled(c), PhaseSum(n, p, {k: c * v for k, v in a.terms()}))
+    _same(a.times_monomial(c, e, t), _oracle_times_monomial(a, c, e, t))
+    _same(a.times_monomial(c, e), _oracle_times_monomial(a, c, e, 0))
+    _same(a + (-a), PhaseSum.zero(n, p))
+
+
+def test_times_monomial_validates_phase_and_zero_coefficient():
+    x = mono(3, 1, Fraction(1, 2), n=2, p=2)
+    with pytest.raises(ValueError):
+        x.times_monomial(1, 0, Fraction(1, 3))
+    for zero in (x.times_monomial(0, 1, Fraction(1, 4)), x.scaled(0)):
+        assert list(zero.terms()) == []
+        assert repr(zero) == "PhaseSum(2, 2, 0)"
