@@ -13,7 +13,7 @@ from .padic import (
     matrix_to_json,
 )
 from .principal_series import InducedFunction, apply_generator, run_eigen_checks
-from .reporting import CheckResult, all_passed
+from .reporting import CheckResult
 from .values import PhaseSum
 from .weyl import Permutation, all_permutations, dominance_shift, is_dominant
 from .whittaker import (
@@ -39,7 +39,6 @@ __all__ = [
     "PhaseSum",
     "SingularMatrixError",
     "WhittakerValue",
-    "all_passed",
     "all_permutations",
     "apply_generator",
     "dominance_shift",

@@ -13,8 +13,10 @@ or a/b in lowest terms; p, like --p, must be a prime below
 exactly.  Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
 error, 3 singular input matrix, 4 size guard violation (``table`` with
---range above 6 or --n above 4; ``verify principal``, ``whittaker`` or
-``all`` with n! * p above 3720).
+--range above 6 or --n above 4; ``verify hecke`` with --n above 24;
+``verify principal``, ``whittaker`` or ``all`` with n above 6 or an
+estimated cost, ``_verify_cost``, above its value at n = 5, p = 31 and
+20 samples).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import re
 import sys
 
@@ -56,10 +57,26 @@ EXIT_GUARD = 4
 
 _TABLE_MAX_RANGE = 6
 _TABLE_MAX_N = 4
-# The principal and whittaker suites sum over p cosets per generator and
-# loop over all n! permutations.  5! * 31 keeps every acceptance config,
-# n = 6 with p <= 5 and n = 5 with p <= 31.
-_VERIFY_MAX_COST = 3720
+# The presentation check of the hecke suite grows like n^4.5: 1.1 s at
+# n = 24 on the VM below.
+_HECKE_MAX_N = 24
+
+# Measured cost of the principal and whittaker suites together, in units
+# of 0.1 ms (2-vCPU Xeon VM, Python 3.11): per coset of the checks that
+# loop over all n! permutations once, and per coset of each sampled point,
+# which sums p cosets per generator and evaluates about 2 more.  A larger
+# n is refused.
+_VERIFY_COSTS = {2: (2, 6), 3: (11, 13), 4: (84, 27), 5: (900, 40), 6: (8300, 90)}
+
+
+def _verify_cost(n: int, p: int, samples: int) -> int:
+    fixed, per_point = _VERIFY_COSTS[n]
+    return p * fixed + (samples + 1) * (p + 2) * per_point
+
+
+# About 6 s: the cost at n = 5, p = 31 and the default 20 samples.  It
+# keeps every acceptance config and n = 6 with p <= 5.
+_VERIFY_MAX_COST = _verify_cost(5, 31, 20)
 
 _SCALE_RE = re.compile(r"^([+-]?)(?:1|q(?:\^(-?\d+))?)$")
 
@@ -93,14 +110,16 @@ def _apply_scale(value: WhittakerValue, sign: int, q_exp: int) -> WhittakerValue
 
 
 def _read_matrix(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     return matrix_from_json(text)
 
 
@@ -197,10 +216,17 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _verify_suites(args: argparse.Namespace) -> list[tuple[str, CheckResult]]:
     eps_exp = _check_config(args.n, args.p, args.eps_exp)
-    if args.suite != "hecke" and math.factorial(args.n) * args.p > _VERIFY_MAX_COST:
-        raise GuardError(f"verify guard: need n! * p <= {_VERIFY_MAX_COST} for the {args.suite} suite")
     if args.samples < 0:
         raise UsageError(f"--samples must be non-negative, got {args.samples}")
+    if args.suite != "hecke" and (
+        args.n not in _VERIFY_COSTS or _verify_cost(args.n, args.p, args.samples) > _VERIFY_MAX_COST
+    ):
+        raise GuardError(
+            f"verify guard: need n <= {max(_VERIFY_COSTS)} and an estimated cost of at most"
+            f" {_VERIFY_MAX_COST} (units of 0.1 ms) for the {args.suite} suite"
+        )
+    if args.suite in ("hecke", "all") and args.n > _HECKE_MAX_N:
+        raise GuardError(f"verify guard: need n <= {_HECKE_MAX_N} for the {args.suite} suite")
     named: list[tuple[str, CheckResult]] = []
     if args.suite in ("hecke", "all"):
         for r in verify_presentation(args.n):

@@ -21,12 +21,10 @@ evaluates it on basis elements and ``character_of`` extends linearly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .affine_weyl import ExtAffineElement, length_ext, reduced_word
 from .reporting import CheckResult
-from .values import PhaseSum
 
 __all__ = [
     "HeckeElement",
@@ -121,13 +119,6 @@ class HeckeScalar:
 
     def __hash__(self):
         raise TypeError("HeckeScalar is unhashable")
-
-    def specialize(self, p: int) -> PhaseSum:
-        """Evaluate q at the prime p, keeping eps formal (phase-free)."""
-        out = PhaseSum.zero(self.n, p)
-        for (qe, ee), c in self._terms.items():
-            out = out + PhaseSum.monomial(self.n, p, Fraction(c) * Fraction(p) ** qe, ee)
-        return out
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -242,20 +233,19 @@ def mult_generator(h: HeckeElement, i: int) -> HeckeElement:
     return out
 
 
-def mult_rotation(h: HeckeElement, side: str = "right", inverse: bool = False) -> HeckeElement:
-    """Multiply by the (invertible, length-zero) rotation basis element.
+def mult_rotation(h: HeckeElement, inverse: bool = False) -> HeckeElement:
+    """Multiply on the right by the (invertible, length-zero) rotation
+    basis element, or by its inverse.
 
     A pure relabeling of indices: no q-corrections occur.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     n = h.n
     r = ExtAffineElement.rotation(n)
     if inverse:
         r = r.inverse()
     out = HeckeElement.zero(n)
     for x, c in h._terms.items():
-        out._add(x * r if side == "right" else r * x, c)
+        out._add(x * r, c)
     return out
 
 

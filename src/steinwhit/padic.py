@@ -10,12 +10,17 @@ Every invertible g lies in exactly one Iwahori cell,
 with n upper unitriangular over Q, t0 diagonal with unit entries, P_w the
 permutation matrix of w and j in the Iwahori subgroup J (integral, upper
 triangular and invertible mod p).  The pair (kbar, w) labels the cell;
-the other factors are witnesses.  Two independent algorithms find it:
+the other factors are witnesses.  Two independent algorithms find it,
+and each has its own consumers:
 
-* ``cell_label``: the label alone, read off the valuations of the minors
-  on the bottom rows of g (the formula and its proof are in its
-  docstring).  Integer arithmetic only.
-* ``iwahori_cell``: the label with exact witnesses, by elimination:
+* the minors pass (``_minors_pass``): the label read off the valuations
+  of the minors on the bottom rows of g, and from the same minors the
+  phase of the additive character on n.  Integer arithmetic only.  It
+  serves the principal series through ``cell_label`` and the Whittaker
+  value at an arbitrary matrix through ``whittaker.eval_matrix``; the
+  formulas and their proofs are in the two docstrings.
+* ``iwahori_cell``: the label with exact witnesses, by elimination, for
+  ``steinwhit decompose``:
   ``iwasawa`` writes g = b k with b upper triangular over Q and k in
   K = GL_n(Z_p), by column operations over Z_p on integer columns;
   ``residue_bruhat`` writes k mod p as b1 P_w b2 over F_p, by row/column
@@ -29,8 +34,8 @@ the other factors are witnesses.  Two independent algorithms find it:
 A broken invariant of a decomposition raises ``DecompositionError``, which
 ``python -O`` does not switch off.  The hot paths work on integer
 vectors over one denominator each: a matrix product is one integer dot
-product per entry, ``iwasawa`` updates cleared columns and
-``cell_label`` cleared rows.  Lifts from F_p to Z always use the
+product per entry, ``iwasawa`` updates cleared columns and the minors
+pass cleared rows.  Lifts from F_p to Z always use the
 representatives {0, ..., p-1}.  Primes are decided by ``is_prime``
 (deterministic Miller-Rabin) below ``PRIME_BOUND``.
 """
@@ -43,7 +48,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .weyl import Permutation
 
@@ -55,7 +59,6 @@ __all__ = [
     "PRIME_BOUND",
     "SingularMatrixError",
     "cell_label",
-    "frac_mod_p",
     "frac_psi_phase",
     "frac_valuation",
     "is_prime",
@@ -65,8 +68,6 @@ __all__ = [
     "matrix_to_json",
     "residue_bruhat",
 ]
-
-INFINITE = math.inf
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, 2015); a larger p is refused, not guessed at.
@@ -127,10 +128,14 @@ def _int_valuation(a: int, p: int) -> int:
     return v
 
 
-def frac_valuation(x: Fraction, p: int) -> Union[int, float]:
-    """p-adic valuation of a rational; +infinity for 0."""
+def frac_valuation(x: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational; ValueError for 0.
+
+    >>> frac_valuation(Fraction(9, 20), 2), frac_valuation(Fraction(9, 20), 3)
+    (-2, 2)
+    """
     if x == 0:
-        return INFINITE
+        raise ValueError("the valuation of 0 is infinite")
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
@@ -146,19 +151,12 @@ def frac_psi_phase(x: Fraction, p: int) -> Fraction:
     v = frac_valuation(x, p)
     if v >= 0:
         return Fraction(0)
-    m = -int(v)
+    m = -v
     pm = p**m
     # x is in lowest terms, so its denominator is exactly d * p^m with d prime to p.
     d = x.denominator // pm
     r = (x.numerator * pow(d, -1, pm)) % pm
     return Fraction(r, pm)
-
-
-def frac_mod_p(x: Fraction, p: int) -> int:
-    """Reduce a p-integral rational mod p into {0, ..., p-1}."""
-    if x.denominator % p == 0:
-        raise ValueError(f"{x} is not p-integral at p={p}")
-    return (x.numerator * pow(x.denominator, -1, p)) % p
 
 
 _Rows = tuple[tuple[Fraction, ...], ...]
@@ -269,25 +267,6 @@ class PAdicMatrix:
             self.p, tuple(tuple(c * e for e in row) for row in self.entries)
         )
 
-    def det(self) -> Fraction:
-        n = self.n
-        rows = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, n):
-                if rows[r][col] != 0:
-                    factor = rows[r][col] * inv
-                    rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(n)]
-        return det
-
     def inverse(self) -> "PAdicMatrix":
         n = self.n
         work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
@@ -304,9 +283,6 @@ class PAdicMatrix:
                     factor = work[r][col]
                     work[r] = [work[r][k] - factor * work[col][k] for k in range(2 * n)]
         return PAdicMatrix.from_rows(self.p, [row[n:] for row in work])
-
-    def reduce_mod_p(self) -> list[list[int]]:
-        return [[frac_mod_p(e, self.p) for e in row] for row in self.entries]
 
     def is_in_iwahori(self) -> bool:
         """Integral, with a unit diagonal and p dividing every entry below it.
@@ -326,14 +302,9 @@ class PAdicMatrix:
                     return False
         return True
 
-    def is_upper_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0 for i in range(self.n) for j in range(i)
-        )
-
     def is_upper_unitriangular(self) -> bool:
-        return self.is_upper_triangular() and all(
-            self.entries[i][i] == 1 for i in range(self.n)
+        return all(
+            self.entries[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(i + 1)
         )
 
     def diagonal_entries(self) -> tuple[Fraction, ...]:
@@ -363,8 +334,10 @@ def matrix_from_json(doc) -> PAdicMatrix:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax or encoding, or an integer over the digit limit
             raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MatrixFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or set(doc) - {"p", "entries"} or "p" not in doc or "entries" not in doc:
         raise MatrixFormatError("expected an object with fields 'p' and 'entries'")
     p = doc["p"]
@@ -552,7 +525,7 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     """
     n, p = g.n, g.p
     b, k = iwasawa(g)
-    kbar = tuple(int(frac_valuation(x, p)) for x in b.diagonal_entries())
+    kbar = tuple(frac_valuation(x, p) for x in b.diagonal_entries())
     k_rows = [_cleared(row) for row in k.entries]
     if any(d % p == 0 for _, d in k_rows):
         raise DecompositionError(f"Iwasawa k factor is not integral: {k!r}")
@@ -619,20 +592,83 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
     order).  So T_i is the least minimizer in every order that refines
     the entrywise one; the code compares the bitmasks sum_{s in S} 2^s.
 
-    Each row is cleared of its denominators once (which shifts the
-    valuations of its minors by v of the row's lcm), and step i pushes in
-    row n-i+1 by a Laplace expansion along it,
-    D_{i,S} = sum_{s in S} +-g_{n-i+1,s} D_{i-1,S-{s}}: about n 2^(n-1)
-    integer multiply-adds in all.  If every i-minor vanishes for some i,
-    g is singular and SingularMatrixError is raised.
+    The minors come from ``_minors_pass``, which also gives ``eval_matrix``
+    its phase.  If every i-minor vanishes for some i, g is singular and
+    SingularMatrixError is raised.
+
+    >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
+    ((0, 1), Permutation((2, 1)))
+    """
+    kbar, w, _ = _minors_pass(g, phase=False)
+    return kbar, w
+
+
+def _minors_pass(g: PAdicMatrix, phase: bool = True) -> tuple[tuple[int, ...], Permutation, Fraction]:
+    """The label (kbar, w) of ``cell_label`` and the phase of psi on n.
+
+    One pass over the rows of g, bottom first.  Each row is cleared of its
+    denominators once (which shifts the valuations of its minors by v of
+    the row's lcm), and step i pushes in row n-i+1 by a Laplace expansion
+    along it, D_{i,S} = sum_{s in S} +-g_{n-i+1,s} D_{i-1,S-{s}}: about
+    n 2^(n-1) integer multiply-adds in all.
+
+    The phase.  Write g = n . b' with b' = p^kbar . t0 . P_w . j.  For
+    1 <= i < n let T be the least minimizing column set of the bottom
+    rows i+1..n (T_{n-i} above), R the rows i+2..n, and
+
+        N_i = D_{{i} u R, T}(g),   D_i = D_{{i+1} u R, T}(g).
+
+    Then on the support (kbar dominant for w)
+
+        psi(n_{i,i+1}) = psi(N_i / D_i),
+
+    so the value of psi on n is the sum of the phases of the N_i / D_i.
+    N_i is one Laplace expansion of row i against the minors of R, the
+    level below the one that holds D_i, so the pass keeps two levels.
+    With cleared rows the ratio of the cleared minors is multiplied by
+    d_{i+1} / d_i, the denominators of rows i+1 and i.
+
+    Why: left multiplication by n adds to row i of b' the multiple
+    n_{i,i+1} of row i+1 plus multiples of the rows in R, and to the rows
+    in R multiples of rows in R, so
+
+        N_i / D_i = n_{i,i+1} + D_{{i} u R, T}(b') / D_{{i+1} u R, T}(b').
+
+    Row r of b' is p^{k_r} t0_r times row w^{-1}(r) of j.  With
+    a = w^{-1}(i), b = w^{-1}(i+1) and S' = w^{-1}(R), T = {b} u S' and the
+    second term is +-p^{k_i - k_{i+1}} (t0_i / t0_{i+1}) det j[{a} u S', T]
+    / det j[T, T].  The denominator is a unit, because j[T, T] is upper
+    triangular mod p with unit diagonal.  If a < b, dominance gives
+    k_i - k_{i+1} >= 0, so the term is p-integral.  If a > b, dominance
+    gives k_i - k_{i+1} >= -1; the sorted rows {a} u S' are then entrywise
+    >= the sorted columns T and differ from them somewhere, so the minor
+    is divisible by p by the lemma of ``cell_label``, and the term is
+    again p-integral.  Either way psi does not see it.
+
+    With ``phase`` false the numerators are skipped and the phase is 0;
+    ``cell_label`` needs the label alone.
     """
     n, p = g.n, g.p
     kbar = [0] * n
     window = [0] * n
-    minors = {0: 1}  # column bitmask S -> D_{i,S} of the cleared rows, nonzero only
-    prev_mask, prev_min = 0, 0
+    below, minors = {}, {0: 1}  # column bitmask S -> minor of the cleared rows r+2.., r+1..
+    prev_mask, prev_min, prev_dv, prev_d = 0, 0, 0, 1
+    psi = _ZERO
     for r in range(n - 1, -1, -1):
         row, d = _cleared(g.entries[r])
+        dv = _int_valuation(d, p)
+        if phase and prev_mask:
+            # N_i for i = r + 1: row r against the level below, on T = prev_mask
+            num = 0
+            for c in range(n):
+                bit = 1 << c
+                minor = below.get(prev_mask ^ bit) if prev_mask & bit and row[c] else None
+                if minor:
+                    term = row[c] * minor
+                    num += -term if (prev_mask & (bit - 1)).bit_count() % 2 else term
+            # psi only sees N_i / D_i . d_{i+1} / d_i when its valuation is negative
+            if num and _int_valuation(num, p) + prev_dv < prev_min + dv:
+                psi += frac_psi_phase(Fraction(num * prev_d, minors[prev_mask] * d), p)
         pushed: dict[int, int] = {}
         for mask, minor in minors.items():
             for c in range(n):
@@ -644,11 +680,11 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
                 if (mask & (bit - 1)).bit_count() % 2:
                     term = -term
                 pushed[mask | bit] = pushed.get(mask | bit, 0) + term
-        minors = {mask: minor for mask, minor in pushed.items() if minor}
+        below, minors = minors, {mask: minor for mask, minor in pushed.items() if minor}
         if not minors:
             raise SingularMatrixError("matrix is singular")
         best_v, best_mask = min((_int_valuation(minor, p), mask) for mask, minor in minors.items())
-        kbar[r] = best_v - prev_min - _int_valuation(d, p)
+        kbar[r] = best_v - prev_min - dv
         window[(best_mask & ~prev_mask).bit_length() - 1] = r + 1
-        prev_mask, prev_min = best_mask, best_v
-    return tuple(kbar), Permutation(tuple(window))
+        prev_mask, prev_min, prev_dv, prev_d = best_mask, best_v, dv, d
+    return tuple(kbar), Permutation(tuple(window)), psi % 1

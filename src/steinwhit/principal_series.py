@@ -35,9 +35,7 @@ from .weyl import Permutation, all_permutations
 __all__ = [
     "InducedFunction",
     "apply_generator",
-    "f_eval",
     "generator_cosets",
-    "phi_eval",
     "run_eigen_checks",
 ]
 
@@ -81,14 +79,6 @@ class InducedFunction:
         ksum = sum(kbar)
         q_exp = -sum((self.n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
         return coeff.times_monomial(Fraction(self.p) ** q_exp, self.eps_exp * ksum)
-
-
-def f_eval(w: Permutation, g: PAdicMatrix, eps_exp: int) -> PhaseSum:
-    return InducedFunction.casselman(w, g.p, eps_exp).eval(g)
-
-
-def phi_eval(kind: str, g: PAdicMatrix, eps_exp: int) -> PhaseSum:
-    return InducedFunction.eigenvector(g.n, g.p, eps_exp, kind).eval(g)
 
 
 @functools.lru_cache(maxsize=128)

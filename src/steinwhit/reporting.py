@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CheckResult", "all_passed"]
+__all__ = ["CheckResult"]
 
 
 @dataclass(frozen=True)
@@ -14,7 +14,3 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

@@ -23,40 +23,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 __all__ = [
     "Permutation",
-    "Root",
     "Weight",
-    "act_on_root",
     "all_permutations",
     "conjugated_shift",
     "descent_suffix_counts",
     "dominance_shift",
     "is_dominant",
-    "length",
-    "root_pairing",
 ]
 
 Weight = tuple[int, ...]
-
-
-class Root(NamedTuple):
-    """Ordered index pair (i, j), i != j; positive exactly when i < j.
-
-    >>> Root(1, 3).is_positive
-    True
-    >>> Root(3, 1).is_positive
-    False
-    """
-
-    i: int
-    j: int
-
-    @property
-    def is_positive(self) -> bool:
-        return self.i < self.j
 
 
 @dataclass(frozen=True, order=True)
@@ -158,24 +137,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic window order (deterministic)."""
     for window in itertools.permutations(range(1, n + 1)):
         yield Permutation(window)
-
-
-def length(w: Permutation) -> int:
-    return w.length()
-
-
-def act_on_root(w: Permutation, root: Root) -> Root:
-    """alpha_{i,j} |-> alpha_{w(i), w(j)}.
-
-    >>> act_on_root(Permutation((2, 3, 1)), Root(1, 2))
-    Root(i=2, j=3)
-    """
-    return Root(w(root.i), w(root.j))
-
-
-def root_pairing(root: Root, kbar: Weight) -> int:
-    """<alpha_{i,j}, kbar> = k_i - k_j."""
-    return kbar[root.i - 1] - kbar[root.j - 1]
 
 
 def is_dominant(kbar: Weight, w: Permutation) -> bool:

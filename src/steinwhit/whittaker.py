@@ -18,6 +18,12 @@ rotation matrix multiplies every value by eps^e).  ``eval_cell`` applies
 this closed form; ``eval_recursive`` recomputes the same values through
 the diagonal recursion and the shift identity for the off-diagonal
 cells, and is kept as an independent cross-check.
+
+At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
+is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
+phase of psi(n) off one integer pass over the minors on the bottom rows
+of g, the pass that also gives the principal series its cell labels; it
+builds no witness (``padic.iwahori_cell`` does, for ``decompose``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, frac_psi_phase, frac_valuation, iwasawa, residue_bruhat
+from .padic import PAdicMatrix, _minors_pass
 from .principal_series import generator_cosets
 from .reporting import CheckResult
 from .sampling import random_group_element
@@ -45,7 +51,6 @@ __all__ = [
     "eval_cell",
     "eval_matrix",
     "eval_recursive",
-    "eval_sl",
     "parahoric_check",
     "phase_sum",
     "serialize",
@@ -122,28 +127,24 @@ def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
 def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     """Value at an arbitrary group element: the cell value times psi(n).
 
-    The label and the superdiagonal of the unipotent witness n come from
-    the same two reductions as in ``iwahori_cell``, g = b k and
-    k = b1 P_w b2 mod p, without building the other witnesses: n is the
-    product of the unitriangular parts of b and of d b1 d^{-1} (d the
-    diagonal of b), so its entry (i, i+1) is the sum of theirs.
+    On g = n . p^kbar . t0 . P_w . j the value is psi(n) times the value
+    on the cell (kbar, w).  The label and the phase of psi on n come from
+    one pass over the minors on the bottom rows of g (``_minors_pass`` in
+    ``padic``, where the phase formula is proved); no witness is built.
+
+    >>> eval_matrix(PAdicMatrix.from_rows(2, [[1, "3/4"], [0, 1]]))
+    WhittakerValue(zero=False, sign=1, eps_exp=0, q_exp=0, psi=Fraction(3, 4))
+
+    The same n times [[1, 0], [1, 1]], which lies in the cell of the
+    reflection (kbar = 0): the phase is read off the minors.
+
+    >>> eval_matrix(PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]]))
+    WhittakerValue(zero=False, sign=-1, eps_exp=0, q_exp=-1, psi=Fraction(3, 4))
     """
-    p = g.p
-    b, k = iwasawa(g)
-    diag = b.diagonal_entries()
-    kbar = tuple(int(frac_valuation(d, p)) for d in diag)
-    w, b1, _ = residue_bruhat(k.reduce_mod_p(), p)
+    kbar, w, psi = _minors_pass(g)
     base = eval_cell(kbar, w, eps_exp)
     if base.zero:
         return base
-    offsets = [
-        frac_psi_phase(
-            (b.entries[i][i + 1] + Fraction(b1[i][i + 1], b1[i + 1][i + 1]) * diag[i]) / diag[i + 1],
-            p,
-        )
-        for i in range(g.n - 1)
-    ]
-    psi = sum(offsets, Fraction(0)) % 1
     return WhittakerValue.monomial(base.sign, base.eps_exp, base.q_exp, psi)
 
 
@@ -213,13 +214,6 @@ def parahoric_check(i: int, n: int, eps_exp: int = 0) -> list[CheckResult]:
         CheckResult(f"nonzero-at-wall[{i}]", not at_wall.zero),
         CheckResult(f"zero-off-wall[{i}]", off_wall.zero),
     ]
-
-
-def eval_sl(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
-    """Value on the determinant-one subgroup; independent of eps_exp."""
-    if g.det() != 1:
-        raise ValueError("matrix must have determinant one")
-    return eval_matrix(g, eps_exp)
 
 
 def verify_functional_equations(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from steinwhit.cli import build_parser, main
+from steinwhit.cli import _HECKE_MAX_N, _VERIFY_MAX_COST, _verify_cost, build_parser, main
 from steinwhit.padic import PRIME_BOUND
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
@@ -246,6 +246,24 @@ def _cli_process(argv, stdin: str, timeout: float):
     return proc, time.perf_counter() - start
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        b'{"p": 2, "entries": [[' + b"1" * 5000 + b", 0], [0, 1]]}",
+        b"[" * 100000,
+        b'\xff\xfe{"p": 2, "entries": [["1", "0"], ["0", "1"]]}',
+    ],
+    ids=["long-integer", "deep-nesting", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["decompose", "eval"])
+def test_unparsable_documents_exit_2(tmp_path, command, doc):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(doc)
+    proc, _ = _cli_process([command, str(path)], "", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_large_primes_are_decided_fast():
     big_prime = 1000000000000000003
     doc = json.dumps({"p": big_prime, "entries": [["0", "1"], [str(big_prime), "0"]]})
@@ -297,6 +315,8 @@ def test_one_parser_serves_a_sequence_of_commands(capsys, monkeypatch):
     [
         ["verify", "whittaker", "--n", "2", "--p", "10007", "--samples", "1"],
         ["verify", "principal", "--n", "7", "--p", "2", "--samples", "1"],
+        ["verify", "whittaker", "--n", "2", "--p", "2", "--samples", "100000000"],
+        ["verify", "hecke", "--n", "60", "--p", "2"],
     ],
 )
 def test_verify_guard_refuses_costly_configs(argv):
@@ -307,8 +327,8 @@ def test_verify_guard_refuses_costly_configs(argv):
 
 
 def test_verify_guard_boundary(capsys, monkeypatch):
-    # 5! * 31 is exactly the bound; the next prime is over it, and the
-    # hecke suite alone is never guarded
+    # (5, 31) at the default 20 samples is exactly the bound, the next
+    # prime is over it, and the hecke suite alone is guarded by n only
     args = ["--n", "5", "--p", "31", "--samples", "1"]
     code, out, _ = run(capsys, monkeypatch, ["verify", "all", *args])
     assert code == 0 and all(r["passed"] for r in json.loads(out))
@@ -316,3 +336,25 @@ def test_verify_guard_boundary(capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["verify", suite, "--n", "5", "--p", "37"])
         assert (code, out) == (4, "") and "verify guard" in err
     assert run(capsys, monkeypatch, ["verify", "hecke", "--n", "7", "--p", "2"])[0] == 0
+    code, out, err = run(capsys, monkeypatch, ["verify", "hecke", "--n", str(_HECKE_MAX_N + 1), "--p", "2"])
+    assert (code, out) == (4, "") and "verify guard" in err
+
+
+def test_verify_guard_weighs_samples():
+    # every acceptance config at the samples its criteria use, (6, 5) and
+    # (5, 31) at the default samples, and the configs the benchmark runs
+    allowed = [(n, p, s) for n, p in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)] for s in (1, 20, 100)]
+    allowed += [(6, 5, 20), (5, 31, 20)]
+    assert all(_verify_cost(n, p, s) <= _VERIFY_MAX_COST for n, p, s in allowed)
+    # more samples and a larger p cost more, at every n
+    for n in range(2, 7):
+        assert _verify_cost(n, 2, 20) < _verify_cost(n, 2, 21) < _verify_cost(n, 3, 21)
+
+
+def test_verify_guard_refuses_many_samples_at_small_p(capsys, monkeypatch):
+    args = ["verify", "whittaker", "--n", "2", "--p", "2", "--samples"]
+    limit = max(s for s in range(10000) if _verify_cost(2, 2, s) <= _VERIFY_MAX_COST)
+    code, out, err = run(capsys, monkeypatch, args + [str(limit + 1)])
+    assert (code, out) == (4, "") and "verify guard" in err
+    code, out, _ = run(capsys, monkeypatch, args + ["3"])
+    assert code == 0 and all(r["passed"] for r in json.loads(out))

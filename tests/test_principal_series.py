@@ -8,9 +8,7 @@ from steinwhit.padic import PAdicMatrix, cell_label
 from steinwhit.principal_series import (
     InducedFunction,
     apply_generator,
-    f_eval,
     generator_cosets,
-    phi_eval,
     run_eigen_checks,
 )
 from steinwhit.sampling import random_group_element, random_iwahori
@@ -21,8 +19,8 @@ from steinwhit.weyl import Permutation
 def test_casselman_value_at_identity():
     one = PAdicMatrix.identity(2, 3)
     w_id = Permutation.identity(2)
-    assert f_eval(w_id, one, 0) == PhaseSum.monomial(2, 3, 1)
-    assert f_eval(Permutation.simple(2, 1), one, 0).is_zero()
+    assert InducedFunction.casselman(w_id, 3, 0).eval(one) == PhaseSum.monomial(2, 3, 1)
+    assert InducedFunction.casselman(Permutation.simple(2, 1), 3, 0).eval(one).is_zero()
 
 
 def test_casselman_value_on_rotation_matrix():
@@ -30,8 +28,8 @@ def test_casselman_value_on_rotation_matrix():
     u = realize(ExtAffineElement.rotation(2), p)
     # cell of u is ((0,1), s1): value q * eps^e on the s1 function
     for e in range(2):
-        assert f_eval(Permutation.simple(2, 1), u, e) == PhaseSum.monomial(2, p, p, e)
-        assert f_eval(Permutation.identity(2), u, e).is_zero()
+        assert InducedFunction.casselman(Permutation.simple(2, 1), p, e).eval(u) == PhaseSum.monomial(2, p, p, e)
+        assert InducedFunction.casselman(Permutation.identity(2), p, e).eval(u).is_zero()
 
 
 def test_eval_is_right_iwahori_invariant():
@@ -46,8 +44,8 @@ def test_eval_is_right_iwahori_invariant():
 
 def test_phi_values_at_identity():
     one = PAdicMatrix.identity(3, 2)
-    assert phi_eval("minus", one, 0) == PhaseSum.monomial(3, 2, 1)
-    assert phi_eval("plus", one, 0) == PhaseSum.monomial(3, 2, 1)
+    for kind in ("minus", "plus"):
+        assert InducedFunction.eigenvector(3, 2, 0, kind).eval(one) == PhaseSum.monomial(3, 2, 1)
 
 
 def test_eigenvector_kind_is_validated():

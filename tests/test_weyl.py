@@ -5,14 +5,11 @@ import pytest
 
 from steinwhit.weyl import (
     Permutation,
-    Root,
-    act_on_root,
     all_permutations,
     conjugated_shift,
     descent_suffix_counts,
     dominance_shift,
     is_dominant,
-    root_pairing,
 )
 
 perms = st.integers(min_value=2, max_value=5).flatmap(
@@ -84,13 +81,6 @@ def test_act_weight_is_group_action(w):
 def test_all_permutations_counts():
     assert len(list(all_permutations(3))) == 6
     assert len(list(all_permutations(4))) == 24
-
-
-def test_root_action_and_pairing():
-    w = Permutation((2, 3, 1))
-    assert act_on_root(w, Root(1, 2)) == Root(2, 3)
-    assert root_pairing(Root(1, 3), (5, 0, 2)) == 3
-    assert not Root(3, 1).is_positive
 
 
 def test_dominance_identity_is_weakly_decreasing():

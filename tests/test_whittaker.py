@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from steinwhit.affine_weyl import ExtAffineElement, realize
 from steinwhit.padic import PAdicMatrix, SingularMatrixError, frac_psi_phase, iwahori_cell
@@ -13,13 +14,13 @@ from steinwhit.whittaker import (
     eval_cell,
     eval_matrix,
     eval_recursive,
-    eval_sl,
     parahoric_check,
     phase_sum,
     serialize,
     support,
     verify_functional_equations,
 )
+from test_padic import det, iwasawa_inputs
 
 ID2 = Permutation.identity(2)
 S1_2 = Permutation.simple(2, 1)
@@ -131,6 +132,22 @@ def test_eval_matrix_matches_witness_route(n, p):
     assert len(phases) > 1  # some samples carry a nonzero phase
 
 
+@settings(max_examples=300, deadline=None)
+@given(iwasawa_inputs())
+def test_eval_matrix_matches_witness_route_on_arbitrary_matrices(g):
+    """The minors pass against the elimination witnesses, on the domain of
+    the Iwasawa oracle: non-integral entries, valuations -6..8, and one
+    matrix in four singular, where both routes must raise."""
+    if det(g) == 0:
+        with pytest.raises(SingularMatrixError):
+            eval_matrix(g)
+        with pytest.raises(SingularMatrixError):
+            iwahori_cell(g)
+        return
+    for e in range(g.n):
+        assert eval_matrix(g, e) == _value_from_witnesses(g, e)
+
+
 def test_eval_matrix_raises_on_singular_input():
     with pytest.raises(SingularMatrixError):
         eval_matrix(PAdicMatrix.from_rows(3, [[1, 2], [2, 4]]))
@@ -186,22 +203,16 @@ def test_pinned_wall_value():
     assert closed == recursive == WhittakerValue.monomial(1, 0, 0)
 
 
-def test_eval_sl_requires_unit_determinant():
-    g = PAdicMatrix.diagonal(3, [3, 1])
-    with pytest.raises(ValueError):
-        eval_sl(g)
-
-
 def test_eval_sl_ignores_eps():
+    """On the determinant-one subgroup the value does not see eps."""
     rng = random.Random(12)
-    p = 3
-    for _ in range(6):
-        g = random_group_element(rng, 2, p)
-        d = g.det()
-        g1 = g * PAdicMatrix.diagonal(p, [1 / d, 1])
-        assert g1.det() == 1
-        vals = {eval_sl(g1, e) for e in range(2)}
-        assert len(vals) == 1
+    for n, p in [(2, 3), (3, 2), (4, 5)]:
+        for _ in range(6):
+            g = random_group_element(rng, n, p)
+            g1 = g * PAdicMatrix.diagonal(p, [1 / det(g)] + [1] * (n - 1))
+            assert det(g1) == 1
+            vals = {eval_matrix(g1, e) for e in range(n)}
+            assert len(vals) == 1
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
