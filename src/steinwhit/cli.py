@@ -260,7 +260,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(buf.getvalue())
     failures = [doc for doc in docs if not doc["passed"]]
     for doc in failures:
-        print(f"FAIL {doc['suite']}:{doc['name']} {doc['detail']}", file=sys.stderr)
+        detail = f" {doc['detail']}" if doc["detail"] else ""
+        print(f"FAIL {doc['suite']}:{doc['name']}{detail}", file=sys.stderr)
     return EXIT_VERIFY if failures else EXIT_OK
 
 

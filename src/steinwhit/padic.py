@@ -15,10 +15,14 @@ and each has its own consumers:
 
 * the minors pass (``_minors_pass``): the label read off the valuations
   of the minors on the bottom rows of g, and from the same minors the
-  phase of the additive character on n.  Integer arithmetic only.  It
-  serves the principal series through ``cell_label`` and the Whittaker
-  value at an arbitrary matrix through ``whittaker.eval_matrix``; the
-  formulas and their proofs are in the two docstrings.
+  phase of the additive character on n.  Integer arithmetic only, on
+  the rows of g given as integer vectors over any positive
+  denominators.  ``cell_label`` and ``whittaker.eval_matrix`` call it
+  on a matrix's cleared rows; ``principal_series.apply_generator`` and
+  ``whittaker.verify_functional_equations`` call it on each coset term
+  g . rep, as g's cleared rows under the representative's integer
+  column form.  The formulas and their proofs are in the docstrings of
+  ``cell_label`` and ``_minors_pass``.
 * ``iwahori_cell``: the label with exact witnesses, by elimination, for
   ``steinwhit decompose``:
   ``iwasawa`` writes g = b k with b upper triangular over Q and k in
@@ -35,7 +39,7 @@ A broken invariant of a decomposition raises ``DecompositionError``, which
 ``python -O`` does not switch off.  The hot paths work on integer
 vectors over one denominator each: a matrix product is one integer dot
 product per entry, ``iwasawa`` updates cleared columns and the minors
-pass cleared rows.  Lifts from F_p to Z always use the
+pass reads cleared rows.  Lifts from F_p to Z always use the
 representatives {0, ..., p-1}.  Primes are decided by ``is_prime``
 (deterministic Miller-Rabin) below ``PRIME_BOUND``.
 """
@@ -174,6 +178,11 @@ def _cleared(xs) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
+def _cleared_rows(g: "PAdicMatrix") -> list[tuple[list[int], int]]:
+    """The rows of g, each as ``_cleared`` gives it."""
+    return [_cleared(row) for row in g.entries]
+
+
 @dataclass(frozen=True)
 class PAdicMatrix:
     """Square matrix of exact rationals sharing one prime."""
@@ -251,7 +260,7 @@ class PAdicMatrix:
             raise ValueError("matrix context mismatch")
         # Row i of self is a_i / d_i and column j of other is b_j / e_j with
         # integer vectors, so entry (i, j) is (a_i . b_j) / (d_i e_j).
-        rows = [_cleared(row) for row in self.entries]
+        rows = _cleared_rows(self)
         cols = [_cleared(col) for col in zip(*other.entries)]
         return PAdicMatrix._trusted(
             self.p,
@@ -526,7 +535,7 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     n, p = g.n, g.p
     b, k = iwasawa(g)
     kbar = tuple(frac_valuation(x, p) for x in b.diagonal_entries())
-    k_rows = [_cleared(row) for row in k.entries]
+    k_rows = _cleared_rows(k)
     if any(d % p == 0 for _, d in k_rows):
         raise DecompositionError(f"Iwasawa k factor is not integral: {k!r}")
     w, b1, _ = residue_bruhat([[x * pow(d, -1, p) for x in row] for row, d in k_rows], p)
@@ -599,18 +608,29 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
     >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
     ((0, 1), Permutation((2, 1)))
     """
-    kbar, w, _ = _minors_pass(g, phase=False)
+    kbar, w, _ = _minors_pass(_cleared_rows(g), g.p, phase=False)
     return kbar, w
 
 
-def _minors_pass(g: PAdicMatrix, phase: bool = True) -> tuple[tuple[int, ...], Permutation, Fraction]:
+def _minors_pass(
+    rows: list[tuple[list[int], int]], p: int, phase: bool = True
+) -> tuple[tuple[int, ...], Permutation, Fraction]:
     """The label (kbar, w) of ``cell_label`` and the phase of psi on n.
 
-    One pass over the rows of g, bottom first.  Each row is cleared of its
-    denominators once (which shifts the valuations of its minors by v of
-    the row's lcm), and step i pushes in row n-i+1 by a Laplace expansion
-    along it, D_{i,S} = sum_{s in S} +-g_{n-i+1,s} D_{i-1,S-{s}}: about
-    n 2^(n-1) integer multiply-adds in all.
+    g is given by its cleared rows: row r of g is a_r / d_r for the pair
+    (a_r, d_r) of an integer vector and any positive integer.  d_r need
+    not be the lcm of the row's denominators, and a_r need not be
+    reduced: the coset terms g . rep of the principal series and of the
+    functional equations arrive as g's cleared rows times an integer
+    column form, over d_r times that form's denominator.
+
+    One pass over the rows, bottom first.  Step i pushes in row n-i+1 by
+    a Laplace expansion along it, D_{i,S} = sum_{s in S} +-a_{n-i+1,s}
+    D_{i-1,S-{s}}: about n 2^(n-1) integer multiply-adds in all.  The
+    minors of the a_r are those of g times the product of the d_r, so
+    every i-minor is shifted by the same valuation, the sum of the v(d_r)
+    of its rows, whatever the d_r are: the minimizing column sets do not
+    move, and kbar subtracts the shift.
 
     The phase.  Write g = n . b' with b' = p^kbar . t0 . P_w . j.  For
     1 <= i < n let T be the least minimizing column set of the bottom
@@ -625,8 +645,9 @@ def _minors_pass(g: PAdicMatrix, phase: bool = True) -> tuple[tuple[int, ...], P
     so the value of psi on n is the sum of the phases of the N_i / D_i.
     N_i is one Laplace expansion of row i against the minors of R, the
     level below the one that holds D_i, so the pass keeps two levels.
-    With cleared rows the ratio of the cleared minors is multiplied by
-    d_{i+1} / d_i, the denominators of rows i+1 and i.
+    The cleared minors of N_i and D_i share the rows R and differ in one
+    row, so their ratio is multiplied by d_{i+1} / d_i, again for any
+    positive d_r.
 
     Why: left multiplication by n adds to row i of b' the multiple
     n_{i,i+1} of row i+1 plus multiples of the rows in R, and to the rows
@@ -648,14 +669,14 @@ def _minors_pass(g: PAdicMatrix, phase: bool = True) -> tuple[tuple[int, ...], P
     With ``phase`` false the numerators are skipped and the phase is 0;
     ``cell_label`` needs the label alone.
     """
-    n, p = g.n, g.p
+    n = len(rows)
     kbar = [0] * n
     window = [0] * n
     below, minors = {}, {0: 1}  # column bitmask S -> minor of the cleared rows r+2.., r+1..
     prev_mask, prev_min, prev_dv, prev_d = 0, 0, 0, 1
     psi = _ZERO
     for r in range(n - 1, -1, -1):
-        row, d = _cleared(g.entries[r])
+        row, d = rows[r]
         dv = _int_valuation(d, p)
         if phase and prev_mask:
             # N_i for i = r + 1: row r against the level below, on T = prev_mask

@@ -16,17 +16,21 @@ single w is ``casselman``; the two distinguished combinations are
             reflections only; the rotation identity fails).
 
 Convolution operators act by right translation over explicit coset
-representatives, listed by ``generator_cosets``.
+representatives, listed by ``generator_cosets``.  Each representative is
+also kept in integer column form (``_coset_columns``), so a coset term
+g . rep is g's cleared rows under one integer column operation, labelled
+by one minors pass, with no matrix product.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, cell_label
+from .padic import PAdicMatrix, _cleared_rows, _minors_pass, cell_label
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -72,7 +76,10 @@ class InducedFunction:
         return cls(n, p, eps_exp, coeffs)
 
     def eval(self, g: PAdicMatrix) -> PhaseSum:
-        kbar, w = cell_label(g)
+        return self._cell_value(*cell_label(g))
+
+    def _cell_value(self, kbar: tuple[int, ...], w: Permutation) -> PhaseSum:
+        """The value on the cell (kbar, w)."""
         coeff = self.coeffs.get(w)
         if coeff is None:
             return PhaseSum.zero(self.n, self.p)
@@ -105,6 +112,49 @@ def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
     return tuple(PAdicMatrix.one_param(p, n, i, i + 1, t) * si for t in range(p))
 
 
+# A representative in column form: for each column j of D . rep the
+# pairs (k, c) of its nonzero integer entries c in rows k, and the lcm D
+# of the representative's denominators.
+_ColumnForm = tuple[tuple[tuple[tuple[int, int], ...], ...], int]
+
+
+@functools.lru_cache(maxsize=128)
+def _coset_columns(n: int, p: int, gen) -> tuple[_ColumnForm, ...]:
+    """``generator_cosets(n, p, gen)`` in column form, cached alongside.
+
+    Built from the representatives themselves, so ``generator_cosets``
+    stays their one definition.  D is p for the affine representatives
+    x_{n,1}(p t) s_0, where s_0 has the entry 1/p, and 1 for the others.
+    A finite representative x_{i,i+1}(t) s_i turns columns i and i+1 of g
+    into c_{i+1} + t c_i and c_i and keeps the others.
+    """
+    forms = []
+    for rep in generator_cosets(n, p, gen):
+        big = math.lcm(*(x.denominator for row in rep.entries for x in row))
+        cols = tuple(tuple((k, int(x * big)) for k, x in enumerate(col) if x) for col in zip(*rep.entries))
+        forms.append((cols, big))
+    return tuple(forms)
+
+
+def _times_columns(rows: list[tuple[list[int], int]], form: _ColumnForm) -> list[tuple[list[int], int]]:
+    """Cleared rows of g . rep from the cleared rows (a_r, d_r) of g.
+
+    Row r of g . rep is (a_r . (D rep)) / (d_r D).  Most columns of a
+    representative have one entry, and are read without a sum.
+    """
+    cols, big = form
+    return [
+        ([a[col[0][0]] * col[0][1] if len(col) == 1 else sum(a[k] * c for k, c in col) for col in cols], d * big)
+        for a, d in rows
+    ]
+
+
+def _coset_labels(gen, g: PAdicMatrix) -> list[tuple[tuple[int, ...], Permutation]]:
+    """The cell labels of the coset terms g . rep, rep over ``generator_cosets``."""
+    rows = _cleared_rows(g)
+    return [_minors_pass(_times_columns(rows, form), g.p, phase=False)[:2] for form in _coset_columns(g.n, g.p, gen)]
+
+
 def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
     """Affine-reflection representatives via rotation conjugation.
 
@@ -119,10 +169,10 @@ def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
 
 def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     """Value of the convolution operator for gen on func, at g."""
-    out = PhaseSum.zero(func.n, func.p)
-    for rep in generator_cosets(func.n, func.p, gen):
-        out = out + func.eval(g * rep)
-    return out
+    if (g.n, g.p) != (func.n, func.p):
+        raise ValueError("matrix context mismatch")
+    labels = _coset_labels(gen, g)
+    return sum((func._cell_value(kbar, w) for kbar, w in labels), PhaseSum.zero(func.n, func.p))
 
 
 def run_eigen_checks(
@@ -173,11 +223,14 @@ def run_eigen_checks(
     )
     results.append(CheckResult("affine-cosets-by-conjugation", ok))
 
+    # apply_generator(f_w, i, 1) for every w, with the labels of the coset
+    # terms at the identity found once per generator
     ok = True
-    for w_support in all_permutations(n):
-        f = InducedFunction.casselman(w_support, p, eps_exp)
-        for i in range(1, n):
-            val = apply_generator(f, i, one)
+    casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
+    for i in range(1, n):
+        labels = _coset_labels(i, one)
+        for w_support, f in casselman.items():
+            val = sum((f._cell_value(kbar, w) for kbar, w in labels), PhaseSum.zero(n, p))
             expected = (
                 PhaseSum.monomial(n, p, p)
                 if w_support == Permutation.simple(n, i)

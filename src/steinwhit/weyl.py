@@ -153,15 +153,15 @@ def is_dominant(kbar: Weight, w: Permutation) -> bool:
     >>> is_dominant((-2, 0), Permutation.simple(2, 1))
     False
     """
-    n = w.n
-    if len(kbar) != n:
+    if len(kbar) != w.n:
         raise ValueError("weight length mismatch")
-    winv = w.inverse()
-    for i in range(1, n):
-        threshold = 0 if winv(i) < winv(i + 1) else -1
-        if kbar[i - 1] - kbar[i] < threshold:
-            return False
-    return True
+    return all(kbar[i] - kbar[i + 1] >= t for i, t in enumerate(_dominance_thresholds(w)))
+
+
+def _dominance_thresholds(w: Permutation) -> tuple[int, ...]:
+    """Entry i - 1 is the least k_i - k_{i+1} of the w-dominance cone, 0 or -1."""
+    winv = w.inverse().window
+    return tuple(0 if winv[i] < winv[i + 1] else -1 for i in range(w.n - 1))
 
 
 def descent_suffix_counts(w: Permutation) -> Weight:

@@ -24,23 +24,27 @@ is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
 phase of psi(n) off one integer pass over the minors on the bottom rows
 of g, the pass that also gives the principal series its cell labels; it
 builds no witness (``padic.iwahori_cell`` does, for ``decompose``).
+``verify_functional_equations`` runs the same pass on every coset term
+g . rep, whose cleared rows are g's under the representative's integer
+column form, with no matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _minors_pass
-from .principal_series import generator_cosets
+from .padic import PAdicMatrix, _cleared_rows, _minors_pass, matrix_to_json
+from .principal_series import _coset_columns, _times_columns
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
 from .weyl import (
     Permutation,
     Weight,
+    _dominance_thresholds,
     descent_suffix_counts,
     dominance_shift,
     is_dominant,
@@ -110,15 +114,21 @@ def support(kbar: Weight, w: Permutation) -> bool:
     return is_dominant(kbar, w)
 
 
+@functools.lru_cache(maxsize=1024)
+def _cell_constants(w: Permutation) -> tuple[int, tuple[int, ...]]:
+    """len(w) and the w-dominance thresholds, per w (every w up to n = 6)."""
+    return w.length(), _dominance_thresholds(w)
+
+
 def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
     """Closed-form value on the cell (kbar, w)."""
     n = w.n
     if len(kbar) != n:
         raise ValueError("weight length must match the permutation size")
-    if not is_dominant(kbar, w):
+    ell, thresholds = _cell_constants(w)
+    if any(kbar[i] - kbar[i + 1] < t for i, t in enumerate(thresholds)):
         return WhittakerValue.zero_value()
     ksum = sum(kbar)
-    ell = w.length()
     sign = -1 if ((n - 1) * ksum + ell) % 2 else 1
     q_exp = -sum((n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1)) - ell
     return WhittakerValue.monomial(sign, (eps_exp * ksum) % n, q_exp)
@@ -141,11 +151,21 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     >>> eval_matrix(PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]]))
     WhittakerValue(zero=False, sign=-1, eps_exp=0, q_exp=-1, psi=Fraction(3, 4))
     """
-    kbar, w, psi = _minors_pass(g)
+    return _pass_value(_minors_pass(_cleared_rows(g), g.p), eps_exp)
+
+
+def _pass_value(label: tuple[Weight, Permutation, Fraction], eps_exp: int) -> WhittakerValue:
+    """The value for the (kbar, w, psi) of one minors pass."""
+    kbar, w, psi = label
     base = eval_cell(kbar, w, eps_exp)
     if base.zero:
         return base
     return WhittakerValue.monomial(base.sign, base.eps_exp, base.q_exp, psi)
+
+
+def _central_rows(rows: list[tuple[list[int], int]], p: int) -> list[tuple[list[int], int]]:
+    """Cleared rows of p . g from the cleared rows of g."""
+    return [([p * x for x in a], d) for a, d in rows]
 
 
 def _diag_steps(kbar: Weight, eps_exp: int, n: int) -> WhittakerValue:
@@ -228,33 +248,42 @@ def verify_functional_equations(
     For each sampled g: every reflection coset sum returns -W(g), right
     rotation multiplies by eps^e, and the central scalar p acts
     trivially.  Comparisons are exact in the cyclotomic value ring.
+
+    W(g) is ``eval_matrix(g)``.  Every other term is its own minors pass
+    on g's cleared rows under the column form of its coset
+    representative, or times p for the central term.  A failed check
+    records in its detail the first point where it failed (point 0 is
+    the identity, the others are drawn from ``seed``) as CLI JSON, and
+    both sides of the identity there.
     """
     rng = random.Random(seed)
     points = [PAdicMatrix.identity(n, p)]
     points += [random_group_element(rng, n, p) for _ in range(samples)]
-    rotation = realize(ExtAffineElement.rotation(n), p)
+    reflections = [_coset_columns(n, p, i) for i in range(n)]
+    (rotation,) = _coset_columns(n, p, "rotation")
+    zero = PhaseSum.zero(n, p)
 
-    reflection_ok = {i: True for i in range(n)}
-    rotation_ok = True
-    central_ok = True
-    for g in points:
+    def value(rows) -> PhaseSum:
+        return phase_sum(_pass_value(_minors_pass(rows, p), eps_exp), n, p)
+
+    names = [f"reflection-sum[{i}]" for i in range(n)] + ["rotation-eigenvalue", "central-invariance"]
+    details: dict[str, str] = {}  # the first failure of each check
+
+    def check(name: str, k: int, g: PAdicMatrix, lhs: tuple[str, PhaseSum], rhs: tuple[str, PhaseSum]) -> None:
+        if lhs[1] != rhs[1] and name not in details:
+            details[name] = (
+                f"point {k} (seed {seed}): g = {matrix_to_json(g)}; "
+                f"{lhs[0]} = {lhs[1]!r}; {rhs[0]} = {rhs[1]!r}"
+            )
+
+    for k, g in enumerate(points):
         base = phase_sum(eval_matrix(g, eps_exp), n, p)
-        for i in range(n):
-            total = PhaseSum.zero(n, p)
-            for rep in generator_cosets(n, p, i):
-                total = total + phase_sum(eval_matrix(g * rep, eps_exp), n, p)
-            if total != base.scaled(-1):
-                reflection_ok[i] = False
-        rotated = phase_sum(eval_matrix(g * rotation, eps_exp), n, p)
-        if rotated != base.times_monomial(1, eps_exp):
-            rotation_ok = False
-        scaled = phase_sum(eval_matrix(g.scale(p), eps_exp), n, p)
-        if scaled != base:
-            central_ok = False
+        rows = _cleared_rows(g)
+        for i, forms in enumerate(reflections):
+            total = sum((value(_times_columns(rows, form)) for form in forms), zero)
+            check(names[i], k, g, (f"sum of W(g rep) over the cosets of s_{i}", total), ("-W(g)", base.scaled(-1)))
+        rotated = value(_times_columns(rows, rotation))
+        check(names[n], k, g, ("W(g u)", rotated), (f"eps^{eps_exp} W(g)", base.times_monomial(1, eps_exp)))
+        check(names[n + 1], k, g, ("W(p g)", value(_central_rows(rows, p))), ("W(g)", base))
 
-    results = [
-        CheckResult(f"reflection-sum[{i}]", reflection_ok[i]) for i in range(n)
-    ]
-    results.append(CheckResult("rotation-eigenvalue", rotation_ok))
-    results.append(CheckResult("central-invariance", central_ok))
-    return results
+    return [CheckResult(name, name not in details, details.get(name, "")) for name in names]

@@ -358,3 +358,15 @@ def test_verify_guard_refuses_many_samples_at_small_p(capsys, monkeypatch):
     assert (code, out) == (4, "") and "verify guard" in err
     code, out, _ = run(capsys, monkeypatch, args + ["3"])
     assert code == 0 and all(r["passed"] for r in json.loads(out))
+
+
+def test_verify_failure_lines_carry_the_detail_only_when_there_is_one(capsys, monkeypatch):
+    from steinwhit import cli
+    from steinwhit.reporting import CheckResult
+
+    monkeypatch.setattr(cli, "verify_functional_equations", lambda *a: [CheckResult("planted", False, "at point 0")])
+    monkeypatch.setattr(cli, "parahoric_check", lambda *a: [CheckResult("bare", False)])
+    code, out, err = run(capsys, monkeypatch, ["verify", "whittaker", "--n", "2", "--p", "3"])
+    assert code == 1
+    assert err == "FAIL whittaker:planted at point 0\nFAIL whittaker:bare\n"
+    assert [doc["detail"] for doc in json.loads(out)] == ["at point 0", ""]

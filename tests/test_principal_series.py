@@ -83,6 +83,14 @@ def test_generator_cosets_are_cached_tuples(n, p):
     assert generator_cosets.cache_info().maxsize >= 64
 
 
+def test_apply_generator_refuses_a_matrix_of_another_size_or_prime():
+    func = InducedFunction.eigenvector(2, 3, 0, "minus")
+    for g in (PAdicMatrix.identity(3, 3), PAdicMatrix.identity(2, 2)):
+        for gen in (0, 1, "rotation"):
+            with pytest.raises(ValueError, match="context mismatch"):
+                apply_generator(func, gen, g)
+
+
 def test_generator_cosets_are_disjoint():
     n, p = 2, 3
     for gen in (0, 1):

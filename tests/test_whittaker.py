@@ -1,16 +1,37 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from steinwhit import cli, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
-from steinwhit.padic import PAdicMatrix, SingularMatrixError, frac_psi_phase, iwahori_cell
+from steinwhit.padic import (
+    PAdicMatrix,
+    SingularMatrixError,
+    _cleared_rows,
+    _minors_pass,
+    cell_label,
+    frac_psi_phase,
+    iwahori_cell,
+)
+from steinwhit.principal_series import (
+    InducedFunction,
+    _coset_columns,
+    _coset_labels,
+    _times_columns,
+    apply_generator,
+    generator_cosets,
+)
 from steinwhit.sampling import random_cell_product, random_group_element, random_iwahori
 from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations, dominance_shift
 from steinwhit.whittaker import (
     WhittakerValue,
+    _central_rows,
+    _pass_value,
     eval_cell,
     eval_matrix,
     eval_recursive,
@@ -220,3 +241,113 @@ def test_functional_equations_pass(n, p):
     results = verify_functional_equations(n, p, 1, samples=8, seed=23)
     failures = [r.name for r in results if not r.passed]
     assert failures == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(iwasawa_inputs())
+def test_coset_terms_from_columns_match_the_product_oracle(g):
+    """Every coset term of the functional equations and of the principal
+    series, read off g's cleared rows under the representative's column
+    form, against the minors pass and ``eval_matrix`` of the product g * rep
+    (and of ``g.scale(p)`` for the central term).  Inputs as for the Iwasawa
+    oracle: non-integral entries, valuations -6..8, one in four singular,
+    where both routes must raise."""
+    n, p = g.n, g.p
+    rows = _cleared_rows(g)
+    singular = det(g) == 0
+    for gen in (*range(n), "rotation"):
+        reps, forms = generator_cosets(n, p, gen), _coset_columns(n, p, gen)
+        assert len(reps) == len(forms)
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                _coset_labels(gen, g)
+        else:
+            assert _coset_labels(gen, g) == [cell_label(g * rep) for rep in reps]
+        for rep, form in zip(reps, forms):
+            if singular:
+                with pytest.raises(SingularMatrixError):
+                    _minors_pass(_times_columns(rows, form), p)
+                with pytest.raises(SingularMatrixError):
+                    _minors_pass(_cleared_rows(g * rep), p)
+                continue
+            label = _minors_pass(_times_columns(rows, form), p)
+            assert label == _minors_pass(_cleared_rows(g * rep), p)
+            for e in range(n):
+                assert _pass_value(label, e) == eval_matrix(g * rep, e)
+    central = _central_rows(rows, p)
+    if singular:
+        with pytest.raises(SingularMatrixError):
+            _minors_pass(central, p)
+        return
+    assert _minors_pass(central, p) == _minors_pass(_cleared_rows(g.scale(p)), p)
+    for e in range(n):
+        assert _pass_value(_minors_pass(central, p), e) == eval_matrix(g.scale(p), e)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (4, 2)])
+def test_coset_terms_take_no_matrix_product(monkeypatch, n, p):
+    """Once the representatives are cached (one build per (n, p, gen)), a
+    coset sum multiplies no matrices: not in ``apply_generator``, not in
+    ``verify_functional_equations``."""
+    g = random_group_element(random.Random(f"hot:{n}:{p}"), n, p)
+    gens = (*range(n), "rotation")
+    for gen in gens:
+        _coset_columns(n, p, gen)
+    funcs = [InducedFunction.eigenvector(n, p, 1 % n, kind) for kind in ("minus", "plus")]
+    calls = []
+    product = PAdicMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(PAdicMatrix, "__mul__", counted)
+    for func in funcs:
+        for gen in gens:
+            apply_generator(func, gen, g)
+    assert calls == []
+    results = verify_functional_equations(n, p, 1 % n, samples=0)
+    assert calls == []
+    assert all(r.passed for r in results)
+
+
+def test_failed_check_names_its_point(monkeypatch, tmp_path, capsys):
+    """A planted wrong rotation eigenvalue: the rotation term is taken at
+    the identity representative, so W(g u) reads W(g) and not eps^e W(g).
+    The detail names the point as CLI JSON, and ``steinwhit eval`` there
+    reproduces both sides."""
+    n, p, e = 3, 2, 1
+    identity_form = (tuple(((k, 1),) for k in range(n)), 1)
+    columns = whittaker._coset_columns
+
+    def planted(n_, p_, gen):
+        return (identity_form,) if gen == "rotation" else columns(n_, p_, gen)
+
+    monkeypatch.setattr(whittaker, "_coset_columns", planted)
+    results = {r.name: r for r in verify_functional_equations(n, p, e, samples=3, seed=5)}
+    assert [name for name, r in results.items() if not r.passed] == ["rotation-eigenvalue"]
+    assert all(r.detail == "" for r in results.values() if r.passed)
+    detail = results["rotation-eigenvalue"].detail
+    m = re.fullmatch(r"point (\d+) \(seed 5\): g = (\{.*\}); W\(g u\) = (.*); eps\^1 W\(g\) = (.*)", detail)
+    assert m is not None, detail
+    assert m[1] == "0"  # every wrong eigenvalue already fails at the identity
+    path = tmp_path / "g.json"
+    path.write_text(m[2])
+    assert cli.main(["eval", str(path), "--eps-exp", str(e)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    value = WhittakerValue(doc["zero"], doc["sign"], doc["eps_exp"], doc["q_exp"], Fraction(doc["psi_num"], doc["psi_den"]))
+    w_g = phase_sum(value, n, p)
+    assert not w_g.is_zero()
+    assert repr(w_g) == m[3]
+    assert repr(w_g.times_monomial(1, e)) == m[4]
+
+
+def test_cached_cell_constants_agree_with_the_recursion_at_n5():
+    """``eval_cell`` reads len(w) and the dominance thresholds from a cache
+    keyed by w; its values must stay those of the recursion.  Criterion 05
+    sweeps n <= 4; here 2000 random (kbar, w, eps) at n = 5, |k_i| <= 3."""
+    rng = random.Random("cell-constants")
+    perms = list(all_permutations(5))
+    for _ in range(2000):
+        kbar, w, e = tuple(rng.randint(-3, 3) for _ in range(5)), rng.choice(perms), rng.randrange(5)
+        assert eval_cell(kbar, w, e) == eval_recursive(kbar, w, e)
