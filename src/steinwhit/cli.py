@@ -12,11 +12,11 @@ or a/b in lowest terms; p, like --p, must be a prime below
 ``padic.PRIME_BOUND`` (about 3.3e24), where primality is decided
 exactly.  Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
-error, 3 singular input matrix, 4 size guard violation (``table`` with
---range above 6 or --n above 4; ``verify hecke`` with --n above 24;
-``verify principal``, ``whittaker`` or ``all`` with n above 6 or an
-estimated cost, ``_verify_cost``, above its value at n = 5, p = 31 and
-20 samples).
+error, 3 singular input matrix, 4 size guard violation (``eval`` of a
+matrix with n above 18; ``table`` with --range above 6 or --n above 4;
+``verify hecke`` with --n above 24; ``verify principal``, ``whittaker``
+or ``all`` with n above 6 or an estimated cost, ``_verify_cost``, above
+its value at n = 5, p = 31 and 20 samples).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .padic import (
     matrix_from_json,
 )
 from .principal_series import run_eigen_checks
-from .reporting import CheckResult
+from .reporting import CheckResult, failure_line
 from .weyl import all_permutations
 from .whittaker import (
     WhittakerValue,
@@ -57,6 +57,10 @@ EXIT_GUARD = 4
 
 _TABLE_MAX_RANGE = 6
 _TABLE_MAX_N = 4
+# The minors pass behind eval costs O(n 2^n): on a dense matrix 0.42 s at
+# n = 16 and 1.8 s at n = 18 in a fresh process (2-vCPU Xeon VM, Python
+# 3.11), about 8 s at n = 20.
+_EVAL_MAX_N = 18
 # The presentation check of the hecke suite grows like n^4.5: 1.1 s at
 # n = 24 on the VM below.
 _HECKE_MAX_N = 24
@@ -162,6 +166,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     g = _read_matrix(args.matrix)
+    if g.n > _EVAL_MAX_N:
+        raise GuardError(f"eval guard: need n <= {_EVAL_MAX_N}, got a matrix with n = {g.n}")
     eps_exp = args.eps_exp % g.n
     value = eval_matrix(g, eps_exp)
     sign, q_exp = _parse_scale(args.scale)
@@ -258,10 +264,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for doc in docs:
             writer.writerow([doc["suite"], doc["name"], int(doc["passed"])])
         sys.stdout.write(buf.getvalue())
-    failures = [doc for doc in docs if not doc["passed"]]
-    for doc in failures:
-        detail = f" {doc['detail']}" if doc["detail"] else ""
-        print(f"FAIL {doc['suite']}:{doc['name']}{detail}", file=sys.stderr)
+    failures = [failure_line(suite, r) for suite, r in named if not r.passed]
+    for line in failures:
+        print(line, file=sys.stderr)
     return EXIT_VERIFY if failures else EXIT_OK
 
 

@@ -18,11 +18,12 @@ and each has its own consumers:
   phase of the additive character on n.  Integer arithmetic only, on
   the rows of g given as integer vectors over any positive
   denominators.  ``cell_label`` and ``whittaker.eval_matrix`` call it
-  on a matrix's cleared rows; ``principal_series.apply_generator`` and
-  ``whittaker.verify_functional_equations`` call it on each coset term
-  g . rep, as g's cleared rows under the representative's integer
-  column form.  The formulas and their proofs are in the docstrings of
-  ``cell_label`` and ``_minors_pass``.
+  on a matrix's cleared rows; ``principal_series._coset_passes`` calls
+  it on each coset term g . rep, as g's cleared rows under the
+  representative's integer column form, for ``apply_generator`` and for
+  the identity checks of both verification suites.  The formulas and
+  their proofs are in the docstrings of ``cell_label`` and
+  ``_minors_pass``.
 * ``iwahori_cell``: the label with exact witnesses, by elimination, for
   ``steinwhit decompose``:
   ``iwasawa`` writes g = b k with b upper triangular over Q and k in
@@ -268,12 +269,6 @@ class PAdicMatrix:
                 tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for b, e in cols)
                 for a, d in rows
             ),
-        )
-
-    def scale(self, c) -> "PAdicMatrix":
-        c = Fraction(c)
-        return PAdicMatrix._trusted(
-            self.p, tuple(tuple(c * e for e in row) for row in self.entries)
         )
 
     def inverse(self) -> "PAdicMatrix":

@@ -16,10 +16,13 @@ single w is ``casselman``; the two distinguished combinations are
             reflections only; the rotation identity fails).
 
 Convolution operators act by right translation over explicit coset
-representatives, listed by ``generator_cosets``.  Each representative is
-also kept in integer column form (``_coset_columns``), so a coset term
-g . rep is g's cleared rows under one integer column operation, labelled
-by one minors pass, with no matrix product.
+representatives, listed by ``generator_cosets`` (the centre is the one
+coset p . I).  Each representative is also kept in integer column form
+(``_coset_columns``), so a coset term g . rep is one minors pass on g's
+cleared rows under one integer column operation, with no matrix product:
+``_coset_passes``, the one source of coset terms, behind
+``apply_generator`` and ``_check_identities``, the identity engine of
+``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _cleared_rows, _minors_pass, cell_label
+from .padic import PAdicMatrix, _cleared_rows, _minors_pass, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -76,10 +79,12 @@ class InducedFunction:
         return cls(n, p, eps_exp, coeffs)
 
     def eval(self, g: PAdicMatrix) -> PhaseSum:
-        return self._cell_value(*cell_label(g))
+        return self._label_value(cell_label(g))
 
-    def _cell_value(self, kbar: tuple[int, ...], w: Permutation) -> PhaseSum:
-        """The value on the cell (kbar, w)."""
+    def _label_value(self, label: tuple) -> PhaseSum:
+        """The value on the cell of a label (kbar, w), or of a minors pass
+        (kbar, w, psi): the function is left N-invariant, so psi plays no part."""
+        kbar, w = label[0], label[1]
         coeff = self.coeffs.get(w)
         if coeff is None:
             return PhaseSum.zero(self.n, self.p)
@@ -94,14 +99,17 @@ def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
 
     gen is 1..n-1 for the finite reflections (p representatives
     x_{i,i+1}(t) s_i, t = 0..p-1), 0 for the affine reflection
-    (p representatives x_{n,1}(p t) s_0), or the string "rotation"
-    (a single coset, the double coset being one-sided).
+    (p representatives x_{n,1}(p t) s_0), the string "rotation"
+    (a single coset, the double coset being one-sided), or the string
+    "center" (the single coset of the central scalar p . I).
 
     The result is cached per (n, p, gen) and immutable: a tuple of frozen
     matrices, shared by every caller.
     """
     if gen == "rotation":
         return (realize(ExtAffineElement.rotation(n), p),)
+    if gen == "center":
+        return (PAdicMatrix.diagonal(p, [p] * n),)
     i = int(gen)
     if not 0 <= i < n:
         raise ValueError(f"generator index out of range: {i}")
@@ -149,10 +157,10 @@ def _times_columns(rows: list[tuple[list[int], int]], form: _ColumnForm) -> list
     ]
 
 
-def _coset_labels(gen, g: PAdicMatrix) -> list[tuple[tuple[int, ...], Permutation]]:
-    """The cell labels of the coset terms g . rep, rep over ``generator_cosets``."""
-    rows = _cleared_rows(g)
-    return [_minors_pass(_times_columns(rows, form), g.p, phase=False)[:2] for form in _coset_columns(g.n, g.p, gen)]
+def _coset_passes(rows: list[tuple[list[int], int]], n: int, p: int, gen, phase: bool) -> list[tuple]:
+    """The minors pass (kbar, w, psi) of each coset term g . rep, rep over
+    ``generator_cosets(n, p, gen)``, from g's cleared rows (psi 0 unless ``phase``)."""
+    return [_minors_pass(_times_columns(rows, form), p, phase) for form in _coset_columns(n, p, gen)]
 
 
 def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
@@ -171,8 +179,40 @@ def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     """Value of the convolution operator for gen on func, at g."""
     if (g.n, g.p) != (func.n, func.p):
         raise ValueError("matrix context mismatch")
-    labels = _coset_labels(gen, g)
-    return sum((func._cell_value(kbar, w) for kbar, w in labels), PhaseSum.zero(func.n, func.p))
+    passes = _coset_passes(_cleared_rows(g), g.n, g.p, gen, phase=False)
+    return sum(map(func._label_value, passes), PhaseSum.zero(func.n, func.p))
+
+
+def _check_identities(
+    n: int, p: int, samples: int, seed: int, identities: list, value_at, phase: bool
+) -> list[CheckResult]:
+    """Check each identity sum_rep f(g . rep) = c eps^e f(g) over the cosets
+    of a generator, given as (check name, f on the cell of a minors pass,
+    gen, (c, e), text of each side), at the identity matrix and at
+    ``samples`` points drawn from ``seed``: one ``CheckResult`` each.
+
+    Each point is cleared once, and each coset term is one minors pass,
+    shared by every identity on its generator.  ``value_at(g)`` maps an
+    identity's cell function to f(g), read once per point.  A failed check
+    records in its detail the first point where it failed (point 0 is the
+    identity) as CLI JSON, and both sides of the identity there.
+    """
+    rng = random.Random(seed)
+    points = [PAdicMatrix.identity(n, p)] + [random_group_element(rng, n, p) for _ in range(samples)]
+    zero = PhaseSum.zero(n, p)
+    details: dict[str, str] = {}  # the first failure of each check
+    for k, g in enumerate(points):
+        f_at_g, rows, passes = value_at(g), _cleared_rows(g), {}
+        for name, cell, gen, (c, e), (lhs_text, rhs_text) in identities:
+            if gen not in passes:
+                passes[gen] = _coset_passes(rows, n, p, gen, phase)
+            lhs, rhs = sum(map(cell, passes[gen]), zero), f_at_g(cell).times_monomial(c, e)
+            if lhs != rhs and name not in details:
+                details[name] = (
+                    f"point {k} (seed {seed}): g = {matrix_to_json(g)}; "
+                    f"{lhs_text} = {lhs!r}; {rhs_text} = {rhs!r}"
+                )
+    return [CheckResult(name, name not in details, details.get(name, "")) for name, *_ in identities]
 
 
 def run_eigen_checks(
@@ -182,61 +222,48 @@ def run_eigen_checks(
     samples: int = 50,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Eigenvector dichotomy checks at the identity plus random points."""
-    rng = random.Random(seed)
-    points = [PAdicMatrix.identity(n, p)]
-    points += [random_group_element(rng, n, p) for _ in range(samples)]
+    """Eigenvector dichotomy checks at the identity plus random points.
 
+    The eigen-identities of minus and plus go through ``_check_identities``,
+    with f(g) from one ``cell_label(g)`` per point; the fixed checks follow.
+    """
     minus = InducedFunction.eigenvector(n, p, eps_exp, "minus")
     plus = InducedFunction.eigenvector(n, p, eps_exp, "plus")
-    results = []
-
-    for i in range(n):
-        ok = all(
-            apply_generator(minus, i, g) == minus.eval(g).scaled(-1) for g in points
-        )
-        results.append(CheckResult(f"minus-eigenvalue:reflection[{i}]", ok))
-
     sign = (-1) ** (n - 1)
-    ok = all(
-        apply_generator(minus, "rotation", g)
-        == minus.eval(g).times_monomial(sign, eps_exp)
-        for g in points
-    )
-    results.append(CheckResult("minus-eigenvalue:rotation", ok))
+    identities = [
+        (f"minus-eigenvalue:reflection[{i}]", minus._label_value, i, (-1, 0),
+         (f"sum of minus(g rep) over the cosets of s_{i}", "-minus(g)")) for i in range(n)
+    ]
+    identities.append(("minus-eigenvalue:rotation", minus._label_value, "rotation", (sign, eps_exp),
+                       ("minus(g u)", f"{'-' if sign < 0 else ''}eps^{eps_exp} minus(g)")))
+    identities += [
+        (f"plus-eigenvalue:reflection[{i}]", plus._label_value, i, (p, 0),
+         (f"sum of plus(g rep) over the cosets of s_{i}", f"{p} plus(g)")) for i in range(1, n)
+    ]
 
-    for i in range(1, n):
-        ok = all(
-            apply_generator(plus, i, g) == plus.eval(g).scaled(p) for g in points
-        )
-        results.append(CheckResult(f"plus-eigenvalue:reflection[{i}]", ok))
+    def value_at(g: PAdicMatrix):
+        label = cell_label(g)
+        return lambda cell: cell(label)
+
+    results = _check_identities(n, p, samples, seed, identities, value_at, phase=False)
 
     one = PAdicMatrix.identity(n, p)
     lhs = apply_generator(plus, "rotation", one)
     rhs = plus.eval(one).times_monomial(sign, eps_exp)
     results.append(CheckResult("plus-rotation-fails-at-identity", lhs != rhs))
 
-    direct = generator_cosets(n, p, 0)
-    conjugated = _affine_cosets_by_conjugation(n, p)
-    ok = len(direct) == len(conjugated) and all(
-        a == b for a, b in zip(direct, conjugated)
-    )
+    ok = list(generator_cosets(n, p, 0)) == _affine_cosets_by_conjugation(n, p)
     results.append(CheckResult("affine-cosets-by-conjugation", ok))
 
-    # apply_generator(f_w, i, 1) for every w, with the labels of the coset
-    # terms at the identity found once per generator
+    # apply_generator(f_w, i, 1) for every w, with the coset terms at the
+    # identity read once per generator
     ok = True
     casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
     for i in range(1, n):
-        labels = _coset_labels(i, one)
-        for w_support, f in casselman.items():
-            val = sum((f._cell_value(kbar, w) for kbar, w in labels), PhaseSum.zero(n, p))
-            expected = (
-                PhaseSum.monomial(n, p, p)
-                if w_support == Permutation.simple(n, i)
-                else PhaseSum.zero(n, p)
-            )
-            ok = ok and val == expected
+        passes = _coset_passes(_cleared_rows(one), n, p, i, phase=False)
+        for w, f in casselman.items():
+            expected = PhaseSum.monomial(n, p, p if w == Permutation.simple(n, i) else 0)
+            ok = ok and sum(map(f._label_value, passes), PhaseSum.zero(n, p)) == expected
     results.append(CheckResult("casselman-triangularity", ok))
 
     return results

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .padic import DecompositionError, PAdicMatrix
+from .padic import Cell, DecompositionError, PAdicMatrix
 from .weyl import Permutation, Weight
 
 __all__ = [
@@ -94,17 +94,15 @@ def random_cell_product(
     """A structured product together with its cell label.
 
     Returns (g, kbar, w) with g = upper . units . diag(p^kbar) . P_w . j;
-    the cell decomposition of g must recover exactly this (kbar, w).
+    the cell decomposition of g must recover exactly this (kbar, w).  The
+    factors are drawn in that order and g is built by ``Cell.reconstruct``,
+    with one matrix product.
     """
     kbar = random_weight(rng, n, -weight_range, weight_range)
     w = random_permutation(rng, n)
-    g = (
-        random_upper_unipotent(rng, n, p)
-        * random_torus_units(rng, n, p)
-        * PAdicMatrix.weight_matrix(p, kbar)
-        * PAdicMatrix.permutation(p, w)
-        * random_iwahori(rng, n, p)
-    )
+    upper = random_upper_unipotent(rng, n, p)
+    units = random_torus_units(rng, n, p)
+    g = Cell(kbar, w, upper, units, random_iwahori(rng, n, p)).reconstruct()
     return g, kbar, w
 
 

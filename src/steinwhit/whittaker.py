@@ -24,22 +24,20 @@ is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
 phase of psi(n) off one integer pass over the minors on the bottom rows
 of g, the pass that also gives the principal series its cell labels; it
 builds no witness (``padic.iwahori_cell`` does, for ``decompose``).
-``verify_functional_equations`` runs the same pass on every coset term
-g . rep, whose cleared rows are g's under the representative's integer
-column form, with no matrix product.
+``verify_functional_equations`` is a table of identities for the engine
+of ``principal_series``, which runs the same pass on every coset term
+g . rep (the central term being g . pI), with no matrix product.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PAdicMatrix, _cleared_rows, _minors_pass, matrix_to_json
-from .principal_series import _coset_columns, _times_columns
+from .padic import PAdicMatrix, _cleared_rows, _minors_pass
+from .principal_series import _check_identities
 from .reporting import CheckResult
-from .sampling import random_group_element
 from .values import PhaseSum
 from .weyl import (
     Permutation,
@@ -163,11 +161,6 @@ def _pass_value(label: tuple[Weight, Permutation, Fraction], eps_exp: int) -> Wh
     return WhittakerValue.monomial(base.sign, base.eps_exp, base.q_exp, psi)
 
 
-def _central_rows(rows: list[tuple[list[int], int]], p: int) -> list[tuple[list[int], int]]:
-    """Cleared rows of p . g from the cleared rows of g."""
-    return [([p * x for x in a], d) for a, d in rows]
-
-
 def _diag_steps(kbar: Weight, eps_exp: int, n: int) -> WhittakerValue:
     """Walk the diagonal recursion one unit step at a time from zero."""
     sign, q_exp, eps_total = 1, 0, 0
@@ -247,43 +240,22 @@ def verify_functional_equations(
 
     For each sampled g: every reflection coset sum returns -W(g), right
     rotation multiplies by eps^e, and the central scalar p acts
-    trivially.  Comparisons are exact in the cyclotomic value ring.
-
-    W(g) is ``eval_matrix(g)``.  Every other term is its own minors pass
-    on g's cleared rows under the column form of its coset
-    representative, or times p for the central term.  A failed check
-    records in its detail the first point where it failed (point 0 is
-    the identity, the others are drawn from ``seed``) as CLI JSON, and
-    both sides of the identity there.
+    trivially.  W(g) is ``eval_matrix(g)``; every other term is a minors
+    pass of ``principal_series._check_identities``, which also records
+    the first failing point of each check.
     """
-    rng = random.Random(seed)
-    points = [PAdicMatrix.identity(n, p)]
-    points += [random_group_element(rng, n, p) for _ in range(samples)]
-    reflections = [_coset_columns(n, p, i) for i in range(n)]
-    (rotation,) = _coset_columns(n, p, "rotation")
-    zero = PhaseSum.zero(n, p)
 
-    def value(rows) -> PhaseSum:
-        return phase_sum(_pass_value(_minors_pass(rows, p), eps_exp), n, p)
+    def value_at(g: PAdicMatrix):
+        w_g = phase_sum(eval_matrix(g, eps_exp), n, p)
+        return lambda cell: w_g
 
-    names = [f"reflection-sum[{i}]" for i in range(n)] + ["rotation-eigenvalue", "central-invariance"]
-    details: dict[str, str] = {}  # the first failure of each check
+    def cell(label) -> PhaseSum:
+        return phase_sum(_pass_value(label, eps_exp), n, p)
 
-    def check(name: str, k: int, g: PAdicMatrix, lhs: tuple[str, PhaseSum], rhs: tuple[str, PhaseSum]) -> None:
-        if lhs[1] != rhs[1] and name not in details:
-            details[name] = (
-                f"point {k} (seed {seed}): g = {matrix_to_json(g)}; "
-                f"{lhs[0]} = {lhs[1]!r}; {rhs[0]} = {rhs[1]!r}"
-            )
-
-    for k, g in enumerate(points):
-        base = phase_sum(eval_matrix(g, eps_exp), n, p)
-        rows = _cleared_rows(g)
-        for i, forms in enumerate(reflections):
-            total = sum((value(_times_columns(rows, form)) for form in forms), zero)
-            check(names[i], k, g, (f"sum of W(g rep) over the cosets of s_{i}", total), ("-W(g)", base.scaled(-1)))
-        rotated = value(_times_columns(rows, rotation))
-        check(names[n], k, g, ("W(g u)", rotated), (f"eps^{eps_exp} W(g)", base.times_monomial(1, eps_exp)))
-        check(names[n + 1], k, g, ("W(p g)", value(_central_rows(rows, p))), ("W(g)", base))
-
-    return [CheckResult(name, name not in details, details.get(name, "")) for name in names]
+    identities = [
+        (f"reflection-sum[{i}]", cell, i, (-1, 0), (f"sum of W(g rep) over the cosets of s_{i}", "-W(g)"))
+        for i in range(n)
+    ]
+    identities.append(("rotation-eigenvalue", cell, "rotation", (1, eps_exp), ("W(g u)", f"eps^{eps_exp} W(g)")))
+    identities.append(("central-invariance", cell, "center", (1, 0), ("W(p g)", "W(g)")))
+    return _check_identities(n, p, samples, seed, identities, value_at, phase=True)

@@ -14,6 +14,7 @@ from steinwhit.affine_weyl import ExtAffineElement
 from steinwhit.hecke import HeckeScalar, steinberg_character, verify_presentation
 from steinwhit.padic import cell_label, iwahori_cell
 from steinwhit.principal_series import run_eigen_checks
+from steinwhit.reporting import failure_line
 from steinwhit.sampling import random_cell_product, random_iwahori
 from steinwhit.weyl import (
     Permutation,
@@ -32,9 +33,15 @@ from steinwhit.whittaker import (
 CONFIGS = [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]
 
 
-def _report(num: int, label: str, ok: bool) -> None:
+def _report(num: int, label: str, ok: bool, failure: str | None = None) -> None:
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {label}")
-    assert ok, f"criterion {num:02d} failed: {label}"
+    assert ok, f"criterion {num:02d} failed: {label}" + (f"; {failure}" if failure else "")
+
+
+def _first_failure(failure: str | None, suite: str, results) -> str | None:
+    """The earlier failure if there is one, else the CLI's line for the
+    first failed check of ``results``."""
+    return failure or next((failure_line(suite, r) for r in results if not r.passed), None)
 
 
 def _sweep(n: int, bound: int):
@@ -55,7 +62,7 @@ def test_criterion_01_hecke_presentation():
 
 
 def test_criterion_02_character_both_ways():
-    ok = True
+    ok, failure = True, None
     for n in {n for n, _ in CONFIGS}:
         rotation = ExtAffineElement.rotation(n)
         for e in range(n):
@@ -64,34 +71,39 @@ def test_criterion_02_character_both_ways():
                 ok = ok and steinberg_character(s, e) == HeckeScalar.monomial(n, -1)
             expected = HeckeScalar.monomial(n, (-1) ** (n - 1), 0, e)
             ok = ok and steinberg_character(rotation, e) == expected
-        ok = ok and all(r.passed for r in verify_presentation(n))
+        results = verify_presentation(n)
+        ok = ok and all(r.passed for r in results)
+        failure = _first_failure(failure, f"hecke[n={n}]", results)
     for n, p in CONFIGS:
         for e in range(n):
             results = run_eigen_checks(n, p, e, samples=4, seed=101)
             minus = [r for r in results if r.name.startswith("minus-eigenvalue")]
             ok = ok and len(minus) == n + 1 and all(r.passed for r in minus)
-    _report(2, "Steinberg character, algebraic and by coset sums", ok)
+            failure = _first_failure(failure, f"principal[n={n},p={p},eps={e}]", minus)
+    _report(2, "Steinberg character, algebraic and by coset sums", ok, failure)
 
 
 def test_criterion_03_eigenvector_dichotomy():
-    ok = True
+    ok, failure = True, None
     for n, p in CONFIGS:
         results = run_eigen_checks(n, p, 1 % n, samples=50, seed=303)
         ok = ok and all(r.passed for r in results)
+        failure = _first_failure(failure, f"principal[n={n},p={p},eps={1 % n}]", results)
         names = {r.name for r in results}
         ok = ok and "plus-rotation-fails-at-identity" in names
-    _report(3, "minus/plus eigenvalues at 50 random points per config", ok)
+    _report(3, "minus/plus eigenvalues at 50 random points per config", ok, failure)
 
 
 def test_criterion_04_functional_equations():
     start = time.monotonic()
-    ok = True
+    ok, failure = True, None
     for n, p in CONFIGS:
         results = verify_functional_equations(n, p, 1 % n, samples=100, seed=404)
         ok = ok and all(r.passed for r in results)
+        failure = _first_failure(failure, f"whittaker[n={n},p={p},eps={1 % n}]", results)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
-    _report(4, f"functional equations, 100 points per config, {elapsed:.1f}s", ok)
+    _report(4, f"functional equations, 100 points per config, {elapsed:.1f}s", ok, failure)
 
 
 def test_criterion_05_closed_form_vs_recursion():

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from steinwhit.cli import _HECKE_MAX_N, _VERIFY_MAX_COST, _verify_cost, build_parser, main
+from steinwhit.cli import _EVAL_MAX_N, _HECKE_MAX_N, _VERIFY_MAX_COST, _verify_cost, build_parser, main
 from steinwhit.padic import PRIME_BOUND
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
@@ -276,6 +283,66 @@ def test_large_primes_are_decided_fast():
     assert proc.returncode == 2
     assert "must be below" in proc.stderr and "Traceback" not in proc.stderr
     assert elapsed < 10
+
+
+def test_eval_guard_refuses_large_matrices_fast():
+    rng = random.Random(19)
+    n = _EVAL_MAX_N + 1
+    doc = json.dumps({"p": 3, "entries": [[str(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]})
+    proc, elapsed = _cli_process(["eval", "-"], doc, timeout=30)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("eval guard: ") and "Traceback" not in proc.stderr
+    assert elapsed < 10
+
+
+def test_eval_guard_boundary(capsys, monkeypatch):
+    # the identity is cheap at any n: one nonzero minor per level
+    def identity(n):
+        return json.dumps({"p": 2, "entries": [[str(int(i == j)) for j in range(n)] for i in range(n)]})
+
+    code, out, _ = run(capsys, monkeypatch, ["eval", "-"], identity(_EVAL_MAX_N))
+    assert code == 0 and json.loads(out)["sign"] == 1
+    code, out, err = run(capsys, monkeypatch, ["eval", "-"], identity(_EVAL_MAX_N + 1))
+    assert (code, out) == (4, "") and err.startswith("eval guard: ")
+    assert run(capsys, monkeypatch, ["decompose", "-"], identity(_EVAL_MAX_N + 1))[0] == 0
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["p", "entries"]) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+@st.composite
+def matrix_documents(draw):
+    """Well-formed matrix documents with n = 0..24: integer entries and
+    a/b in lowest terms with p-power b, p prime or not."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    p = draw(st.sampled_from([2, 3, 5, 7, 4, 1000000007]))
+    entry = st.integers(-9, 9).map(str) | st.builds(
+        lambda a, k: str(Fraction(a, 2**k)), st.integers(-9, 9), st.integers(0, 3)
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return json.dumps({"p": p, "entries": rows})
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(st.sampled_from(["eval", "decompose"]), json_values.map(json.dumps) | matrix_documents())
+def test_any_document_ends_in_a_documented_exit_code(command, doc):
+    """In process, ``eval`` and ``decompose`` on arbitrary JSON values and
+    on well-formed matrices up to n = 24 return 0..4 and raise nothing."""
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(doc)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-"])
+    finally:
+        sys.stdin = stdin
+    event(f"{command} exit {code}")
+    assert code in range(5), (code, err.getvalue())
+    assert (code == 0) == bool(out.getvalue())
 
 
 @pytest.mark.parametrize("entry", ["2/4", "0.5"])

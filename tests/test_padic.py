@@ -28,7 +28,14 @@ from steinwhit.padic import (
     matrix_to_json,
     residue_bruhat,
 )
-from steinwhit.sampling import random_cell_product, random_iwahori
+from steinwhit.sampling import (
+    random_cell_product,
+    random_iwahori,
+    random_permutation,
+    random_torus_units,
+    random_upper_unipotent,
+    random_weight,
+)
 from steinwhit.weyl import Permutation
 
 # Rationals with denominator a power of p, the shape psi ever sees.
@@ -255,7 +262,7 @@ def test_internal_matrices_equal_their_public_construction(g):
     except SingularMatrixError:
         return
     cell = iwahori_cell(g)
-    built = [g * g, b * k, b, k, cell.n_factor, cell.t0_factor, cell.j_factor, cell.reconstruct(), g.scale(3)]
+    built = [g * g, b * k, b, k, cell.n_factor, cell.t0_factor, cell.j_factor, cell.reconstruct()]
     for m in built:
         assert type(m.entries) is tuple and len(m.entries) == g.n
         for row in m.entries:
@@ -316,6 +323,26 @@ def test_cell_witnesses_live_in_their_groups():
                 frac_valuation(t, p) == 0 for t in cell.t0_factor.diagonal_entries()
             )
             assert cell.reconstruct() == g
+
+
+def test_cell_product_equals_the_product_of_its_factors():
+    """``random_cell_product`` builds g with one matrix product; g must be
+    the product u . t . diag(p^kbar) . P_w . j of the factors it draws, in
+    the same order from the same rng."""
+    for n, p in product(range(2, 7), (2, 3, 5, 7)):
+        rng, ref = random.Random(f"sampler:{n}:{p}"), random.Random(f"sampler:{n}:{p}")
+        for _ in range(10):
+            g, kbar, w = random_cell_product(rng, n, p)
+            assert (kbar, w) == (random_weight(ref, n), random_permutation(ref, n))
+            expected = (
+                random_upper_unipotent(ref, n, p)
+                * random_torus_units(ref, n, p)
+                * PAdicMatrix.weight_matrix(p, kbar)
+                * PAdicMatrix.permutation(p, w)
+                * random_iwahori(ref, n, p)
+            )
+            assert g == expected and repr(g) == repr(expected)
+        assert rng.random() == ref.random()
 
 
 def test_cell_label_matches_full_decomposition():

@@ -1,10 +1,11 @@
 import random
-from fractions import Fraction
+import re
 
 import pytest
 
+from steinwhit import padic, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
-from steinwhit.padic import PAdicMatrix, cell_label
+from steinwhit.padic import PAdicMatrix, cell_label, matrix_from_json
 from steinwhit.principal_series import (
     InducedFunction,
     apply_generator,
@@ -14,6 +15,7 @@ from steinwhit.principal_series import (
 from steinwhit.sampling import random_group_element, random_iwahori
 from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation
+from steinwhit.whittaker import verify_functional_equations
 
 
 def test_casselman_value_at_identity():
@@ -75,7 +77,8 @@ def test_generator_cosets_are_cached_tuples(n, p):
     rebuilt = tuple(PAdicMatrix.one_param(p, n, n, 1, p * t) * s0 for t in range(p))
     assert generator_cosets(n, p, 0) == rebuilt
     assert generator_cosets(n, p, "rotation") == (realize(ExtAffineElement.rotation(n), p),)
-    for gen in (*range(n), "rotation"):
+    assert generator_cosets(n, p, "center") == (PAdicMatrix.diagonal(p, [p] * n),)
+    for gen in (*range(n), "rotation", "center"):
         reps = generator_cosets(n, p, gen)
         assert isinstance(reps, tuple)
         assert generator_cosets(n, p, gen) is reps
@@ -125,3 +128,55 @@ def test_eigen_suite_passes(n, p):
         results = run_eigen_checks(n, p, e, samples=5, seed=17)
         failures = [r.name for r in results if not r.passed]
         assert failures == []
+
+
+def test_failed_eigen_check_names_its_point(monkeypatch):
+    """A planted wrong rotation form: the rotation term is taken at the
+    identity representative, so minus(g u) reads minus(g) and not
+    eps^e minus(g).  Only the minus rotation check fails; its detail names
+    point 0, the seed, the point as CLI JSON and both sides, which
+    ``apply_generator`` and ``InducedFunction.eval`` rebuild from that
+    JSON alone."""
+    n, p, e = 3, 2, 1
+    identity_form = (tuple(((k, 1),) for k in range(n)), 1)
+    columns = principal_series._coset_columns
+
+    def planted(n_, p_, gen):
+        return (identity_form,) if gen == "rotation" else columns(n_, p_, gen)
+
+    monkeypatch.setattr(principal_series, "_coset_columns", planted)
+    results = {r.name: r for r in run_eigen_checks(n, p, e, samples=3, seed=5)}
+    assert [name for name, r in results.items() if not r.passed] == ["minus-eigenvalue:rotation"]
+    assert all(r.detail == "" for r in results.values() if r.passed)
+    detail = results["minus-eigenvalue:rotation"].detail
+    m = re.fullmatch(r"point (\d+) \(seed 5\): g = (\{.*\}); minus\(g u\) = (.*); eps\^1 minus\(g\) = (.*)", detail)
+    assert m is not None, detail
+    assert m[1] == "0"  # every wrong eigenvalue already fails at the identity
+    g = matrix_from_json(m[2])
+    minus = InducedFunction.eigenvector(n, p, e, "minus")
+    assert repr(apply_generator(minus, "rotation", g)) == m[3]
+    assert repr(minus.eval(g).times_monomial((-1) ** (n - 1), e)) == m[4]
+    assert m[3] != m[4]
+
+
+@pytest.mark.parametrize("n, p, samples", [(2, 3, 3), (3, 2, 1), (4, 2, 0), (5, 7, 2)])
+def test_one_minors_pass_per_coset_term(monkeypatch, n, p, samples):
+    """Each point costs one pass for f(g) (``cell_label`` or
+    ``eval_matrix``) and one per coset term per generator, shared by every
+    identity on it; the principal suite adds two passes for the plus
+    rotation at the identity and p per finite reflection for the
+    Casselman check."""
+    calls = []
+    original = padic._minors_pass
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (padic, principal_series, whittaker):
+        monkeypatch.setattr(module, "_minors_pass", counted)
+    assert all(r.passed for r in run_eigen_checks(n, p, 1 % n, samples=samples, seed=3))
+    assert len(calls) == (samples + 1) * (n * p + 2) + (n - 1) * p + 2
+    calls.clear()
+    assert all(r.passed for r in verify_functional_equations(n, p, 1 % n, samples=samples, seed=3))
+    assert len(calls) == (samples + 1) * (n * p + 3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from steinwhit import cli, whittaker
+from steinwhit import cli, principal_series
 from steinwhit.affine_weyl import ExtAffineElement, realize
 from steinwhit.padic import (
     PAdicMatrix,
@@ -20,8 +20,7 @@ from steinwhit.padic import (
 from steinwhit.principal_series import (
     InducedFunction,
     _coset_columns,
-    _coset_labels,
-    _times_columns,
+    _coset_passes,
     apply_generator,
     generator_cosets,
 )
@@ -30,7 +29,6 @@ from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations, dominance_shift
 from steinwhit.whittaker import (
     WhittakerValue,
-    _central_rows,
     _pass_value,
     eval_cell,
     eval_matrix,
@@ -247,41 +245,40 @@ def test_functional_equations_pass(n, p):
 @given(iwasawa_inputs())
 def test_coset_terms_from_columns_match_the_product_oracle(g):
     """Every coset term of the functional equations and of the principal
-    series, read off g's cleared rows under the representative's column
-    form, against the minors pass and ``eval_matrix`` of the product g * rep
-    (and of ``g.scale(p)`` for the central term).  Inputs as for the Iwasawa
-    oracle: non-integral entries, valuations -6..8, one in four singular,
-    where both routes must raise."""
+    series, ``_coset_passes`` on g's cleared rows, against the minors pass,
+    ``cell_label`` and ``eval_matrix`` of the product g * rep, for every
+    reflection, the rotation and the centre (rep = p . I); and
+    ``apply_generator`` on both eigenvectors against the sum of
+    ``InducedFunction.eval`` over those products.  Inputs as for the
+    Iwasawa oracle: non-integral entries, valuations -6..8, one in four
+    singular, where both routes must raise."""
     n, p = g.n, g.p
     rows = _cleared_rows(g)
     singular = det(g) == 0
-    for gen in (*range(n), "rotation"):
-        reps, forms = generator_cosets(n, p, gen), _coset_columns(n, p, gen)
-        assert len(reps) == len(forms)
+    funcs = [InducedFunction.eigenvector(n, p, 1 % n, kind) for kind in ("minus", "plus")]
+    assert generator_cosets(n, p, "center") == (PAdicMatrix.diagonal(p, [p] * n),)
+    for gen in (*range(n), "rotation", "center"):
+        reps = generator_cosets(n, p, gen)
+        assert len(reps) == len(_coset_columns(n, p, gen))
         if singular:
-            with pytest.raises(SingularMatrixError):
-                _coset_labels(gen, g)
-        else:
-            assert _coset_labels(gen, g) == [cell_label(g * rep) for rep in reps]
-        for rep, form in zip(reps, forms):
-            if singular:
+            for phase in (False, True):
                 with pytest.raises(SingularMatrixError):
-                    _minors_pass(_times_columns(rows, form), p)
+                    _coset_passes(rows, n, p, gen, phase)
+            for rep in reps:
                 with pytest.raises(SingularMatrixError):
                     _minors_pass(_cleared_rows(g * rep), p)
-                continue
-            label = _minors_pass(_times_columns(rows, form), p)
-            assert label == _minors_pass(_cleared_rows(g * rep), p)
+            for f in funcs:
+                with pytest.raises(SingularMatrixError):
+                    apply_generator(f, gen, g)
+            continue
+        passes = _coset_passes(rows, n, p, gen, True)
+        assert passes == [_minors_pass(_cleared_rows(g * rep), p) for rep in reps]
+        assert _coset_passes(rows, n, p, gen, False) == [(*cell_label(g * rep), 0) for rep in reps]
+        for label, rep in zip(passes, reps):
             for e in range(n):
                 assert _pass_value(label, e) == eval_matrix(g * rep, e)
-    central = _central_rows(rows, p)
-    if singular:
-        with pytest.raises(SingularMatrixError):
-            _minors_pass(central, p)
-        return
-    assert _minors_pass(central, p) == _minors_pass(_cleared_rows(g.scale(p)), p)
-    for e in range(n):
-        assert _pass_value(_minors_pass(central, p), e) == eval_matrix(g.scale(p), e)
+        for f in funcs:
+            assert apply_generator(f, gen, g) == sum((f.eval(g * rep) for rep in reps), PhaseSum.zero(n, p))
 
 
 @pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (4, 2)])
@@ -318,12 +315,12 @@ def test_failed_check_names_its_point(monkeypatch, tmp_path, capsys):
     reproduces both sides."""
     n, p, e = 3, 2, 1
     identity_form = (tuple(((k, 1),) for k in range(n)), 1)
-    columns = whittaker._coset_columns
+    columns = principal_series._coset_columns
 
     def planted(n_, p_, gen):
         return (identity_form,) if gen == "rotation" else columns(n_, p_, gen)
 
-    monkeypatch.setattr(whittaker, "_coset_columns", planted)
+    monkeypatch.setattr(principal_series, "_coset_columns", planted)
     results = {r.name: r for r in verify_functional_equations(n, p, e, samples=3, seed=5)}
     assert [name for name, r in results.items() if not r.passed] == ["rotation-eigenvalue"]
     assert all(r.detail == "" for r in results.values() if r.passed)
