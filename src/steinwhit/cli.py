@@ -13,10 +13,11 @@ or a/b in lowest terms; p, like --p, must be a prime below
 exactly.  Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
 error, 3 singular input matrix, 4 size guard violation (``eval`` of a
-matrix with n above 18; ``table`` with --range above 6 or --n above 4;
-``verify hecke`` with --n above 24; ``verify principal``, ``whittaker``
-or ``all`` with n above 6 or an estimated cost, ``_verify_cost``, above
-its value at n = 5, p = 31 and 20 samples).
+matrix with n above 18; ``decompose`` of a matrix with n above 64;
+``table`` with --range above 6 or --n above 4; ``verify hecke`` with
+--n above 24; ``verify principal``, ``whittaker`` or ``all`` with n
+above 6 or an estimated cost, ``_verify_cost``, above its value at
+n = 5, p = 31 and 20 samples).
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ _TABLE_MAX_N = 4
 # n = 16 and 1.8 s at n = 18 in a fresh process (2-vCPU Xeon VM, Python
 # 3.11), about 8 s at n = 20.
 _EVAL_MAX_N = 18
+# The elimination behind decompose grows about like n^5 on dense input, as
+# its integers grow with n: with entries in [-9, 9] and p = 3, 1.2 s at
+# n = 60, 1.7 s at n = 64 and 2.4 s at n = 68 in a fresh process (same VM).
+_DECOMPOSE_MAX_N = 64
 # The presentation check of the hecke suite grows like n^4.5: 1.1 s at
 # n = 24 on the VM below.
 _HECKE_MAX_N = 24
@@ -145,6 +150,8 @@ def _entries_as_strings(m) -> list[list[str]]:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _read_matrix(args.matrix)
+    if g.n > _DECOMPOSE_MAX_N:
+        raise GuardError(f"decompose guard: need n <= {_DECOMPOSE_MAX_N}, got a matrix with n = {g.n}")
     cell = iwahori_cell(g)
     kbar = list(cell.kbar)
     doc = {

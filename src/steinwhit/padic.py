@@ -1,7 +1,20 @@
 """Exact p-adic matrices and the Iwahori cell decomposition.
 
-Everything is a rational number viewed inside Q_p: a ``Fraction`` plus a
-prime.  No completions, no floats.
+Everything is a rational number viewed inside Q_p, with one prime per
+matrix.  No completions, no floats.
+
+A ``PAdicMatrix`` stores each row r in one form: the integer vector a_r
+over the integer d_r, as the pair (a_r, d_r) with d_r > 0 and
+gcd(d_r, *a_r) = 1.  For a given row that pair is unique (d_r is the lcm
+of the row's denominators in lowest terms), so two matrices are equal
+exactly when their primes and rows are.  Every kernel here reads and
+writes that form, with no ``Fraction`` in between: a product is one
+integer dot product per entry and one gcd per row, ``iwasawa``
+eliminates on integer columns, the minors pass reads the rows as they
+are, and ``iwahori_cell`` builds and checks its witnesses on rows.  The
+public constructors clear their input once; ``entries``, the
+``Fraction`` view, is built on access, for output and for the readers
+that want rationals.
 
 Every invertible g lies in exactly one Iwahori cell,
 
@@ -18,8 +31,8 @@ and each has its own consumers:
   phase of the additive character on n.  Integer arithmetic only, on
   the rows of g given as integer vectors over any positive
   denominators.  ``cell_label`` and ``whittaker.eval_matrix`` call it
-  on a matrix's cleared rows; ``principal_series._coset_passes`` calls
-  it on each coset term g . rep, as g's cleared rows under the
+  on a matrix's stored rows; ``principal_series._coset_passes`` calls
+  it on each coset term g . rep, as g's stored rows under the
   representative's integer column form, for ``apply_generator`` and for
   the identity checks of both verification suites.  The formulas and
   their proofs are in the docstrings of ``cell_label`` and
@@ -37,10 +50,7 @@ and each has its own consumers:
   ``Fraction`` oracle).
 
 A broken invariant of a decomposition raises ``DecompositionError``, which
-``python -O`` does not switch off.  The hot paths work on integer
-vectors over one denominator each: a matrix product is one integer dot
-product per entry, ``iwasawa`` updates cleared columns and the minors
-pass reads cleared rows.  Lifts from F_p to Z always use the
+``python -O`` does not switch off.  Lifts from F_p to Z always use the
 representatives {0, ..., p-1}.  Primes are decided by ``is_prime``
 (deterministic Miller-Rabin) below ``PRIME_BOUND``.
 """
@@ -51,6 +61,7 @@ import json
 import math
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,8 +175,14 @@ def frac_psi_phase(x: Fraction, p: int) -> Fraction:
     return Fraction(r, pm)
 
 
-_Rows = tuple[tuple[Fraction, ...], ...]
+# A row a / d of a matrix: integers a and d > 0 with gcd(d, *a) == 1.  For
+# a given row of rationals this pair is unique: d is the lcm of the
+# entries' denominators in lowest terms.
+_Row = tuple[tuple[int, ...], int]
+
+
 _ZERO = Fraction(0)
+_MACHINE = 1 << 64
 
 
 def _p_power(p: int, v: int) -> tuple[int, int]:
@@ -173,49 +190,92 @@ def _p_power(p: int, v: int) -> tuple[int, int]:
     return (p**v, 1) if v >= 0 else (1, p**-v)
 
 
-def _cleared(xs) -> tuple[list[int], int]:
-    """Integers a and the lcm d of the denominators with xs[i] == a[i] / d."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+def _reduced(a, d: int) -> _Row:
+    """The canonical row of the vector a / d over integers, d != 0."""
+    e = math.gcd(d, *a)
+    if d < 0:
+        e = -e
+    return tuple(x // e for x in a), d // e
 
 
-def _cleared_rows(g: "PAdicMatrix") -> list[tuple[list[int], int]]:
-    """The rows of g, each as ``_cleared`` gives it."""
-    return [_cleared(row) for row in g.entries]
+def _row_of(pairs) -> _Row:
+    """The canonical row of the entries x / y, given as integer pairs (x, y), y != 0."""
+    reduced = []
+    for x, y in pairs:
+        e = math.gcd(x, y)
+        reduced.append((x // e, y // e) if y > 0 else (-x // e, -y // e))
+    d = math.lcm(*(y for _, y in reduced))
+    return tuple(x * (d // y) for x, y in reduced), d
 
 
-@dataclass(frozen=True)
+def _columns(rows) -> list[tuple[tuple[int, ...], int]]:
+    """The columns of the matrix with the canonical rows ``rows``, each as
+    an integer vector b over a positive denominator e.
+
+    While the lcm L of the rows' denominators is below 2^64, every column
+    is taken over L: scaling a row to L keeps its integers machine-sized.
+    Beyond that, each column is cleared on its own, over the lcm of its
+    entries' denominators, so that a column of small denominators keeps
+    small integers: over one large L every product would carry L's size
+    (a dense ``decompose`` at n = 60 took twice as long).
+    """
+    dens = [e for _, e in rows]
+    big = math.lcm(*dens)
+    if big < _MACHINE:
+        return [(col, big) for col in zip(*(a if e == big else [x * (big // e) for x in a] for a, e in rows))]
+    cols = []
+    for col in zip(*(a for a, _ in rows)):
+        # the entry x / e has the denominator e / gcd(x, e) in lowest terms
+        d = math.lcm(*map(operator.floordiv, dens, map(math.gcd, col, dens)))
+        cols.append((tuple(x * d // e for x, e in zip(col, dens)), d))
+    return cols
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class PAdicMatrix:
-    """Square matrix of exact rationals sharing one prime."""
+    """Square matrix of exact rationals sharing one prime.
+
+    The stored form is ``rows``: row r is the integer vector a_r over the
+    integer d_r, as the pair (a_r, d_r) with d_r > 0 and
+    gcd(d_r, *a_r) = 1.  That pair is unique for a given row (d_r is the
+    lcm of its entries' denominators), so equality and hashing compare
+    (p, rows), and every kernel of this module reads and writes integer
+    rows with no ``Fraction`` in between.  The public constructors
+    (``PAdicMatrix(p, entries)``, ``from_rows`` and the named ones) check
+    and clear their input once; ``entries``, the matrix as a tuple of
+    tuples of ``Fraction``s, is computed on each access for the readers
+    that want rationals.
+    """
 
     p: int
-    entries: _Rows
+    rows: tuple[_Row, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = tuple(
-            tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
-            for row in self.entries
-        )
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, p: int, entries) -> None:
+        n = len(entries)
+        rows = []
+        for row in entries:
+            xs = [e if isinstance(e, Fraction) else Fraction(e) for e in row]
+            if len(xs) != n:
+                raise ValueError("matrix must be square")
+            rows.append(_row_of((x.numerator, x.denominator) for x in xs))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
-    def _trusted(cls, p: int, rows: _Rows) -> "PAdicMatrix":
-        """Wrap a square tuple of tuples of ``Fraction``s built in this module.
-
-        Skips the per-entry check of ``__post_init__``, which the public
-        constructors keep.
-        """
+    def _of_rows(cls, p: int, rows: tuple[_Row, ...]) -> "PAdicMatrix":
+        """Wrap square canonical rows built in this module, unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "p", p)
-        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "rows", rows)
         return m
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, d) for x in a) for a, d in self.rows)
+
+    @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "PAdicMatrix":
@@ -259,17 +319,15 @@ class PAdicMatrix:
     def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
         if self.p != other.p or self.n != other.n:
             raise ValueError("matrix context mismatch")
-        # Row i of self is a_i / d_i and column j of other is b_j / e_j with
-        # integer vectors, so entry (i, j) is (a_i . b_j) / (d_i e_j).
-        rows = _cleared_rows(self)
-        cols = [_cleared(col) for col in zip(*other.entries)]
-        return PAdicMatrix._trusted(
-            self.p,
-            tuple(
-                tuple(Fraction(sum(map(operator.mul, a, b)), d * e) for b, e in cols)
-                for a, d in rows
-            ),
-        )
+        # Row i of self is a_i / d_i and column j of other is b_j / e_j
+        # (``_columns``), so row i of the product is the integers
+        # (a_i . b_j) L / e_j over d_i L, L the lcm of the e_j, then reduced.
+        cols = _columns(other.rows)
+        big = math.lcm(*(e for _, e in cols))
+        cols = [(b, big // e) for b, e in cols]
+        return PAdicMatrix._of_rows(self.p, tuple(
+            _reduced([sum(map(operator.mul, a, b)) * s for b, s in cols], d * big) for a, d in self.rows
+        ))
 
     def inverse(self) -> "PAdicMatrix":
         n = self.n
@@ -296,23 +354,15 @@ class PAdicMatrix:
         a unit.
         """
         p = self.p
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if e.denominator % p == 0:
-                    return False
-                if i == j and e.numerator % p == 0:
-                    return False
-                if j < i and e.numerator % p:
-                    return False
-        return True
-
-    def is_upper_unitriangular(self) -> bool:
         return all(
-            self.entries[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(i + 1)
+            d % p and a[i] % p and not any(x % p for x in a[:i]) for i, (a, d) in enumerate(self.rows)
         )
 
+    def is_upper_unitriangular(self) -> bool:
+        return all(a[i] == d and not any(a[:i]) for i, (a, d) in enumerate(self.rows))
+
     def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.n))
+        return tuple(Fraction(a[i], d) for i, (a, d) in enumerate(self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -399,10 +449,10 @@ def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
     original order.
     """
     n, p = g.n, g.p
-    cols = [_cleared(col) for col in zip(*g.entries)]
+    cols = _columns(g.rows)
     order = list(range(n))  # working column j is column order[j] of g
-    b = [[_ZERO] * n for _ in range(n)]
-    k = [[_ZERO] * n for _ in range(n)]
+    b = [[(0, 1)] * n for _ in range(n)]  # entries as integer pairs (x, y) for x / y
+    k: list = [None] * n
     for i in range(n - 1, -1, -1):
         best, best_v = None, 0
         for j in range(i + 1):
@@ -416,16 +466,17 @@ def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
         cols[best], cols[i] = cols[i], cols[best]
         order[best], order[i] = order[i], order[best]
         up, down = _p_power(p, best_v)
+        k_row = [(0, 1)] * n
         for j in range(i + 1):
             a, d = cols[j]
-            if a[i]:
-                k[i][order[j]] = Fraction(a[i] * down, d * up)
+            k_row[order[j]] = (a[i] * down, d * up)
+        k[i] = _row_of(k_row)
         piv, _ = cols.pop()
         t = piv[i]
         for r in range(i):
             if piv[r]:
-                b[r][i] = Fraction(piv[r] * up, t * down)
-        b[i][i] = Fraction(up, down)
+                b[r][i] = (piv[r] * up, t * down)
+        b[i][i] = (up, down)
         # column j -= (a_ij / a_ii) column i, over the denominator d t
         for j, (a, d) in enumerate(cols):
             c = a[i]
@@ -436,7 +487,7 @@ def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
                 cols[j] = ([x // e for x in a], d // e)
             else:
                 cols[j] = (a[:i], d)
-    return PAdicMatrix._trusted(p, tuple(map(tuple, b))), PAdicMatrix._trusted(p, tuple(map(tuple, k)))
+    return PAdicMatrix._of_rows(p, tuple(map(_row_of, b))), PAdicMatrix._of_rows(p, tuple(k))
 
 
 def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[list[int]], list[list[int]]]:
@@ -503,13 +554,14 @@ class Cell:
         w^{-1}(r) of j, so g is n times j with its rows permuted and scaled.
         """
         p = self.n_factor.p
-        winv = self.w.inverse()
-        scales = (Fraction(p) ** k * t for k, t in zip(self.kbar, self.t0_factor.diagonal_entries()))
-        right = tuple(
-            tuple(s * x for x in self.j_factor.entries[winv(r) - 1])
-            for r, s in enumerate(scales, start=1)
-        )
-        return self.n_factor * PAdicMatrix._trusted(p, right)
+        winv, j_rows = self.w.inverse(), self.j_factor.rows
+        right = []
+        for r, (k, (t, t_den)) in enumerate(zip(self.kbar, self.t0_factor.rows)):
+            up, down = _p_power(p, k)
+            a, d = j_rows[winv(r + 1) - 1]
+            s = up * t[r]
+            right.append(_reduced([x * s for x in a], d * down * t_den))
+        return self.n_factor * PAdicMatrix._of_rows(p, tuple(right))
 
 
 def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
@@ -529,8 +581,8 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     """
     n, p = g.n, g.p
     b, k = iwasawa(g)
-    kbar = tuple(frac_valuation(x, p) for x in b.diagonal_entries())
-    k_rows = _cleared_rows(k)
+    kbar = tuple(_int_valuation(a[i], p) - _int_valuation(d, p) for i, (a, d) in enumerate(b.rows))
+    k_rows = k.rows
     if any(d % p == 0 for _, d in k_rows):
         raise DecompositionError(f"Iwasawa k factor is not integral: {k!r}")
     w, b1, _ = residue_bruhat([[x * pow(d, -1, p) for x in row] for row, d in k_rows], p)
@@ -545,24 +597,21 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
             f = coef * (den // e)
             acc = [x - f * z for x, z in zip(acc, vec)]
         den *= b1[r][r]
-        e = math.gcd(den, *acc)
-        y[r] = ([x // e for x in acc], den // e)
-    j_factor = PAdicMatrix._trusted(p, tuple(
-        tuple(Fraction(x, d) for x in vec) for vec, d in (y[w(r) - 1] for r in range(1, n + 1))
-    ))
+        y[r] = _reduced(acc, den)
+    j_factor = PAdicMatrix._of_rows(p, tuple(y[w(r) - 1] for r in range(1, n + 1)))
     # n = b n2 with n2 = b1 t0^{-1} p^{-kbar}: column c of b1 over b1[c][c] p^{k_c}
     up_down = [_p_power(p, kv) for kv in kbar]
-    n2 = PAdicMatrix._trusted(p, tuple(
-        tuple(Fraction(x * down, b1[c][c] * up) if x else _ZERO
-              for c, (x, (up, down)) in enumerate(zip(row, up_down)))
+    n2 = PAdicMatrix._of_rows(p, tuple(
+        _row_of((x * down, b1[c][c] * up) for c, (x, (up, down)) in enumerate(zip(row, up_down)))
         for row in b1
     ))
-    cell = Cell(kbar, w, b * n2, PAdicMatrix.diagonal(p, [b1[i][i] for i in range(n)]), j_factor)
+    t0 = PAdicMatrix._of_rows(p, tuple((tuple(b1[i][i] if c == i else 0 for c in range(n)), 1) for i in range(n)))
+    cell = Cell(kbar, w, b * n2, t0, j_factor)
     if not cell.n_factor.is_upper_unitriangular():
         raise DecompositionError(f"n witness is not upper unitriangular: {cell.n_factor!r}")
-    t0 = cell.t0_factor
-    if t0 != PAdicMatrix.diagonal(p, t0.diagonal_entries()) or any(
-        frac_valuation(t, p) != 0 for t in t0.diagonal_entries()
+    if any(
+        any(a[:i]) or any(a[i + 1:]) or not a[i] or _int_valuation(a[i], p) != _int_valuation(d, p)
+        for i, (a, d) in enumerate(t0.rows)
     ):
         raise DecompositionError(f"t0 witness is not a diagonal of units: {t0!r}")
     if check:
@@ -603,12 +652,12 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
     >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
     ((0, 1), Permutation((2, 1)))
     """
-    kbar, w, _ = _minors_pass(_cleared_rows(g), g.p, phase=False)
+    kbar, w, _ = _minors_pass(g.rows, g.p, phase=False)
     return kbar, w
 
 
 def _minors_pass(
-    rows: list[tuple[list[int], int]], p: int, phase: bool = True
+    rows: Sequence[tuple[Sequence[int], int]], p: int, phase: bool = True
 ) -> tuple[tuple[int, ...], Permutation, Fraction]:
     """The label (kbar, w) of ``cell_label`` and the phase of psi on n.
 

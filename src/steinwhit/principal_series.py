@@ -19,7 +19,8 @@ Convolution operators act by right translation over explicit coset
 representatives, listed by ``generator_cosets`` (the centre is the one
 coset p . I).  Each representative is also kept in integer column form
 (``_coset_columns``), so a coset term g . rep is one minors pass on g's
-cleared rows under one integer column operation, with no matrix product:
+stored integer rows (``PAdicMatrix.rows``) under one integer column
+operation, with no matrix product:
 ``_coset_passes``, the one source of coset terms, behind
 ``apply_generator`` and ``_check_identities``, the identity engine of
 ``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
@@ -33,7 +34,7 @@ import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _cleared_rows, _minors_pass, cell_label, matrix_to_json
+from .padic import PAdicMatrix, _minors_pass, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -138,14 +139,15 @@ def _coset_columns(n: int, p: int, gen) -> tuple[_ColumnForm, ...]:
     """
     forms = []
     for rep in generator_cosets(n, p, gen):
-        big = math.lcm(*(x.denominator for row in rep.entries for x in row))
-        cols = tuple(tuple((k, int(x * big)) for k, x in enumerate(col) if x) for col in zip(*rep.entries))
-        forms.append((cols, big))
+        big = math.lcm(*(d for _, d in rep.rows))
+        scaled = [[x * (big // d) for x in a] for a, d in rep.rows]
+        forms.append((tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*scaled)), big))
     return tuple(forms)
 
 
-def _times_columns(rows: list[tuple[list[int], int]], form: _ColumnForm) -> list[tuple[list[int], int]]:
-    """Cleared rows of g . rep from the cleared rows (a_r, d_r) of g.
+def _times_columns(rows, form: _ColumnForm) -> list[tuple[list[int], int]]:
+    """Rows of g . rep, as integer vectors over positive denominators,
+    from the rows (a_r, d_r) of g.
 
     Row r of g . rep is (a_r . (D rep)) / (d_r D).  Most columns of a
     representative have one entry, and are read without a sum.
@@ -157,9 +159,9 @@ def _times_columns(rows: list[tuple[list[int], int]], form: _ColumnForm) -> list
     ]
 
 
-def _coset_passes(rows: list[tuple[list[int], int]], n: int, p: int, gen, phase: bool) -> list[tuple]:
+def _coset_passes(rows, n: int, p: int, gen, phase: bool) -> list[tuple]:
     """The minors pass (kbar, w, psi) of each coset term g . rep, rep over
-    ``generator_cosets(n, p, gen)``, from g's cleared rows (psi 0 unless ``phase``)."""
+    ``generator_cosets(n, p, gen)``, from g's rows ``g.rows`` (psi 0 unless ``phase``)."""
     return [_minors_pass(_times_columns(rows, form), p, phase) for form in _coset_columns(n, p, gen)]
 
 
@@ -179,7 +181,7 @@ def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     """Value of the convolution operator for gen on func, at g."""
     if (g.n, g.p) != (func.n, func.p):
         raise ValueError("matrix context mismatch")
-    passes = _coset_passes(_cleared_rows(g), g.n, g.p, gen, phase=False)
+    passes = _coset_passes(g.rows, g.n, g.p, gen, phase=False)
     return sum(map(func._label_value, passes), PhaseSum.zero(func.n, func.p))
 
 
@@ -191,8 +193,8 @@ def _check_identities(
     gen, (c, e), text of each side), at the identity matrix and at
     ``samples`` points drawn from ``seed``: one ``CheckResult`` each.
 
-    Each point is cleared once, and each coset term is one minors pass,
-    shared by every identity on its generator.  ``value_at(g)`` maps an
+    Each coset term is one minors pass on the point's stored rows, shared
+    by every identity on its generator.  ``value_at(g)`` maps an
     identity's cell function to f(g), read once per point.  A failed check
     records in its detail the first point where it failed (point 0 is the
     identity) as CLI JSON, and both sides of the identity there.
@@ -202,7 +204,7 @@ def _check_identities(
     zero = PhaseSum.zero(n, p)
     details: dict[str, str] = {}  # the first failure of each check
     for k, g in enumerate(points):
-        f_at_g, rows, passes = value_at(g), _cleared_rows(g), {}
+        f_at_g, rows, passes = value_at(g), g.rows, {}
         for name, cell, gen, (c, e), (lhs_text, rhs_text) in identities:
             if gen not in passes:
                 passes[gen] = _coset_passes(rows, n, p, gen, phase)
@@ -213,6 +215,24 @@ def _check_identities(
                     f"{lhs_text} = {lhs!r}; {rhs_text} = {rhs!r}"
                 )
     return [CheckResult(name, name not in details, details.get(name, "")) for name, *_ in identities]
+
+
+def _casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
+    """Check apply_generator(f_w, i, 1) = p [w = s_i] for every Casselman
+    function f_w and finite reflection i, with the coset terms at the
+    identity read once per generator: '' if it holds everywhere, else the
+    first failing (i, w) and both sides."""
+    casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
+    one = PAdicMatrix.identity(n, p)
+    for i in range(1, n):
+        passes = _coset_passes(one.rows, n, p, i, phase=False)
+        for w, f in casselman.items():
+            lhs = sum(map(f._label_value, passes), PhaseSum.zero(n, p))
+            rhs = PhaseSum.monomial(n, p, p if w == Permutation.simple(n, i) else 0)
+            if lhs != rhs:
+                return (f"generator {i}, w = {w.window}: "
+                        f"sum of f_w(rep) over the cosets of s_{i} = {lhs!r}; expected {rhs!r}")
+    return ""
 
 
 def run_eigen_checks(
@@ -247,23 +267,23 @@ def run_eigen_checks(
 
     results = _check_identities(n, p, samples, seed, identities, value_at, phase=False)
 
+    # The fixed checks; a failure names where it failed and both sides.
     one = PAdicMatrix.identity(n, p)
     lhs = apply_generator(plus, "rotation", one)
     rhs = plus.eval(one).times_monomial(sign, eps_exp)
-    results.append(CheckResult("plus-rotation-fails-at-identity", lhs != rhs))
+    detail = "" if lhs != rhs else f"plus(u) = {lhs!r} equals {'-' if sign < 0 else ''}eps^{eps_exp} plus(1) = {rhs!r}"
+    results.append(CheckResult("plus-rotation-fails-at-identity", not detail, detail))
 
-    ok = list(generator_cosets(n, p, 0)) == _affine_cosets_by_conjugation(n, p)
-    results.append(CheckResult("affine-cosets-by-conjugation", ok))
+    direct, conjugated = list(generator_cosets(n, p, 0)), _affine_cosets_by_conjugation(n, p)
+    detail = ""
+    if direct != conjugated:
+        t = next((t for t, (a, b) in enumerate(zip(direct, conjugated)) if a != b), None)
+        detail = (
+            f"{len(direct)} direct representatives, {len(conjugated)} by conjugation" if t is None
+            else f"t = {t}: direct {matrix_to_json(direct[t])}; by conjugation {matrix_to_json(conjugated[t])}"
+        )
+    results.append(CheckResult("affine-cosets-by-conjugation", not detail, detail))
 
-    # apply_generator(f_w, i, 1) for every w, with the coset terms at the
-    # identity read once per generator
-    ok = True
-    casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
-    for i in range(1, n):
-        passes = _coset_passes(_cleared_rows(one), n, p, i, phase=False)
-        for w, f in casselman.items():
-            expected = PhaseSum.monomial(n, p, p if w == Permutation.simple(n, i) else 0)
-            ok = ok and sum(map(f._label_value, passes), PhaseSum.zero(n, p)) == expected
-    results.append(CheckResult("casselman-triangularity", ok))
-
+    detail = _casselman_triangularity(n, p, eps_exp)
+    results.append(CheckResult("casselman-triangularity", not detail, detail))
     return results

@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PAdicMatrix, _cleared_rows, _minors_pass
+from .padic import PAdicMatrix, _minors_pass
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum
@@ -88,6 +88,10 @@ class WhittakerValue:
         return cls(False, sign, eps_exp, q_exp, Fraction(psi))
 
 
+_ZERO = Fraction(0)
+_ZERO_VALUE = WhittakerValue.zero_value()
+
+
 def serialize(value: WhittakerValue) -> dict:
     return {
         "zero": value.zero,
@@ -118,18 +122,25 @@ def _cell_constants(w: Permutation) -> tuple[int, tuple[int, ...]]:
     return w.length(), _dominance_thresholds(w)
 
 
-def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
-    """Closed-form value on the cell (kbar, w)."""
+def _closed_form(kbar: Weight, w: Permutation, eps_exp: int) -> tuple[int, int, int] | None:
+    """(sign, eps exponent, q exponent) of the value on the cell (kbar, w),
+    or None off the support."""
     n = w.n
-    if len(kbar) != n:
-        raise ValueError("weight length must match the permutation size")
     ell, thresholds = _cell_constants(w)
     if any(kbar[i] - kbar[i + 1] < t for i, t in enumerate(thresholds)):
-        return WhittakerValue.zero_value()
+        return None
     ksum = sum(kbar)
     sign = -1 if ((n - 1) * ksum + ell) % 2 else 1
     q_exp = -sum((n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1)) - ell
-    return WhittakerValue.monomial(sign, (eps_exp * ksum) % n, q_exp)
+    return sign, (eps_exp * ksum) % n, q_exp
+
+
+def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
+    """Closed-form value on the cell (kbar, w)."""
+    if len(kbar) != w.n:
+        raise ValueError("weight length must match the permutation size")
+    form = _closed_form(kbar, w, eps_exp)
+    return _ZERO_VALUE if form is None else WhittakerValue(False, *form, _ZERO)
 
 
 def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
@@ -149,16 +160,15 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     >>> eval_matrix(PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]]))
     WhittakerValue(zero=False, sign=-1, eps_exp=0, q_exp=-1, psi=Fraction(3, 4))
     """
-    return _pass_value(_minors_pass(_cleared_rows(g), g.p), eps_exp)
+    return _pass_value(_minors_pass(g.rows, g.p), eps_exp)
 
 
 def _pass_value(label: tuple[Weight, Permutation, Fraction], eps_exp: int) -> WhittakerValue:
-    """The value for the (kbar, w, psi) of one minors pass."""
+    """The value for the (kbar, w, psi) of one minors pass: the closed form
+    of ``eval_cell`` with the phase psi, built once."""
     kbar, w, psi = label
-    base = eval_cell(kbar, w, eps_exp)
-    if base.zero:
-        return base
-    return WhittakerValue.monomial(base.sign, base.eps_exp, base.q_exp, psi)
+    form = _closed_form(kbar, w, eps_exp)
+    return _ZERO_VALUE if form is None else WhittakerValue(False, *form, psi)
 
 
 def _diag_steps(kbar: Weight, eps_exp: int, n: int) -> WhittakerValue:

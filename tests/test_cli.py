@@ -14,7 +14,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from steinwhit.cli import _EVAL_MAX_N, _HECKE_MAX_N, _VERIFY_MAX_COST, _verify_cost, build_parser, main
+from steinwhit.cli import (
+    _DECOMPOSE_MAX_N,
+    _EVAL_MAX_N,
+    _HECKE_MAX_N,
+    _VERIFY_MAX_COST,
+    _verify_cost,
+    build_parser,
+    main,
+)
 from steinwhit.padic import PRIME_BOUND
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
@@ -305,6 +313,29 @@ def test_eval_guard_boundary(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["eval", "-"], identity(_EVAL_MAX_N + 1))
     assert (code, out) == (4, "") and err.startswith("eval guard: ")
     assert run(capsys, monkeypatch, ["decompose", "-"], identity(_EVAL_MAX_N + 1))[0] == 0
+
+
+def test_decompose_guard_refuses_large_matrices_fast():
+    rng = random.Random(19)
+    n = _DECOMPOSE_MAX_N + 1
+    doc = json.dumps({"p": 3, "entries": [[str(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]})
+    proc, elapsed = _cli_process(["decompose", "-"], doc, timeout=30)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("decompose guard: ") and "Traceback" not in proc.stderr
+    assert elapsed < 10
+
+
+def test_decompose_guard_boundary(capsys, monkeypatch):
+    def identity(n):
+        return json.dumps({"p": 2, "entries": [[str(int(i == j)) for j in range(n)] for i in range(n)]})
+
+    for args in (["decompose", "-"], ["decompose", "--mod-center", "-"]):
+        code, out, _ = run(capsys, monkeypatch, args, identity(_DECOMPOSE_MAX_N))
+        assert code == 0 and json.loads(out)["kbar"] == [0] * _DECOMPOSE_MAX_N
+        code, out, err = run(capsys, monkeypatch, args, identity(_DECOMPOSE_MAX_N + 1))
+        assert (code, out) == (4, "") and err == (
+            f"decompose guard: need n <= {_DECOMPOSE_MAX_N}, got a matrix with n = {_DECOMPOSE_MAX_N + 1}\n"
+        )
 
 
 json_values = st.recursive(

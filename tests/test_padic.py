@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -252,24 +253,48 @@ def _public_copy(m: PAdicMatrix) -> PAdicMatrix:
     return PAdicMatrix.from_rows(m.p, [list(row) for row in m.entries])
 
 
+def _has_canonical_rows(m: PAdicMatrix) -> bool:
+    """rows is the stored form: per row a tuple of n integers a and an
+    integer d > 0 with gcd(d, *a) == 1."""
+    return type(m.rows) is tuple and len(m.rows) == m.n and all(
+        type(row) is tuple and len(row) == 2 and type(row[0]) is tuple and len(row[0]) == m.n
+        and all(type(x) is int for x in row[0]) and type(row[1]) is int and row[1] > 0
+        and math.gcd(row[1], *row[0]) == 1
+        for row in m.rows
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(iwasawa_inputs())
 def test_internal_matrices_equal_their_public_construction(g):
-    """Products, Iwasawa factors and cell witnesses skip the per-entry
-    check; they must already be what the public constructor makes."""
+    """Products, Iwasawa factors and cell witnesses are wrapped from rows
+    built in ``padic``, unchecked; they must already be in the canonical
+    stored form, and equal (and hash and print like) what the public
+    constructor makes of their entries."""
+    assert _has_canonical_rows(g)
     try:
         b, k = iwasawa(g)
     except SingularMatrixError:
+        assert _has_canonical_rows(g * g)
         return
     cell = iwahori_cell(g)
-    built = [g * g, b * k, b, k, cell.n_factor, cell.t0_factor, cell.j_factor, cell.reconstruct()]
+    built = [g * g, b * k, b, k, cell.n_factor, cell.t0_factor, cell.j_factor, cell.reconstruct(), g.inverse()]
     for m in built:
+        assert _has_canonical_rows(m)
         assert type(m.entries) is tuple and len(m.entries) == g.n
         for row in m.entries:
             assert type(row) is tuple and len(row) == g.n
             assert all(type(e) is Fraction for e in row)
         public = _public_copy(m)
         assert m == public and hash(m) == hash(public) and repr(m) == repr(public)
+        assert m.rows == public.rows
+
+
+def test_stored_rows_are_the_lcm_of_denominators_form():
+    m = PAdicMatrix.from_rows(3, [["1/2", "-1/3", 0], [0, 0, 0], ["6/4", 9, "-2/6"]])
+    assert m.rows == (((3, -2, 0), 6), ((0, 0, 0), 1), ((9, 54, -2), 6))
+    assert m.entries[2] == (Fraction(3, 2), Fraction(9), Fraction(-1, 3))
+    assert m == PAdicMatrix(3, m.entries) and m != PAdicMatrix(5, m.entries)
 
 
 def test_iwasawa_properties_random():

@@ -159,6 +159,64 @@ def test_failed_eigen_check_names_its_point(monkeypatch):
     assert m[3] != m[4]
 
 
+def _fixed_results(n, p, e):
+    """The fixed checks of ``run_eigen_checks`` by name; every other check passes."""
+    results = {r.name: r for r in run_eigen_checks(n, p, e, samples=1, seed=5)}
+    fixed = ("plus-rotation-fails-at-identity", "affine-cosets-by-conjugation", "casselman-triangularity")
+    assert all(r.passed for name, r in results.items() if name not in fixed)
+    return {name: results[name] for name in fixed}
+
+
+def test_failed_casselman_check_names_generator_w_and_both_sides(monkeypatch):
+    """A planted Casselman function f_{s_1} with coefficient 2: the first
+    failing (i, w) is (1, s_1), whose sum reads 2p instead of p."""
+    n, p, e = 3, 3, 1
+    s1 = Permutation.simple(n, 1)
+
+    def planted(cls, w, p_, eps_exp):
+        return cls(w.n, p_, eps_exp, {w: PhaseSum.monomial(w.n, p_, 2 if w == s1 else 1)})
+
+    monkeypatch.setattr(InducedFunction, "casselman", classmethod(planted))
+    results = _fixed_results(n, p, e)
+    assert [name for name, r in results.items() if not r.passed] == ["casselman-triangularity"]
+    assert results["casselman-triangularity"].detail == (
+        "generator 1, w = (2, 1, 3): sum of f_w(rep) over the cosets of s_1 = "
+        f"{PhaseSum.monomial(n, p, 2 * p)!r}; expected {PhaseSum.monomial(n, p, p)!r}"
+    )
+
+
+def test_failed_plus_rotation_check_prints_both_sides(monkeypatch):
+    """A planted rotation that acts on plus by the minus eigenvalue at the
+    identity: both sides agree, which this check must reject."""
+    n, p, e = 3, 2, 1
+    apply = principal_series.apply_generator
+
+    def planted(func, gen, g):
+        if gen == "rotation":
+            return func.eval(g).times_monomial(1, e)
+        return apply(func, gen, g)
+
+    monkeypatch.setattr(principal_series, "apply_generator", planted)
+    results = _fixed_results(n, p, e)
+    assert [name for name, r in results.items() if not r.passed] == ["plus-rotation-fails-at-identity"]
+    value = PhaseSum.monomial(n, p, 1, e)
+    assert results["plus-rotation-fails-at-identity"].detail == f"plus(u) = {value!r} equals eps^1 plus(1) = {value!r}"
+
+
+def test_failed_affine_coset_check_names_t_and_both_matrices(monkeypatch):
+    """A planted conjugation that swaps the representatives t = 1 and 2:
+    the first differing t is 1, with both matrices as CLI JSON."""
+    n, p, e = 2, 3, 1
+    direct = generator_cosets(n, p, 0)
+    swapped = [direct[0], direct[2], direct[1]]
+    monkeypatch.setattr(principal_series, "_affine_cosets_by_conjugation", lambda n_, p_: swapped)
+    results = _fixed_results(n, p, e)
+    assert [name for name, r in results.items() if not r.passed] == ["affine-cosets-by-conjugation"]
+    assert results["affine-cosets-by-conjugation"].detail == (
+        f"t = 1: direct {padic.matrix_to_json(direct[1])}; by conjugation {padic.matrix_to_json(direct[2])}"
+    )
+
+
 @pytest.mark.parametrize("n, p, samples", [(2, 3, 3), (3, 2, 1), (4, 2, 0), (5, 7, 2)])
 def test_one_minors_pass_per_coset_term(monkeypatch, n, p, samples):
     """Each point costs one pass for f(g) (``cell_label`` or

@@ -11,7 +11,6 @@ from steinwhit.affine_weyl import ExtAffineElement, realize
 from steinwhit.padic import (
     PAdicMatrix,
     SingularMatrixError,
-    _cleared_rows,
     _minors_pass,
     cell_label,
     frac_psi_phase,
@@ -253,7 +252,7 @@ def test_coset_terms_from_columns_match_the_product_oracle(g):
     Iwasawa oracle: non-integral entries, valuations -6..8, one in four
     singular, where both routes must raise."""
     n, p = g.n, g.p
-    rows = _cleared_rows(g)
+    rows = g.rows
     singular = det(g) == 0
     funcs = [InducedFunction.eigenvector(n, p, 1 % n, kind) for kind in ("minus", "plus")]
     assert generator_cosets(n, p, "center") == (PAdicMatrix.diagonal(p, [p] * n),)
@@ -266,13 +265,13 @@ def test_coset_terms_from_columns_match_the_product_oracle(g):
                     _coset_passes(rows, n, p, gen, phase)
             for rep in reps:
                 with pytest.raises(SingularMatrixError):
-                    _minors_pass(_cleared_rows(g * rep), p)
+                    _minors_pass((g * rep).rows, p)
             for f in funcs:
                 with pytest.raises(SingularMatrixError):
                     apply_generator(f, gen, g)
             continue
         passes = _coset_passes(rows, n, p, gen, True)
-        assert passes == [_minors_pass(_cleared_rows(g * rep), p) for rep in reps]
+        assert passes == [_minors_pass((g * rep).rows, p) for rep in reps]
         assert _coset_passes(rows, n, p, gen, False) == [(*cell_label(g * rep), 0) for rep in reps]
         for label, rep in zip(passes, reps):
             for e in range(n):
@@ -306,6 +305,34 @@ def test_coset_terms_take_no_matrix_product(monkeypatch, n, p):
     results = verify_functional_equations(n, p, 1 % n, samples=0)
     assert calls == []
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (4, 5)])
+def test_hot_paths_never_read_entries(monkeypatch, n, p):
+    """A product, its cell label, its value, its coset sums and its
+    witnesses run on the stored integer rows: none of them reads the
+    ``Fraction`` view ``entries``."""
+    rng = random.Random(f"rows:{n}:{p}")
+    g, kbar, w = random_cell_product(rng, n, p)
+    j = random_iwahori(rng, n, p)
+    funcs = [InducedFunction.eigenvector(n, p, 1 % n, kind) for kind in ("minus", "plus")]
+    gens = (*range(n), "rotation", "center")
+    expected = [sum((f.eval(g * j * rep) for rep in generator_cosets(n, p, gen)), PhaseSum.zero(n, p))
+                for f in funcs for gen in gens]
+
+    def refuse(self):
+        raise AssertionError("read entries")
+
+    monkeypatch.setattr(PAdicMatrix, "entries", property(refuse))
+    h = g * j
+    assert cell_label(h) == (kbar, w)
+    value = eval_matrix(h, 1)
+    sums = [apply_generator(f, gen, h) for f in funcs for gen in gens]
+    cells = [iwahori_cell(h, check=False), iwahori_cell(h)]
+    monkeypatch.undo()
+    assert value == eval_matrix(PAdicMatrix(p, h.entries), 1)
+    assert sums == expected
+    assert all((cell.kbar, cell.w) == (kbar, w) and cell.reconstruct() == h for cell in cells)
 
 
 def test_failed_check_names_its_point(monkeypatch, tmp_path, capsys):
