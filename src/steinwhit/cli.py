@@ -13,7 +13,7 @@ or a/b in lowest terms; p, like --p, must be a prime below
 exactly.  Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
 error, 3 singular input matrix, 4 size guard violation (``eval`` of a
-matrix with n above 18; ``decompose`` of a matrix with n above 64;
+matrix with n above 18; ``decompose`` of a matrix with n above 56;
 ``table`` with --range above 6 or --n above 4; ``verify hecke`` with
 --n above 24; ``verify principal``, ``whittaker`` or ``all`` with n
 above 6 or an estimated cost, ``_verify_cost``, above its value at
@@ -63,9 +63,10 @@ _TABLE_MAX_N = 4
 # 3.11), about 8 s at n = 20.
 _EVAL_MAX_N = 18
 # The elimination behind decompose grows about like n^5 on dense input, as
-# its integers grow with n: with entries in [-9, 9] and p = 3, 1.2 s at
-# n = 60, 1.7 s at n = 64 and 2.4 s at n = 68 in a fresh process (same VM).
-_DECOMPOSE_MAX_N = 64
+# its integers grow with n: with entries in [-9, 9] and p = 3, in a fresh
+# process (same VM, median of 6 runs), 1.2 s at n = 52, 1.8 s at n = 56,
+# 2.3 s at n = 58 and, median of 10, 2.6 s at n = 60 and 3.8 s at n = 64.
+_DECOMPOSE_MAX_N = 56
 # The presentation check of the hecke suite grows like n^4.5: 1.1 s at
 # n = 24 on the VM below.
 _HECKE_MAX_N = 24

@@ -182,7 +182,6 @@ _Row = tuple[tuple[int, ...], int]
 
 
 _ZERO = Fraction(0)
-_MACHINE = 1 << 64
 
 
 def _p_power(p: int, v: int) -> tuple[int, int]:
@@ -212,17 +211,12 @@ def _columns(rows) -> list[tuple[tuple[int, ...], int]]:
     """The columns of the matrix with the canonical rows ``rows``, each as
     an integer vector b over a positive denominator e.
 
-    While the lcm L of the rows' denominators is below 2^64, every column
-    is taken over L: scaling a row to L keeps its integers machine-sized.
-    Beyond that, each column is cleared on its own, over the lcm of its
-    entries' denominators, so that a column of small denominators keeps
-    small integers: over one large L every product would carry L's size
-    (a dense ``decompose`` at n = 60 took twice as long).
+    Each column is cleared on its own, over the lcm of its entries'
+    denominators, so a column of small denominators keeps small integers:
+    over one denominator for the whole matrix every product would carry
+    its size (a dense ``decompose`` at n = 60 took twice as long).
     """
     dens = [e for _, e in rows]
-    big = math.lcm(*dens)
-    if big < _MACHINE:
-        return [(col, big) for col in zip(*(a if e == big else [x * (big // e) for x in a] for a, e in rows))]
     cols = []
     for col in zip(*(a for a, _ in rows)):
         # the entry x / e has the denominator e / gcd(x, e) in lowest terms

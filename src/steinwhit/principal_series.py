@@ -34,7 +34,7 @@ import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _minors_pass, cell_label, matrix_to_json
+from .padic import PAdicMatrix, _columns, _minors_pass, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -131,17 +131,18 @@ _ColumnForm = tuple[tuple[tuple[tuple[int, int], ...], ...], int]
 def _coset_columns(n: int, p: int, gen) -> tuple[_ColumnForm, ...]:
     """``generator_cosets(n, p, gen)`` in column form, cached alongside.
 
-    Built from the representatives themselves, so ``generator_cosets``
-    stays their one definition.  D is p for the affine representatives
+    Built from the representatives' columns (``padic._columns``), so
+    ``generator_cosets`` stays their one definition.  D, the lcm of the
+    columns' denominators, is p for the affine representatives
     x_{n,1}(p t) s_0, where s_0 has the entry 1/p, and 1 for the others.
     A finite representative x_{i,i+1}(t) s_i turns columns i and i+1 of g
     into c_{i+1} + t c_i and c_i and keeps the others.
     """
     forms = []
     for rep in generator_cosets(n, p, gen):
-        big = math.lcm(*(d for _, d in rep.rows))
-        scaled = [[x * (big // d) for x in a] for a, d in rep.rows]
-        forms.append((tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*scaled)), big))
+        cols = _columns(rep.rows)
+        big = math.lcm(*(e for _, e in cols))
+        forms.append((tuple(tuple((k, x * (big // e)) for k, x in enumerate(b) if x) for b, e in cols), big))
     return tuple(forms)
 
 
