@@ -13,7 +13,9 @@ or a/b in lowest terms; p, like --p, must be a prime below
 exactly.  Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
 error, 3 singular input matrix, 4 size guard violation (``eval`` of a
-matrix with n above 18; ``decompose`` of a matrix with n above 56;
+matrix with n above 18; ``decompose`` of a matrix with n above 56,
+both read off the length of the 'entries' list before any entry is
+parsed, so an oversize document with a malformed entry exits 4;
 ``table`` with --range above 6 or --n above 4; ``verify hecke`` with
 --n above 24; ``verify principal``, ``whittaker`` or ``all`` with n
 above 6 or an estimated cost, ``_verify_cost``, above its value at
@@ -34,9 +36,11 @@ from .hecke import verify_presentation
 from .padic import (
     MatrixFormatError,
     SingularMatrixError,
+    _entry_strings,
+    _matrix_document,
+    _matrix_of_entries,
     is_prime,
     iwahori_cell,
-    matrix_from_json,
 )
 from .principal_series import run_eigen_checks
 from .reporting import CheckResult, failure_line
@@ -58,9 +62,12 @@ EXIT_GUARD = 4
 
 _TABLE_MAX_RANGE = 6
 _TABLE_MAX_N = 4
-# The minors pass behind eval costs O(n 2^n): on a dense matrix 0.42 s at
-# n = 16 and 1.8 s at n = 18 in a fresh process (2-vCPU Xeon VM, Python
-# 3.11), about 8 s at n = 20.
+# The minors pass behind eval is an O(n^3) elimination: on a dense matrix
+# (entries in [-9, 9], p = 3) a fresh process takes 0.14 s at n = 12 and
+# 0.13 s at n = 18 (medians of 10), nearly all of it interpreter start-up,
+# and the pass itself 0.8 ms at n = 18 (2-vCPU Xeon VM, Python 3.11).  The
+# bound stays at 18, where the exponential pass before it had put it, so
+# that no exit code moves.
 _EVAL_MAX_N = 18
 # The elimination behind decompose grows about like n^5 on dense input, as
 # its integers grow with n: with entries in [-9, 9] and p = 3, in a fresh
@@ -119,7 +126,10 @@ def _apply_scale(value: WhittakerValue, sign: int, q_exp: int) -> WhittakerValue
     )
 
 
-def _read_matrix(path: str):
+def _read_matrix(path: str, command: str, max_n: int):
+    """The matrix in the file ``path`` ("-" for standard input).  A matrix
+    with n above ``max_n`` is refused from the length of its list of rows,
+    before any row is parsed."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -130,7 +140,10 @@ def _read_matrix(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    return matrix_from_json(text)
+    p, entries = _matrix_document(text)
+    if len(entries) > max_n:
+        raise GuardError(f"{command} guard: need n <= {max_n}, got a matrix with n = {len(entries)}")
+    return _matrix_of_entries(p, entries)
 
 
 def _check_config(n: int, p: int, eps_exp: int) -> int:
@@ -145,22 +158,16 @@ def _check_config(n: int, p: int, eps_exp: int) -> int:
     return eps_exp % n
 
 
-def _entries_as_strings(m) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m.entries]
-
-
 def cmd_decompose(args: argparse.Namespace) -> int:
-    g = _read_matrix(args.matrix)
-    if g.n > _DECOMPOSE_MAX_N:
-        raise GuardError(f"decompose guard: need n <= {_DECOMPOSE_MAX_N}, got a matrix with n = {g.n}")
+    g = _read_matrix(args.matrix, "decompose", _DECOMPOSE_MAX_N)
     cell = iwahori_cell(g)
     kbar = list(cell.kbar)
     doc = {
         "p": g.p,
         "w": list(cell.w.window),
-        "n_factor": _entries_as_strings(cell.n_factor),
-        "t0_factor": _entries_as_strings(cell.t0_factor),
-        "j_factor": _entries_as_strings(cell.j_factor),
+        "n_factor": _entry_strings(cell.n_factor),
+        "t0_factor": _entry_strings(cell.t0_factor),
+        "j_factor": _entry_strings(cell.j_factor),
     }
     if args.mod_center:
         central = kbar[-1]
@@ -173,9 +180,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    g = _read_matrix(args.matrix)
-    if g.n > _EVAL_MAX_N:
-        raise GuardError(f"eval guard: need n <= {_EVAL_MAX_N}, got a matrix with n = {g.n}")
+    g = _read_matrix(args.matrix, "eval", _EVAL_MAX_N)
     eps_exp = args.eps_exp % g.n
     value = eval_matrix(g, eps_exp)
     sign, q_exp = _parse_scale(args.scale)

@@ -11,10 +11,11 @@ exactly when their primes and rows are.  Every kernel here reads and
 writes that form, with no ``Fraction`` in between: a product is one
 integer dot product per entry and one gcd per row, ``iwasawa``
 eliminates on integer columns, the minors pass reads the rows as they
-are, and ``iwahori_cell`` builds and checks its witnesses on rows.  The
+are, ``iwahori_cell`` builds and checks its witnesses on rows, and
+``matrix_to_json`` writes each entry from its row with one gcd.  The
 public constructors clear their input once; ``entries``, the
-``Fraction`` view, is built on access, for output and for the readers
-that want rationals.
+``Fraction`` view, is built on access, for the readers that want
+rationals.
 
 Every invertible g lies in exactly one Iwahori cell,
 
@@ -28,11 +29,14 @@ and each has its own consumers:
 
 * the minors pass (``_minors_pass``): the label read off the valuations
   of the minors on the bottom rows of g, and from the same minors the
-  phase of the additive character on n.  Integer arithmetic only, on
-  the rows of g given as integer vectors over any positive
-  denominators.  ``cell_label`` and ``whittaker.eval_matrix`` call it
-  on a matrix's stored rows; ``principal_series._coset_passes`` calls
-  it on each coset term g . rep, as g's stored rows under the
+  phase of the additive character on n.  One fraction-free (Bareiss)
+  column elimination, bottom row first, computes exactly the minors the
+  label needs, those that border the least minimizing column set of
+  the level below, in O(n^3) exact integer operations.  Integer
+  arithmetic only, on the rows of g given as integer vectors over any
+  positive denominators.  ``cell_label`` and ``whittaker.eval_matrix``
+  call it on a matrix's stored rows; ``principal_series._coset_passes``
+  calls it on each coset term g . rep, as g's stored rows under the
   representative's integer column form, for ``apply_generator`` and for
   the identity checks of both verification suites.  The formulas and
   their proofs are in the docstrings of ``cell_label`` and
@@ -369,16 +373,28 @@ class PAdicMatrix:
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _entry_strings(m: PAdicMatrix) -> list[list[str]]:
+    """The entries of m as ``str(Fraction)`` writes them, "x" or "x/y" in
+    lowest terms, read off the stored rows with one gcd per entry."""
+    out = []
+    for a, d in m.rows:
+        row = []
+        for x in a:
+            e = math.gcd(x, d)
+            row.append(str(x // e) if e == d else f"{x // e}/{d // e}")
+        out.append(row)
+    return out
+
+
 def matrix_to_json(m: PAdicMatrix) -> str:
-    doc = {
-        "p": m.p,
-        "entries": [[str(e) for e in row] for row in m.entries],
-    }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps({"p": m.p, "entries": _entry_strings(m)}, sort_keys=True)
 
 
-def matrix_from_json(doc) -> PAdicMatrix:
-    """Parse {"p": prime, "entries": [["a/b", ...], ...]} (dict or JSON text)."""
+def _matrix_document(doc) -> tuple[int, list]:
+    """The prime and the list of rows of a matrix document, with only its
+    top level checked: an object with the fields 'p', a prime, and
+    'entries', a list of at least 2 rows.  The rows are not read, so a
+    caller can refuse a size from len(entries) before parsing any entry."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -401,6 +417,14 @@ def matrix_from_json(doc) -> PAdicMatrix:
     n = len(entries)
     if n < 2:
         raise MatrixFormatError(f"'entries' must have at least 2 rows (n >= 2), got {n}")
+    return p, entries
+
+
+def _matrix_of_entries(p: int, entries: list) -> PAdicMatrix:
+    """The matrix of the rows of a document whose top level
+    ``_matrix_document`` has checked: a square array of integers or
+    strings "a" or "a/b" in lowest terms."""
+    n = len(entries)
     rows = []
     for row in entries:
         if not isinstance(row, list) or len(row) != n:
@@ -421,6 +445,11 @@ def matrix_from_json(doc) -> PAdicMatrix:
             parsed.append(x)
         rows.append(parsed)
     return PAdicMatrix.from_rows(p, rows)
+
+
+def matrix_from_json(doc) -> PAdicMatrix:
+    """Parse {"p": prime, "entries": [["a/b", ...], ...]} (dict or JSON text)."""
+    return _matrix_of_entries(*_matrix_document(doc))
 
 
 def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
@@ -637,11 +666,15 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
     a unit for S = T_i, and divisible by p unless T_i <= S entry by entry
     in sorted order (minors of a triangular matrix vanish below that
     order).  So T_i is the least minimizer in every order that refines
-    the entrywise one; the code compares the bitmasks sum_{s in S} 2^s.
+    the entrywise one; the least in the order of the bitmasks
+    sum_{s in S} 2^s is the one the pass finds.
 
-    The minors come from ``_minors_pass``, which also gives ``eval_matrix``
-    its phase.  If every i-minor vanishes for some i, g is singular and
-    SingularMatrixError is raised.
+    The sets T_i are nested, T_i = T_{i-1} u {w^{-1}(n-i+1)}, so the
+    minimum m_i over all i-sets is already reached among the n - i + 1
+    sets T_{i-1} u {j}.  ``_minors_pass`` computes exactly those minors,
+    one level at a time, by a fraction-free elimination that also gives
+    ``eval_matrix`` its phase.  If every candidate minor of some level
+    vanishes, g is singular and SingularMatrixError is raised.
 
     >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
     ((0, 1), Permutation((2, 1)))
@@ -662,13 +695,44 @@ def _minors_pass(
     functional equations arrive as g's cleared rows times an integer
     column form, over d_r times that form's denominator.
 
-    One pass over the rows, bottom first.  Step i pushes in row n-i+1 by
-    a Laplace expansion along it, D_{i,S} = sum_{s in S} +-a_{n-i+1,s}
-    D_{i-1,S-{s}}: about n 2^(n-1) integer multiply-adds in all.  The
-    minors of the a_r are those of g times the product of the d_r, so
-    every i-minor is shifted by the same valuation, the sum of the v(d_r)
-    of its rows, whatever the d_r are: the minimizing column sets do not
-    move, and kbar subtracts the shift.
+    The elimination.  A fraction-free (Bareiss) column elimination on the
+    integer matrix A with rows a_r, taking the rows bottom first.  At the
+    step for row r the pivot is the live column c whose working entry
+    W[r][c] has the least valuation, ties to the least c (the scan stops
+    at the first entry of valuation 0, and tests x % p^best before taking
+    the valuation of any later entry).  Column c is then frozen, and
+    every other live column j is updated on the rows above r:
+
+        W[i][j] = (W[i][j] t - W[i][c] W[r][j]) // prev,
+
+    with t = W[r][c] the new pivot and prev the one before it (1 at the
+    start); the division is exact.  Row r gives k_r = v(t) - v(prev) -
+    v(d_r) and w^{-1}(r) = c.  Each step touches r entries of each live
+    column, O(n^3) integer operations in all, with integers no larger
+    than the minors of A.
+
+    Why it is the label of ``cell_label``:
+
+    * Bordered minors.  By Sylvester's identity, after the steps for the
+      rows below r (the set B, with the pivot columns P) the working entry
+      W[i][j] is the minor of A on the rows {i} u B and the columns P u {j},
+      bordered in a fixed order of its rows and columns.  The minors of A
+      are those of g times the product of the d_r of their rows, so every
+      minor on the same rows is shifted by the same valuation, whatever
+      the d_r are: the minimizing columns do not move, and k_r subtracts
+      v(d_r).
+    * Candidate sets.  By induction P = T_{l-1}, the least minimizing set
+      one level down, so the entries of row r are the minors on the
+      candidate sets T_{l-1} u {j}.  The nesting shown in ``cell_label``
+      puts T_l among them, so the least valuation among them is m_l; and
+      among the candidates with that valuation the least bitmask is the
+      least j, the pivot.  (A Laplace table of every minor on the bottom
+      rows, about n 2^(n-1) multiply-adds, gives the same (kbar, w); it is
+      kept in the tests as the oracle of this pass.)
+    * Singular input.  For invertible g the bottom rows have full rank, so
+      some candidate minor of each level is nonzero; for singular g the
+      last level, det A, is 0.  So SingularMatrixError is raised exactly
+      when g is singular.
 
     The phase.  Write g = n . b' with b' = p^kbar . t0 . P_w . j.  For
     1 <= i < n let T be the least minimizing column set of the bottom
@@ -681,11 +745,15 @@ def _minors_pass(
         psi(n_{i,i+1}) = psi(N_i / D_i),
 
     so the value of psi on n is the sum of the phases of the N_i / D_i.
-    N_i is one Laplace expansion of row i against the minors of R, the
-    level below the one that holds D_i, so the pass keeps two levels.
-    The cleared minors of N_i and D_i share the rows R and differ in one
-    row, so their ratio is multiplied by d_{i+1} / d_i, again for any
-    positive d_r.
+    Both are entries of the pivot column frozen at the step for row i+1:
+    D_i is its pivot t and N_i the entry one row above it, bordered in
+    the same order, so their ratio carries no sign.  (By Cramer's rule
+    that ratio is the coefficient of row i+1 when row i of g, cut to the
+    columns T, is written in the rows {i+1} u R cut to T.)  The cleared
+    minors differ in one row, so the ratio of the minors of g is
+    W[i][c] d_{i+1} / (t d_i), for any positive d_r and unreduced a_r;
+    it is only formed when its valuation is negative, as psi sees nothing
+    else.
 
     Why: left multiplication by n adds to row i of b' the multiple
     n_{i,i+1} of row i+1 plus multiples of the rows in R, and to the rows
@@ -704,46 +772,42 @@ def _minors_pass(
     is divisible by p by the lemma of ``cell_label``, and the term is
     again p-integral.  Either way psi does not see it.
 
-    With ``phase`` false the numerators are skipped and the phase is 0;
+    With ``phase`` false the numerators are not read and the phase is 0;
     ``cell_label`` needs the label alone.
     """
     n = len(rows)
     kbar = [0] * n
     window = [0] * n
-    below, minors = {}, {0: 1}  # column bitmask S -> minor of the cleared rows r+2.., r+1..
-    prev_mask, prev_min, prev_dv, prev_d = 0, 0, 0, 1
+    dvs = [_int_valuation(d, p) for _, d in rows]
+    # live column j -> its working entries on the rows not yet taken
+    cols = dict(enumerate(map(list, zip(*(a for a, _ in rows)))))
+    prev, prev_v = 1, 0
     psi = _ZERO
     for r in range(n - 1, -1, -1):
-        row, d = rows[r]
-        dv = _int_valuation(d, p)
-        if phase and prev_mask:
-            # N_i for i = r + 1: row r against the level below, on T = prev_mask
-            num = 0
-            for c in range(n):
-                bit = 1 << c
-                minor = below.get(prev_mask ^ bit) if prev_mask & bit and row[c] else None
-                if minor:
-                    term = row[c] * minor
-                    num += -term if (prev_mask & (bit - 1)).bit_count() % 2 else term
-            # psi only sees N_i / D_i . d_{i+1} / d_i when its valuation is negative
-            if num and _int_valuation(num, p) + prev_dv < prev_min + dv:
-                psi += frac_psi_phase(Fraction(num * prev_d, minors[prev_mask] * d), p)
-        pushed: dict[int, int] = {}
-        for mask, minor in minors.items():
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit or not row[c]:
-                    continue
-                # Laplace sign: c is preceded in S by the columns of mask below it
-                term = row[c] * minor
-                if (mask & (bit - 1)).bit_count() % 2:
-                    term = -term
-                pushed[mask | bit] = pushed.get(mask | bit, 0) + term
-        below, minors = minors, {mask: minor for mask, minor in pushed.items() if minor}
-        if not minors:
+        best = None
+        for j, col in cols.items():
+            x = col[r]
+            if x and (best is None or x % bound):
+                best, best_v = j, _int_valuation(x, p)
+                if not best_v:
+                    break
+                bound = p**best_v
+        if best is None:
             raise SingularMatrixError("matrix is singular")
-        best_v, best_mask = min((_int_valuation(minor, p), mask) for mask, minor in minors.items())
-        kbar[r] = best_v - prev_min - dv
-        window[(best_mask & ~prev_mask).bit_length() - 1] = r + 1
-        prev_mask, prev_min, prev_dv, prev_d = best_mask, best_v, dv, d
+        piv = cols.pop(best)
+        t = piv.pop()
+        kbar[r] = best_v - prev_v - dvs[r]
+        window[best] = r + 1
+        if phase and r and piv[-1]:
+            # N_i / D_i for i = r, over the denominators d_{r-1}, d_r
+            num = piv[-1] * rows[r][1]
+            if num % p ** (best_v + dvs[r - 1]):
+                psi += frac_psi_phase(Fraction(num, t * rows[r - 1][1]), p)
+        for j, col in cols.items():
+            s = col.pop()
+            if s:
+                cols[j] = [(x * t - y * s) // prev for x, y in zip(col, piv)]
+            elif t != prev:
+                cols[j] = [x * t // prev for x in col]
+        prev, prev_v = t, best_v
     return tuple(kbar), Permutation(tuple(window)), psi % 1

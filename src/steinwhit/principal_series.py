@@ -18,9 +18,10 @@ single w is ``casselman``; the two distinguished combinations are
 Convolution operators act by right translation over explicit coset
 representatives, listed by ``generator_cosets`` (the centre is the one
 coset p . I).  Each representative is also kept in integer column form
-(``_coset_columns``), so a coset term g . rep is one minors pass on g's
-stored integer rows (``PAdicMatrix.rows``) under one integer column
-operation, with no matrix product:
+(``_coset_columns``), so a coset term g . rep is one minors pass (the
+O(n^3) fraction-free elimination ``padic._minors_pass``) on g's stored
+integer rows (``PAdicMatrix.rows``) under one integer column operation,
+with no matrix product:
 ``_coset_passes``, the one source of coset terms, behind
 ``apply_generator`` and ``_check_identities``, the identity engine of
 ``run_eigen_checks`` and ``whittaker.verify_functional_equations``.

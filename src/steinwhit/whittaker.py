@@ -22,8 +22,10 @@ cells, and is kept as an independent cross-check.
 At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
 is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
 phase of psi(n) off one integer pass over the minors on the bottom rows
-of g, the pass that also gives the principal series its cell labels; it
-builds no witness (``padic.iwahori_cell`` does, for ``decompose``).
+of g, a fraction-free column elimination of O(n^3) integer operations
+(``padic._minors_pass``), the pass that also gives the principal series
+its cell labels; it builds no witness (``padic.iwahori_cell`` does, for
+``decompose``).
 ``verify_functional_equations`` is a table of identities for the engine
 of ``principal_series``, which runs the same pass on every coset term
 g . rep (the central term being g . pI), with no matrix product.
@@ -32,6 +34,7 @@ g . rep (the central term being g . pI), with no matrix product.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,8 +151,9 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
 
     On g = n . p^kbar . t0 . P_w . j the value is psi(n) times the value
     on the cell (kbar, w).  The label and the phase of psi on n come from
-    one pass over the minors on the bottom rows of g (``_minors_pass`` in
-    ``padic``, where the phase formula is proved); no witness is built.
+    one fraction-free elimination over the minors on the bottom rows of g
+    (``_minors_pass`` in ``padic``, where the phase formula is proved);
+    no witness is built.
 
     >>> eval_matrix(PAdicMatrix.from_rows(2, [[1, "3/4"], [0, 1]]))
     WhittakerValue(zero=False, sign=1, eps_exp=0, q_exp=0, psi=Fraction(3, 4))
@@ -227,16 +231,23 @@ def parahoric_check(i: int, n: int, eps_exp: int = 0) -> list[CheckResult]:
     """New-vector behavior across the i-th reflection wall.
 
     The value vanishes at the shifted torus point alone but not at the
-    shifted point times the reflection.
+    shifted point times the reflection.  A failed check names the wall,
+    the cell (shift, w) and the value found there, as ``serialize`` JSON.
     """
     w = Permutation.simple(n, i)
     shift = dominance_shift(w)
-    at_wall = eval_cell(shift, w, eps_exp)
-    off_wall = eval_cell(shift, Permutation.identity(n), eps_exp)
-    return [
-        CheckResult(f"nonzero-at-wall[{i}]", not at_wall.zero),
-        CheckResult(f"zero-off-wall[{i}]", off_wall.zero),
-    ]
+    results = []
+    for name, cell_w, want_zero in (
+        (f"nonzero-at-wall[{i}]", w, False),
+        (f"zero-off-wall[{i}]", Permutation.identity(n), True),
+    ):
+        value = eval_cell(shift, cell_w, eps_exp)
+        detail = "" if value.zero == want_zero else (
+            f"wall {i}: cell kbar = {list(shift)}, w = {list(cell_w.window)}: "
+            f"value {json.dumps(serialize(value), sort_keys=True)}; expected {'zero' if want_zero else 'nonzero'}"
+        )
+        results.append(CheckResult(name, not detail, detail))
+    return results
 
 
 def verify_functional_equations(

@@ -23,7 +23,7 @@ from steinwhit.cli import (
     build_parser,
     main,
 )
-from steinwhit.padic import PRIME_BOUND
+from steinwhit.padic import PRIME_BOUND, SingularMatrixError
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
 ROTATION_2_P3 = '{"p": 3, "entries": [["0", "1"], ["3", "0"]]}'
@@ -323,6 +323,63 @@ def test_decompose_guard_refuses_large_matrices_fast():
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("decompose guard: ") and "Traceback" not in proc.stderr
     assert elapsed < 10
+
+
+@pytest.mark.parametrize("command", ["eval", "decompose"])
+def test_size_guards_refuse_before_parsing_any_entry(capsys, monkeypatch, command):
+    """A 5 MB identity document with n = 1000 is refused from the length
+    of its list of rows: no row is parsed, in process, and a fresh
+    process exits 4 quickly.  Past the guard a malformed entry is never
+    read, so such a document exits 4, not 2."""
+    from steinwhit import cli
+
+    def refuse(p, entries):
+        raise AssertionError("parsed the rows of an oversize document")
+
+    n = 1000
+    doc = json.dumps({"p": 3, "entries": [["1" if i == j else "0" for j in range(n)] for i in range(n)]})
+    limit = _EVAL_MAX_N if command == "eval" else _DECOMPOSE_MAX_N
+    message = f"{command} guard: need n <= {limit}, got a matrix with n = {n}\n"
+    monkeypatch.setattr(cli, "_matrix_of_entries", refuse)
+    assert run(capsys, monkeypatch, [command, "-"], doc) == (4, "", message)
+    malformed = json.dumps({"p": 3, "entries": [["x"] * (limit + 1)] * (limit + 1)})
+    assert run(capsys, monkeypatch, [command, "-"], malformed) == (4, "", message.replace(str(n), str(limit + 1)))
+    monkeypatch.undo()
+    proc, elapsed = _cli_process([command, "-"], doc, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", message)
+    assert elapsed < 3
+
+
+def test_decompose_prints_entries_as_fractions_do(capsys, monkeypatch):
+    """The witnesses are printed from their stored rows; each entry must
+    read as ``str(Fraction)`` of the same entry, zeros and negative
+    entries included, on matrices with mixed denominators."""
+    from steinwhit.padic import PAdicMatrix, _entry_strings, iwahori_cell
+
+    rng = random.Random(31)
+    seen = set()
+    for n, p in [(2, 2), (3, 3), (4, 5), (6, 7)]:
+        for _ in range(5):
+            rows = [[Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, p, p * p, 12])) for _ in range(n)]
+                    for _ in range(n)]
+            rows[0][0] = Fraction(0)
+            g = PAdicMatrix.from_rows(p, rows)
+            assert _entry_strings(g) == [[str(e) for e in row] for row in g.entries]
+            try:
+                cell = iwahori_cell(g)
+            except SingularMatrixError:
+                continue
+            doc = json.dumps({"p": p, "entries": _entry_strings(g)})
+            code, out, _ = run(capsys, monkeypatch, ["decompose", "-"], doc)
+            assert code == 0
+            printed = json.loads(out)
+            for key in ("n_factor", "t0_factor", "j_factor"):
+                m = getattr(cell, key)
+                assert printed[key] == [[str(e) for e in row] for row in m.entries]
+                seen.update(e for row in printed[key] for e in row)
+    assert "0" in seen
+    assert any(e.startswith("-") and "/" in e for e in seen)
+    assert any(not e.startswith("-") and "/" in e for e in seen)
 
 
 def test_decompose_guard_boundary(capsys, monkeypatch):

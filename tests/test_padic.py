@@ -19,6 +19,7 @@ from steinwhit.padic import (
     MatrixFormatError,
     PAdicMatrix,
     SingularMatrixError,
+    _minors_pass,
     cell_label,
     frac_psi_phase,
     frac_valuation,
@@ -31,6 +32,7 @@ from steinwhit.padic import (
 )
 from steinwhit.sampling import (
     random_cell_product,
+    random_group_element,
     random_iwahori,
     random_permutation,
     random_torus_units,
@@ -392,6 +394,125 @@ def test_cell_label_matches_elimination_on_arbitrary_matrices():
                 continue
             cell = iwahori_cell(g)
             assert cell_label(g) == (cell.kbar, cell.w)
+
+
+def _laplace_pass(rows, p, phase=True):
+    """The oracle of ``_minors_pass``: every minor on the bottom rows, by
+    Laplace expansion, and the least minimizing column set of each level
+    as the least bitmask of least valuation over all of them.
+
+    Step i pushes in row n-i+1 along D_{i,S} = sum_{s in S} +-a_{n-i+1,s}
+    D_{i-1,S-{s}}, about n 2^(n-1) multiply-adds in all.  The phase
+    numerator N_i is row i expanded against the minors of the level below
+    the one that holds D_i, so two levels are kept.  Rows are cleared
+    rows (a_r, d_r) over any positive d_r, as for ``_minors_pass``.
+    """
+    n = len(rows)
+    kbar = [0] * n
+    window = [0] * n
+    below, minors = {}, {0: 1}  # column bitmask S -> minor of the cleared rows r+2.., r+1..
+    prev_mask, prev_min, prev_d = 0, 0, 1
+    psi = Fraction(0)
+    for r in range(n - 1, -1, -1):
+        row, d = rows[r]
+        dv = frac_valuation(Fraction(d), p)
+        if phase and prev_mask:
+            num = 0
+            for c in range(n):
+                bit = 1 << c
+                minor = below.get(prev_mask ^ bit) if prev_mask & bit and row[c] else None
+                if minor:
+                    term = row[c] * minor
+                    num += -term if (prev_mask & (bit - 1)).bit_count() % 2 else term
+            psi += frac_psi_phase(Fraction(num * prev_d, minors[prev_mask] * d), p)
+        pushed = {}
+        for mask, minor in minors.items():
+            for c in range(n):
+                bit = 1 << c
+                if mask & bit or not row[c]:
+                    continue
+                term = row[c] * minor
+                if (mask & (bit - 1)).bit_count() % 2:
+                    term = -term
+                pushed[mask | bit] = pushed.get(mask | bit, 0) + term
+        below, minors = minors, {mask: minor for mask, minor in pushed.items() if minor}
+        if not minors:
+            raise SingularMatrixError("matrix is singular")
+        best_v, best_mask = min((frac_valuation(Fraction(minor), p), mask) for mask, minor in minors.items())
+        kbar[r] = best_v - prev_min - dv
+        window[(best_mask & ~prev_mask).bit_length() - 1] = r + 1
+        prev_mask, prev_min, prev_d = best_mask, best_v, d
+    return tuple(kbar), Permutation(tuple(window)), psi % 1
+
+
+@st.composite
+def minors_pass_inputs(draw):
+    """Cleared rows for the minors pass and its oracle, at n = 2..7 and
+    p in {2, 3, 5, 7}: a sampled group element, one right translated by an
+    Iwahori element, an unstructured rational matrix with p-power
+    denominators, or a singular one, with a row that combines the others.
+    Half the time every row is rescaled by
+    its own positive factor, so d_r is not the lcm of the row's
+    denominators and a_r is not reduced."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["point", "translate", "rational", "singular"]))
+    if kind in ("point", "translate"):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        g = random_group_element(rng, n, p)
+        if kind == "translate":
+            g = g * random_iwahori(rng, n, p)
+    else:
+        entry = st.builds(
+            lambda num, v, unit: Fraction(num * unit, p**v), st.integers(-30, 30), st.integers(0, 4),
+            st.sampled_from([1, 1, 1, 2, 3, 7]),
+        )
+        entries = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if kind == "singular":
+            r = draw(st.integers(0, n - 1))
+            coeffs = [draw(entry) for _ in range(n)]
+            entries[r] = [
+                sum((c * entries[s][j] for s, c in enumerate(coeffs) if s != r), Fraction(0)) for j in range(n)
+            ]
+        g = PAdicMatrix.from_rows(p, entries)
+    rows = g.rows
+    if draw(st.booleans()):
+        factors = [draw(st.sampled_from([1, 2, 3, p, p * p, 6 * p, p**3 * 5])) for _ in range(n)]
+        rows = [([x * c for x in a], d * c) for (a, d), c in zip(rows, factors)]
+    return rows, p
+
+
+def _outcome(f, rows, p, phase):
+    try:
+        return f(rows, p, phase)
+    except SingularMatrixError as exc:
+        return "singular", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(minors_pass_inputs())
+def test_minors_pass_matches_the_laplace_oracle(case):
+    """The elimination gives the label, the phase and the singular cases
+    of the full Laplace table, with and without the phase."""
+    rows, p = case
+    for phase in (False, True):
+        assert _outcome(_minors_pass, rows, p, phase) == _outcome(_laplace_pass, rows, p, phase)
+
+
+@pytest.mark.parametrize("rows, kbar, window", [
+    # every entry of the bottom row has valuation 1: ties go to the least column
+    ([[1, 0, 0], [0, 1, 0], [3, 3, 3]], (0, 0, 1), (3, 2, 1)),
+    # two units in the bottom row: the scan stops at the first
+    ([[1, 2, 0], [2, 1, 1], [0, 5, 5]], (0, 0, 0), (2, 3, 1)),
+    # valuations 1, 2, 1 in the bottom row: columns 1 and 3 tie
+    ([[1, 1, 0], [0, 3, 1], [3, 9, 3]], (0, 0, 1), (3, 1, 2)),
+])
+def test_minors_pass_breaks_ties_to_the_least_column(rows, kbar, window):
+    g = PAdicMatrix.from_rows(3, rows)
+    cell = iwahori_cell(g)
+    assert (cell.kbar, cell.w) == (kbar, Permutation(window))
+    for f in (_minors_pass, _laplace_pass):
+        assert f(g.rows, 3, False) == (kbar, Permutation(window), 0)
 
 
 def test_right_iwahori_translation_keeps_label():

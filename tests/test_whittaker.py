@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from steinwhit import cli, principal_series
+from steinwhit import cli, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
 from steinwhit.padic import (
+    Cell,
     PAdicMatrix,
     SingularMatrixError,
     _minors_pass,
@@ -23,7 +24,14 @@ from steinwhit.principal_series import (
     apply_generator,
     generator_cosets,
 )
-from steinwhit.sampling import random_cell_product, random_group_element, random_iwahori
+from steinwhit.sampling import (
+    random_cell_product,
+    random_group_element,
+    random_iwahori,
+    random_permutation,
+    random_torus_units,
+    random_upper_unipotent,
+)
 from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations, dominance_shift
 from steinwhit.whittaker import (
@@ -166,6 +174,28 @@ def test_eval_matrix_matches_witness_route_on_arbitrary_matrices(g):
         assert eval_matrix(g, e) == _value_from_witnesses(g, e)
 
 
+@pytest.mark.parametrize("n", range(8, 19))
+def test_eval_matrix_matches_witness_route_on_dense_matrices(n):
+    """Up to the eval guard, n = 18: the label and the value of the
+    elimination against the witnesses of ``iwahori_cell``, on a dense
+    matrix with mixed denominators and on a point of the supported cell
+    (dominance_shift(w), w) with a random unipotent part, whose phase is
+    read off the pass."""
+    p = (2, 3, 5, 7)[n % 4]
+    rng = random.Random(f"dense:{n}")
+    dense = PAdicMatrix.from_rows(p, [
+        [Fraction(rng.randint(-9, 9), rng.choice([1, 1, p, p * p, 3])) for _ in range(n)] for _ in range(n)
+    ])
+    w = random_permutation(rng, n)
+    point = Cell(dominance_shift(w), w, random_upper_unipotent(rng, n, p), random_torus_units(rng, n, p),
+                 random_iwahori(rng, n, p)).reconstruct()
+    assert not eval_matrix(point, 1).zero
+    for g in (dense, point):
+        cell = iwahori_cell(g)
+        assert cell_label(g) == (cell.kbar, cell.w)
+        assert eval_matrix(g, 1) == _value_from_witnesses(g, 1)
+
+
 def test_eval_matrix_raises_on_singular_input():
     with pytest.raises(SingularMatrixError):
         eval_matrix(PAdicMatrix.from_rows(3, [[1, 2], [2, 4]]))
@@ -211,6 +241,29 @@ def test_parahoric_values():
         for i in range(1, n):
             results = parahoric_check(i, n, 0)
             assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("planted, failing", [
+    (lambda kbar, w, e=0: WhittakerValue.zero_value(), "nonzero-at-wall[2]"),
+    (lambda kbar, w, e=0: WhittakerValue.monomial(-1, e, 3, 0), "zero-off-wall[2]"),
+])
+def test_failed_parahoric_check_names_its_wall_cell_and_value(monkeypatch, capsys, planted, failing):
+    """A planted ``eval_cell`` that vanishes everywhere, or nowhere: the
+    failed check names the wall, the cell (shift, w) and the value found
+    as ``serialize`` JSON, and ``verify`` prints that detail."""
+    monkeypatch.setattr(whittaker, "eval_cell", planted)
+    results = {r.name: r for r in parahoric_check(2, 3, 1)}
+    assert [name for name, r in results.items() if not r.passed] == [failing]
+    detail = results[failing].detail
+    w = (1, 3, 2) if failing.startswith("nonzero") else (1, 2, 3)
+    value = planted((-1, -1, 0), Permutation(w), 1)
+    expected = "zero" if failing.startswith("zero") else "nonzero"
+    assert detail == (f"wall 2: cell kbar = [-1, -1, 0], w = {list(w)}: "
+                      f"value {json.dumps(serialize(value), sort_keys=True)}; expected {expected}")
+    assert dominance_shift(Permutation.simple(3, 2)) == (-1, -1, 0)
+    assert cli.main(["verify", "whittaker", "--n", "3", "--p", "2", "--eps-exp", "1", "--samples", "0"]) == 1
+    err = capsys.readouterr().err
+    assert f"FAIL whittaker:{failing} {detail}\n" in err
 
 
 def test_pinned_wall_value():
