@@ -233,16 +233,14 @@ def mult_generator(h: HeckeElement, i: int) -> HeckeElement:
     return out
 
 
-def mult_rotation(h: HeckeElement, inverse: bool = False) -> HeckeElement:
-    """Multiply on the right by the (invertible, length-zero) rotation
-    basis element, or by its inverse.
+def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
+    """Multiply on the right by T_r^m, the m-th power of the (invertible,
+    length-zero) rotation basis element, for any integer m.
 
-    A pure relabeling of indices: no q-corrections occur.
+    A pure relabeling of indices by r^m: no q-corrections occur.
     """
     n = h.n
-    r = ExtAffineElement.rotation(n)
-    if inverse:
-        r = r.inverse()
+    r = ExtAffineElement.rotation(n) ** m
     out = HeckeElement.zero(n)
     for x, c in h._terms.items():
         out._add(x * r, c)
@@ -259,8 +257,8 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         acc = a
         for i in word:
             acc = mult_generator(acc, i)
-        for _ in range(abs(m)):
-            acc = mult_rotation(acc, inverse=m < 0)
+        if m:
+            acc = mult_rotation(acc, m)
         out = out + acc.scaled(c)
     return out
 

@@ -29,12 +29,13 @@ and each has its own consumers:
 
 * the minors pass (``_minors_pass``): the label read off the valuations
   of the minors on the bottom rows of g, and from the same minors the
-  phase of the additive character on n.  One fraction-free (Bareiss)
-  column elimination, bottom row first, computes exactly the minors the
-  label needs, those that border the least minimizing column set of
-  the level below, in O(n^3) exact integer operations.  Integer
-  arithmetic only, on the rows of g given as integer vectors over any
-  positive denominators.  ``cell_label`` and ``whittaker.eval_matrix``
+  integer terms of the additive character's phase on n, of which
+  ``whittaker`` forms the phase only on the support.  One fraction-free
+  (Bareiss) column elimination, bottom row first, computes exactly the
+  minors the label needs, those that border the least minimizing column
+  set of the level below, in O(n^3) exact integer operations, on the
+  rows of g given as integer vectors over any positive denominators.
+  ``cell_label`` and ``whittaker.eval_matrix``
   call it on a matrix's stored rows; ``principal_series._coset_passes``
   calls it on each coset term g . rep, as g's stored rows under the
   representative's integer column form, for ``apply_generator`` and for
@@ -45,7 +46,7 @@ and each has its own consumers:
   ``steinwhit decompose``:
   ``iwasawa`` writes g = b k with b upper triangular over Q and k in
   K = GL_n(Z_p), by column operations over Z_p on integer columns;
-  ``residue_bruhat`` writes k mod p as b1 P_w b2 over F_p, by row/column
+  ``residue_bruhat`` finds w and b1 of k = b1 P_w b2 mod p, by row/column
   clearing from a bottom-most pivot per column; back substitution
   against the integer lift of b1 gives j, and pushing b1 through the
   diagonal of b gives n and t0.  With ``check`` the witnesses are
@@ -183,9 +184,6 @@ def frac_psi_phase(x: Fraction, p: int) -> Fraction:
 # a given row of rationals this pair is unique: d is the lcm of the
 # entries' denominators in lowest terms.
 _Row = tuple[tuple[int, ...], int]
-
-
-_ZERO = Fraction(0)
 
 
 def _p_power(p: int, v: int) -> tuple[int, int]:
@@ -359,9 +357,6 @@ class PAdicMatrix:
     def is_upper_unitriangular(self) -> bool:
         return all(a[i] == d and not any(a[:i]) for i, (a, d) in enumerate(self.rows))
 
-    def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a[i], d) for i, (a, d) in enumerate(self.rows))
-
     def __repr__(self) -> str:
         body = "; ".join(
             " ".join(str(e) for e in row) for row in self.entries
@@ -513,17 +508,17 @@ def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
     return PAdicMatrix._of_rows(p, tuple(map(_row_of, b))), PAdicMatrix._of_rows(p, tuple(k))
 
 
-def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[list[int]], list[list[int]]]:
-    """m = b1 P_w b2 over F_p with b1, b2 upper triangular.
+def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[list[int]]]:
+    """w and b1 of m = b1 P_w b2 over F_p, with b1 and b2 upper triangular.
 
     Columns are processed left to right; the pivot is the bottom-most
-    nonzero entry in a not-yet-pivoted row.  Raises SingularMatrixError
+    nonzero entry in a not-yet-pivoted row.  b2 is not kept, but its column
+    operations clear m, which must end at P_w.  Raises SingularMatrixError
     when no pivot exists.
     """
     n = len(rows)
     a = [[e % p for e in row] for row in rows]
     b1 = [[int(i == j) for j in range(n)] for i in range(n)]
-    b2 = [[int(i == j) for j in range(n)] for i in range(n)]
     assigned = [False] * n
     w_of_col = [0] * n
     for j in range(n):
@@ -551,13 +546,12 @@ def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[lis
             if c:
                 for x in range(n):
                     a[x][t] = (a[x][t] - c * a[x][j]) % p
-                b2[j] = [(b2[j][y] + c * b2[t][y]) % p for y in range(n)]
     w = Permutation(tuple(w_of_col))
     for i in range(n):
         for j in range(n):
             if a[i][j] != (1 if i + 1 == w(j + 1) else 0):
                 raise DecompositionError(f"reduction did not reach a permutation matrix: {a}")
-    return w, b1, b2
+    return w, b1
 
 
 @dataclass(frozen=True)
@@ -608,7 +602,7 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     k_rows = k.rows
     if any(d % p == 0 for _, d in k_rows):
         raise DecompositionError(f"Iwasawa k factor is not integral: {k!r}")
-    w, b1, _ = residue_bruhat([[x * pow(d, -1, p) for x in row] for row, d in k_rows], p)
+    w, b1 = residue_bruhat([[x * pow(d, -1, p) for x in row] for row, d in k_rows], p)
     # y = b1^{-1} k, bottom row first; each row an integer vector over one denominator
     y: list = [None] * n
     for r in range(n - 1, -1, -1):
@@ -672,21 +666,21 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
     The sets T_i are nested, T_i = T_{i-1} u {w^{-1}(n-i+1)}, so the
     minimum m_i over all i-sets is already reached among the n - i + 1
     sets T_{i-1} u {j}.  ``_minors_pass`` computes exactly those minors,
-    one level at a time, by a fraction-free elimination that also gives
-    ``eval_matrix`` its phase.  If every candidate minor of some level
-    vanishes, g is singular and SingularMatrixError is raised.
+    one level at a time, by a fraction-free elimination that also records
+    the phase terms of ``eval_matrix``.  If every candidate minor of some
+    level vanishes, g is singular and SingularMatrixError is raised.
 
     >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
     ((0, 1), Permutation((2, 1)))
     """
-    kbar, w, _ = _minors_pass(g.rows, g.p, phase=False)
+    kbar, w, _ = _minors_pass(g.rows, g.p)
     return kbar, w
 
 
 def _minors_pass(
-    rows: Sequence[tuple[Sequence[int], int]], p: int, phase: bool = True
-) -> tuple[tuple[int, ...], Permutation, Fraction]:
-    """The label (kbar, w) of ``cell_label`` and the phase of psi on n.
+    rows: Sequence[tuple[Sequence[int], int]], p: int
+) -> tuple[tuple[int, ...], Permutation, list[tuple[int, int, int]]]:
+    """The label (kbar, w) of ``cell_label`` and the phase terms of psi on n.
 
     g is given by its cleared rows: row r of g is a_r / d_r for the pair
     (a_r, d_r) of an integer vector and any positive integer.  d_r need
@@ -753,7 +747,10 @@ def _minors_pass(
     minors differ in one row, so the ratio of the minors of g is
     W[i][c] d_{i+1} / (t d_i), for any positive d_r and unreduced a_r;
     it is only formed when its valuation is negative, as psi sees nothing
-    else.
+    else.  For each i with W[i][c] nonzero the pass records the integers
+    (W[i][c] d_{i+1}, t d_i, u) with u = v(t d_i): the valuation is
+    negative when p^u does not divide the first.  ``whittaker`` forms the
+    ratios only on the support, where the formula holds.
 
     Why: left multiplication by n adds to row i of b' the multiple
     n_{i,i+1} of row i+1 plus multiples of the rows in R, and to the rows
@@ -771,9 +768,6 @@ def _minors_pass(
     >= the sorted columns T and differ from them somewhere, so the minor
     is divisible by p by the lemma of ``cell_label``, and the term is
     again p-integral.  Either way psi does not see it.
-
-    With ``phase`` false the numerators are not read and the phase is 0;
-    ``cell_label`` needs the label alone.
     """
     n = len(rows)
     kbar = [0] * n
@@ -782,7 +776,7 @@ def _minors_pass(
     # live column j -> its working entries on the rows not yet taken
     cols = dict(enumerate(map(list, zip(*(a for a, _ in rows)))))
     prev, prev_v = 1, 0
-    psi = _ZERO
+    terms = []
     for r in range(n - 1, -1, -1):
         best = None
         for j, col in cols.items():
@@ -798,11 +792,9 @@ def _minors_pass(
         t = piv.pop()
         kbar[r] = best_v - prev_v - dvs[r]
         window[best] = r + 1
-        if phase and r and piv[-1]:
+        if r and piv[-1]:
             # N_i / D_i for i = r, over the denominators d_{r-1}, d_r
-            num = piv[-1] * rows[r][1]
-            if num % p ** (best_v + dvs[r - 1]):
-                psi += frac_psi_phase(Fraction(num, t * rows[r - 1][1]), p)
+            terms.append((piv[-1] * rows[r][1], t * rows[r - 1][1], best_v + dvs[r - 1]))
         for j, col in cols.items():
             s = col.pop()
             if s:
@@ -810,4 +802,4 @@ def _minors_pass(
             elif t != prev:
                 cols[j] = [x * t // prev for x in col]
         prev, prev_v = t, best_v
-    return tuple(kbar), Permutation(tuple(window)), psi % 1
+    return tuple(kbar), Permutation(tuple(window)), terms

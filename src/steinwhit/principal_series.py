@@ -25,6 +25,8 @@ with no matrix product:
 ``_coset_passes``, the one source of coset terms, behind
 ``apply_generator`` and ``_check_identities``, the identity engine of
 ``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
+The functions here read only each pass's label; the whittaker suite
+forms psi from its phase terms, and only on the support.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class InducedFunction:
 
     def _label_value(self, label: tuple) -> PhaseSum:
         """The value on the cell of a label (kbar, w), or of a minors pass
-        (kbar, w, psi): the function is left N-invariant, so psi plays no part."""
+        (kbar, w, terms): the function is left N-invariant, so psi plays no part."""
         kbar, w = label[0], label[1]
         coeff = self.coeffs.get(w)
         if coeff is None:
@@ -161,10 +163,10 @@ def _times_columns(rows, form: _ColumnForm) -> list[tuple[list[int], int]]:
     ]
 
 
-def _coset_passes(rows, n: int, p: int, gen, phase: bool) -> list[tuple]:
-    """The minors pass (kbar, w, psi) of each coset term g . rep, rep over
-    ``generator_cosets(n, p, gen)``, from g's rows ``g.rows`` (psi 0 unless ``phase``)."""
-    return [_minors_pass(_times_columns(rows, form), p, phase) for form in _coset_columns(n, p, gen)]
+def _coset_passes(rows, n: int, p: int, gen) -> list[tuple]:
+    """The minors pass (kbar, w, phase terms) of each coset term g . rep,
+    rep over ``generator_cosets(n, p, gen)``, from g's rows ``g.rows``."""
+    return [_minors_pass(_times_columns(rows, form), p) for form in _coset_columns(n, p, gen)]
 
 
 def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
@@ -183,12 +185,12 @@ def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     """Value of the convolution operator for gen on func, at g."""
     if (g.n, g.p) != (func.n, func.p):
         raise ValueError("matrix context mismatch")
-    passes = _coset_passes(g.rows, g.n, g.p, gen, phase=False)
+    passes = _coset_passes(g.rows, g.n, g.p, gen)
     return sum(map(func._label_value, passes), PhaseSum.zero(func.n, func.p))
 
 
 def _check_identities(
-    n: int, p: int, samples: int, seed: int, identities: list, value_at, phase: bool
+    n: int, p: int, samples: int, seed: int, identities: list, value_at
 ) -> list[CheckResult]:
     """Check each identity sum_rep f(g . rep) = c eps^e f(g) over the cosets
     of a generator, given as (check name, f on the cell of a minors pass,
@@ -209,7 +211,7 @@ def _check_identities(
         f_at_g, rows, passes = value_at(g), g.rows, {}
         for name, cell, gen, (c, e), (lhs_text, rhs_text) in identities:
             if gen not in passes:
-                passes[gen] = _coset_passes(rows, n, p, gen, phase)
+                passes[gen] = _coset_passes(rows, n, p, gen)
             lhs, rhs = sum(map(cell, passes[gen]), zero), f_at_g(cell).times_monomial(c, e)
             if lhs != rhs and name not in details:
                 details[name] = (
@@ -227,7 +229,7 @@ def _casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
     casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
     one = PAdicMatrix.identity(n, p)
     for i in range(1, n):
-        passes = _coset_passes(one.rows, n, p, i, phase=False)
+        passes = _coset_passes(one.rows, n, p, i)
         for w, f in casselman.items():
             lhs = sum(map(f._label_value, passes), PhaseSum.zero(n, p))
             rhs = PhaseSum.monomial(n, p, p if w == Permutation.simple(n, i) else 0)
@@ -267,7 +269,7 @@ def run_eigen_checks(
         label = cell_label(g)
         return lambda cell: cell(label)
 
-    results = _check_identities(n, p, samples, seed, identities, value_at, phase=False)
+    results = _check_identities(n, p, samples, seed, identities, value_at)
 
     # The fixed checks; a failure names where it failed and both sides.
     one = PAdicMatrix.identity(n, p)

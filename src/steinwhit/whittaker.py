@@ -21,11 +21,12 @@ cells, and is kept as an independent cross-check.
 
 At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
 is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
-phase of psi(n) off one integer pass over the minors on the bottom rows
-of g, a fraction-free column elimination of O(n^3) integer operations
-(``padic._minors_pass``), the pass that also gives the principal series
-its cell labels; it builds no witness (``padic.iwahori_cell`` does, for
-``decompose``).
+phase terms of psi(n) off one integer pass over the minors on the bottom
+rows of g, a fraction-free column elimination of O(n^3) integer
+operations (``padic._minors_pass``), the pass that also gives the
+principal series its cell labels; it builds no witness
+(``padic.iwahori_cell`` does, for ``decompose``).  psi(n) is formed
+from the terms only on the support (``_pass_value``).
 ``verify_functional_equations`` is a table of identities for the engine
 of ``principal_series``, which runs the same pass on every coset term
 g . rep (the central term being g . pI), with no matrix product.
@@ -38,7 +39,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PAdicMatrix, _minors_pass
+from .padic import PAdicMatrix, _minors_pass, frac_psi_phase
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum
@@ -150,10 +151,10 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     """Value at an arbitrary group element: the cell value times psi(n).
 
     On g = n . p^kbar . t0 . P_w . j the value is psi(n) times the value
-    on the cell (kbar, w).  The label and the phase of psi on n come from
-    one fraction-free elimination over the minors on the bottom rows of g
-    (``_minors_pass`` in ``padic``, where the phase formula is proved);
-    no witness is built.
+    on the cell (kbar, w).  The label and the phase terms of psi on n come
+    from one fraction-free elimination over the minors on the bottom rows
+    of g (``_minors_pass`` in ``padic``, where the phase formula is
+    proved), and psi is formed only on the support; no witness is built.
 
     >>> eval_matrix(PAdicMatrix.from_rows(2, [[1, "3/4"], [0, 1]]))
     WhittakerValue(zero=False, sign=1, eps_exp=0, q_exp=0, psi=Fraction(3, 4))
@@ -164,15 +165,21 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     >>> eval_matrix(PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]]))
     WhittakerValue(zero=False, sign=-1, eps_exp=0, q_exp=-1, psi=Fraction(3, 4))
     """
-    return _pass_value(_minors_pass(g.rows, g.p), eps_exp)
+    return _pass_value(_minors_pass(g.rows, g.p), g.p, eps_exp)
 
 
-def _pass_value(label: tuple[Weight, Permutation, Fraction], eps_exp: int) -> WhittakerValue:
-    """The value for the (kbar, w, psi) of one minors pass: the closed form
-    of ``eval_cell`` with the phase psi, built once."""
-    kbar, w, psi = label
+def _psi_of_terms(terms, p: int) -> Fraction:
+    """psi(n) on the support: the sum of the phases of num / den over the
+    phase terms (num, den, v) of a minors pass with p^v not dividing num."""
+    return sum((frac_psi_phase(Fraction(num, den), p) for num, den, v in terms if num % p**v), _ZERO) % 1
+
+
+def _pass_value(label: tuple, p: int, eps_exp: int) -> WhittakerValue:
+    """The value for the (kbar, w, terms) of one minors pass: the closed
+    form of ``eval_cell`` times psi(n), formed only on the support."""
+    kbar, w, terms = label
     form = _closed_form(kbar, w, eps_exp)
-    return _ZERO_VALUE if form is None else WhittakerValue(False, *form, psi)
+    return _ZERO_VALUE if form is None else WhittakerValue(False, *form, _psi_of_terms(terms, p))
 
 
 def _diag_steps(kbar: Weight, eps_exp: int, n: int) -> WhittakerValue:
@@ -271,7 +278,7 @@ def verify_functional_equations(
         return lambda cell: w_g
 
     def cell(label) -> PhaseSum:
-        return phase_sum(_pass_value(label, eps_exp), n, p)
+        return phase_sum(_pass_value(label, p, eps_exp), n, p)
 
     identities = [
         (f"reflection-sum[{i}]", cell, i, (-1, 0), (f"sum of W(g rep) over the cosets of s_{i}", "-W(g)"))
@@ -279,4 +286,4 @@ def verify_functional_equations(
     ]
     identities.append(("rotation-eigenvalue", cell, "rotation", (1, eps_exp), ("W(g u)", f"eps^{eps_exp} W(g)")))
     identities.append(("central-invariance", cell, "center", (1, 0), ("W(p g)", "W(g)")))
-    return _check_identities(n, p, samples, seed, identities, value_at, phase=True)
+    return _check_identities(n, p, samples, seed, identities, value_at)

@@ -433,6 +433,53 @@ def test_any_document_ends_in_a_documented_exit_code(command, doc):
     assert (code == 0) == bool(out.getvalue())
 
 
+# Per flag, values a configuration usually takes; any of them may instead
+# be an arbitrary integer, +-10^30, or a prime at or above PRIME_BOUND.
+CONFIG_FLAGS = {
+    "--n": range(2, 7),
+    "--p": (2, 3, 5, 7, 31, 37),
+    "--eps-exp": range(-2, 4),
+    "--range": range(0, 8),
+    "--samples": (0, 1, 3),
+    "--seed": range(0, 4),
+}
+wild_ints = st.integers() | st.sampled_from(
+    [10**30, -(10**30), 3317044064679887385961813, PRIME_BOUND, PRIME_BOUND + 2, 2316, 6949]
+)
+
+
+@st.composite
+def configurations(draw):
+    """argv for ``table`` or one ``verify`` suite, with every flag set and
+    a random subset of the flags wild."""
+    command = draw(st.sampled_from([["table"], ["table", "--format", "csv"],
+                                    *(["verify", s] for s in ("hecke", "principal", "whittaker", "all"))]))
+    flags = ("--n", "--p", "--eps-exp", "--range") if command[0] == "table" else (
+        "--n", "--p", "--eps-exp", "--samples", "--seed")
+    wild = draw(st.sets(st.sampled_from(flags)))
+    argv = list(command)
+    for flag in flags:
+        argv += [flag, str(draw(wild_ints if flag in wild else st.sampled_from(CONFIG_FLAGS[flag])))]
+    return argv
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(configurations())
+def test_any_configuration_ends_in_a_documented_exit_code(argv):
+    """In process, ``table`` and ``verify`` with any integer flags return
+    0..4, an argparse error counting as its exit code, and raise nothing
+    else."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{' '.join(argv[:2] if argv[0] == 'verify' else argv[:1])} exit {code}")
+    assert code in range(5), (argv, code, err.getvalue())
+    assert (code in (0, 1)) == bool(out.getvalue()), (argv, code)
+
+
 @pytest.mark.parametrize("entry", ["2/4", "0.5"])
 def test_entries_not_in_lowest_terms_exit_2(capsys, monkeypatch, entry):
     doc = json.dumps({"p": 2, "entries": [[entry, "0"], ["0", "1"]]})

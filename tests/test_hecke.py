@@ -45,8 +45,11 @@ def test_unit_is_neutral():
 def test_rotation_multiplication_relabels():
     n = 3
     h = HeckeElement.generator(n, 1)
-    back = mult_rotation(mult_rotation(h), inverse=True)
+    back = mult_rotation(mult_rotation(h), -1)
     assert back == h
+    # a power relabels once, by r^m, as m single relabels would
+    assert mult_rotation(h, 2) == mult_rotation(mult_rotation(h))
+    assert mult_rotation(h, -2) == mult_rotation(mult_rotation(h, -1), -1)
     r = ExtAffineElement.rotation(n)
     x = ExtAffineElement.simple_reflection(n, 1)
     assert mult_rotation(h) == HeckeElement.basis(x * r)

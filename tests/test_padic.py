@@ -40,6 +40,7 @@ from steinwhit.sampling import (
     random_weight,
 )
 from steinwhit.weyl import Permutation
+from steinwhit.whittaker import _psi_of_terms
 
 # Rationals with denominator a power of p, the shape psi ever sees.
 p_fractions = st.integers(min_value=-200, max_value=200).flatmap(
@@ -246,7 +247,10 @@ def test_iwasawa_matches_fraction_oracle(g):
     b, k = iwasawa(g)
     assert (b, k) == expected
     assert is_upper_triangular(b)
-    assert all(d == Fraction(g.p) ** frac_valuation(d, g.p) for d in b.diagonal_entries())
+    assert all(
+        Fraction(a[i], d) == Fraction(g.p) ** frac_valuation(Fraction(a[i], d), g.p)
+        for i, (a, d) in enumerate(b.rows)
+    )
     assert _in_k(k)
     assert b * k == g
 
@@ -311,17 +315,15 @@ def test_iwasawa_properties_random():
 
 
 def test_residue_bruhat_frozen_example():
-    w, b1, b2 = residue_bruhat([[1, 0], [1, 1]], 2)
+    w, b1 = residue_bruhat([[1, 0], [1, 1]], 2)
     assert w == Permutation.simple(2, 1)
     assert b1 == [[1, 1], [0, 1]]
-    assert b2 == [[1, 1], [0, 1]]
 
 
 def test_residue_bruhat_identity():
-    w, b1, b2 = residue_bruhat([[1, 0], [0, 1]], 5)
+    w, b1 = residue_bruhat([[1, 0], [0, 1]], 5)
     assert w == Permutation.identity(2)
     assert b1 == [[1, 0], [0, 1]]
-    assert b2 == [[1, 0], [0, 1]]
 
 
 def test_cell_frozen_examples():
@@ -347,7 +349,7 @@ def test_cell_witnesses_live_in_their_groups():
             assert cell.n_factor.is_upper_unitriangular()
             assert cell.j_factor.is_in_iwahori()
             assert all(
-                frac_valuation(t, p) == 0 for t in cell.t0_factor.diagonal_entries()
+                frac_valuation(Fraction(a[i], d), p) == 0 for i, (a, d) in enumerate(cell.t0_factor.rows)
             )
             assert cell.reconstruct() == g
 
@@ -396,7 +398,7 @@ def test_cell_label_matches_elimination_on_arbitrary_matrices():
             assert cell_label(g) == (cell.kbar, cell.w)
 
 
-def _laplace_pass(rows, p, phase=True):
+def _laplace_pass(rows, p):
     """The oracle of ``_minors_pass``: every minor on the bottom rows, by
     Laplace expansion, and the least minimizing column set of each level
     as the least bitmask of least valuation over all of them.
@@ -416,7 +418,7 @@ def _laplace_pass(rows, p, phase=True):
     for r in range(n - 1, -1, -1):
         row, d = rows[r]
         dv = frac_valuation(Fraction(d), p)
-        if phase and prev_mask:
+        if prev_mask:
             num = 0
             for c in range(n):
                 bit = 1 << c
@@ -482,9 +484,16 @@ def minors_pass_inputs(draw):
     return rows, p
 
 
-def _outcome(f, rows, p, phase):
+def _pass_with_psi(rows, p):
+    """``_minors_pass`` with psi formed from its phase terms by the helper
+    of ``whittaker``, whether or not the cell is on the support."""
+    kbar, w, terms = _minors_pass(rows, p)
+    return kbar, w, _psi_of_terms(terms, p)
+
+
+def _outcome(f, rows, p):
     try:
-        return f(rows, p, phase)
+        return f(rows, p)
     except SingularMatrixError as exc:
         return "singular", str(exc)
 
@@ -492,11 +501,11 @@ def _outcome(f, rows, p, phase):
 @settings(max_examples=400, deadline=None)
 @given(minors_pass_inputs())
 def test_minors_pass_matches_the_laplace_oracle(case):
-    """The elimination gives the label, the phase and the singular cases
-    of the full Laplace table, with and without the phase."""
+    """The elimination gives the label and the singular cases of the full
+    Laplace table, and psi formed from its phase terms is the table's
+    phase, on or off the support."""
     rows, p = case
-    for phase in (False, True):
-        assert _outcome(_minors_pass, rows, p, phase) == _outcome(_laplace_pass, rows, p, phase)
+    assert _outcome(_pass_with_psi, rows, p) == _outcome(_laplace_pass, rows, p)
 
 
 @pytest.mark.parametrize("rows, kbar, window", [
@@ -511,8 +520,8 @@ def test_minors_pass_breaks_ties_to_the_least_column(rows, kbar, window):
     g = PAdicMatrix.from_rows(3, rows)
     cell = iwahori_cell(g)
     assert (cell.kbar, cell.w) == (kbar, Permutation(window))
-    for f in (_minors_pass, _laplace_pass):
-        assert f(g.rows, 3, False) == (kbar, Permutation(window), 0)
+    for f in (_pass_with_psi, _laplace_pass):
+        assert f(g.rows, 3) == (kbar, Permutation(window), 0)
 
 
 def test_right_iwahori_translation_keeps_label():
@@ -621,8 +630,8 @@ def test_check_raises_under_optimize_flag():
         true_bruhat = padic.residue_bruhat
 
         def wrong_bruhat(rows, p):
-            w, b1, b2 = true_bruhat(rows, p)
-            return w * Permutation.simple(w.n, 1), b1, b2
+            w, b1 = true_bruhat(rows, p)
+            return w * Permutation.simple(w.n, 1), b1
 
         padic.residue_bruhat = wrong_bruhat
         g = padic.PAdicMatrix.from_rows(3, [[1, 2], [3, 4]])
@@ -663,10 +672,10 @@ PLANTS = {
         true_bruhat = padic.residue_bruhat
 
         def planted(rows, p):
-            w, b1, b2 = true_bruhat(rows, p)
+            w, b1 = true_bruhat(rows, p)
             b1 = [list(row) for row in b1]
             b1[0][-1] = (b1[0][-1] + 1) % p
-            return w, b1, b2
+            return w, b1
 
         padic.residue_bruhat = planted
         """,

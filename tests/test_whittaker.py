@@ -37,6 +37,7 @@ from steinwhit.weyl import Permutation, all_permutations, dominance_shift
 from steinwhit.whittaker import (
     WhittakerValue,
     _pass_value,
+    _psi_of_terms,
     eval_cell,
     eval_matrix,
     eval_recursive,
@@ -46,7 +47,7 @@ from steinwhit.whittaker import (
     support,
     verify_functional_equations,
 )
-from test_padic import det, iwasawa_inputs
+from test_padic import _pass_with_psi, det, iwasawa_inputs, minors_pass_inputs
 
 ID2 = Permutation.identity(2)
 S1_2 = Permutation.simple(2, 1)
@@ -172,6 +173,29 @@ def test_eval_matrix_matches_witness_route_on_arbitrary_matrices(g):
         return
     for e in range(g.n):
         assert eval_matrix(g, e) == _value_from_witnesses(g, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(minors_pass_inputs())
+def test_eval_matrix_matches_witness_route_on_the_laplace_oracle_domain(case):
+    """On the inputs of the minors pass's Laplace oracle (n = 2..7, rows
+    rescaled by their own factors half the time, one kind in four
+    singular), the value with psi formed only on the support, from
+    ``eval_matrix`` and from the pass on the given rows, is the witness
+    route's for every eps exponent; both routes raise on singular input."""
+    rows, p = case
+    g = PAdicMatrix.from_rows(p, [[Fraction(x, d) for x in a] for a, d in rows])
+    if det(g) == 0:
+        with pytest.raises(SingularMatrixError):
+            eval_matrix(g)
+        with pytest.raises(SingularMatrixError):
+            iwahori_cell(g)
+        return
+    label = _minors_pass(rows, p)
+    for e in range(g.n):
+        expected = _value_from_witnesses(g, e)
+        assert eval_matrix(g, e) == expected
+        assert _pass_value(label, p, e) == expected
 
 
 @pytest.mark.parametrize("n", range(8, 19))
@@ -313,9 +337,8 @@ def test_coset_terms_from_columns_match_the_product_oracle(g):
         reps = generator_cosets(n, p, gen)
         assert len(reps) == len(_coset_columns(n, p, gen))
         if singular:
-            for phase in (False, True):
-                with pytest.raises(SingularMatrixError):
-                    _coset_passes(rows, n, p, gen, phase)
+            with pytest.raises(SingularMatrixError):
+                _coset_passes(rows, n, p, gen)
             for rep in reps:
                 with pytest.raises(SingularMatrixError):
                     _minors_pass((g * rep).rows, p)
@@ -323,12 +346,16 @@ def test_coset_terms_from_columns_match_the_product_oracle(g):
                 with pytest.raises(SingularMatrixError):
                     apply_generator(f, gen, g)
             continue
-        passes = _coset_passes(rows, n, p, gen, True)
-        assert passes == [_minors_pass((g * rep).rows, p) for rep in reps]
-        assert _coset_passes(rows, n, p, gen, False) == [(*cell_label(g * rep), 0) for rep in reps]
+        passes = _coset_passes(rows, n, p, gen)
+        # the phase terms of g's cleared rows under a column form need not
+        # be those of the product's canonical rows; psi formed from them is
+        assert [(kbar, w, _psi_of_terms(terms, p)) for kbar, w, terms in passes] == [
+            _pass_with_psi((g * rep).rows, p) for rep in reps
+        ]
+        assert [label[:2] for label in passes] == [cell_label(g * rep) for rep in reps]
         for label, rep in zip(passes, reps):
             for e in range(n):
-                assert _pass_value(label, e) == eval_matrix(g * rep, e)
+                assert _pass_value(label, p, e) == eval_matrix(g * rep, e)
         for f in funcs:
             assert apply_generator(f, gen, g) == sum((f.eval(g * rep) for rep in reps), PhaseSum.zero(n, p))
 
