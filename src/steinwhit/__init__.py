@@ -20,9 +20,7 @@ from .whittaker import (
     WhittakerValue,
     eval_cell,
     eval_matrix,
-    eval_recursive,
     serialize,
-    support,
     verify_functional_equations,
 )
 
@@ -44,7 +42,6 @@ __all__ = [
     "dominance_shift",
     "eval_cell",
     "eval_matrix",
-    "eval_recursive",
     "is_dominant",
     "iwahori_cell",
     "iwasawa",
@@ -56,7 +53,6 @@ __all__ = [
     "run_eigen_checks",
     "serialize",
     "steinberg_character",
-    "support",
     "verify_functional_equations",
     "verify_presentation",
 ]

@@ -96,6 +96,9 @@ def _verify_cost(n: int, p: int, samples: int) -> int:
 _VERIFY_MAX_COST = _verify_cost(5, 31, 20)
 
 _SCALE_RE = re.compile(r"^([+-]?)(?:1|q(?:\^(-?\d+))?)$")
+# One digit under CPython's default limit on int <-> str conversion (4300
+# digits), so that the exponent parses and every scaled exponent prints.
+_SCALE_MAX_DIGITS = 4299
 
 
 class UsageError(Exception):
@@ -115,7 +118,12 @@ def _parse_scale(text: str) -> tuple[int, int]:
     if "q" not in text:
         return sign, 0
     exp = m.group(2)
-    return sign, int(exp) if exp is not None else 1
+    if exp is None:
+        return sign, 1
+    digits = len(exp.lstrip("-"))
+    if digits > _SCALE_MAX_DIGITS:
+        raise UsageError(f"--scale exponent has {digits} digits; at most {_SCALE_MAX_DIGITS} are accepted")
+    return sign, int(exp)
 
 
 def _apply_scale(value: WhittakerValue, sign: int, q_exp: int) -> WhittakerValue:

@@ -325,6 +325,7 @@ class PAdicMatrix:
             _reduced([sum(map(operator.mul, a, b)) * s for b, s in cols], d * big) for a, d in self.rows
         ))
 
+    # perfbench/tracer.py:30 wraps this method; nothing in the library calls it.
     def inverse(self) -> "PAdicMatrix":
         n = self.n
         work = [list(row) + [Fraction(int(i == j)) for j in range(n)]

@@ -175,8 +175,8 @@ def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
     Conjugating the finite representatives x_{1,2}(t) s_1 by the
     rotation matrix must land exactly on the direct list.
     """
-    u = realize(ExtAffineElement.rotation(n), p)
-    u_inv = u.inverse()
+    rotation = ExtAffineElement.rotation(n)
+    u, u_inv = realize(rotation, p), realize(rotation.inverse(), p)
     s1 = PAdicMatrix.permutation(p, Permutation.simple(n, 1))
     return [u * PAdicMatrix.one_param(p, n, 1, 2, t) * s1 * u_inv for t in range(p)]
 

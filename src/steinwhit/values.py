@@ -45,7 +45,7 @@ class PhaseSum:
     rational in [0, 1) with p-power denominator, and every coefficient is
     a nonzero ``Fraction``.  Terms from outside the class are validated by
     ``_add_term``; the internal arithmetic (``+``, ``-``, negation,
-    ``scaled``, ``times_monomial``) starts from canonical terms, so it
+    ``times_monomial``) starts from canonical terms, so it
     copies them and only drops coefficients that cancel.
     """
 
@@ -111,12 +111,6 @@ class PhaseSum:
     def __sub__(self, other: "PhaseSum") -> "PhaseSum":
         return self + (-other)
 
-    def scaled(self, c: Rational) -> "PhaseSum":
-        c = Fraction(c)
-        if c == 0:
-            return PhaseSum.zero(self.n, self.p)
-        return PhaseSum._canonical(self.n, self.p, {k: c * v for k, v in self._terms.items()})
-
     def times_monomial(self, coeff: Rational = 1, eps_exp: int = 0, phase: Rational = 0) -> "PhaseSum":
         """Multiply by coeff . eps^eps_exp . exp(2 pi i phase).
 
@@ -136,14 +130,6 @@ class PhaseSum:
             ((e + eps_exp) % n, (t + phase) % 1 if phase else t): c * coeff
             for (e, t), c in self._terms.items()
         })
-
-    def __mul__(self, other: "PhaseSum") -> "PhaseSum":
-        self._check(other)
-        out = PhaseSum(self.n, self.p)
-        for (e1, t1), c1 in self._terms.items():
-            for (e2, t2), c2 in other._terms.items():
-                out._add_term(e1 + e2, t1 + t2, c1 * c2)
-        return out
 
     def terms(self) -> Iterable[tuple[tuple[int, Fraction], Fraction]]:
         return sorted(self._terms.items())

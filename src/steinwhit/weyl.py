@@ -14,9 +14,10 @@ Conventions, fixed here once and relied on by every other module:
 Dominance here is always dominance *relative to a permutation* ``w``: a
 weight lies in the ``w``-cone when every simple-root pairing clears the
 threshold 0 (simple root pulled back to a positive root by ``w**-1``) or
--1 (pulled back to a negative root).  Translating the cone by
-``dominance_shift(w)`` moves it onto the ordinary dominant cone, which is
-what makes the shift worth naming.
+-1 (pulled back to a negative root).  These thresholds are the one
+definition of the cone: ``dominance_shift(w)``, the suffix sums of the
+thresholds, is its vertex, and translating the cone by it moves it onto
+the ordinary dominant cone.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "Permutation",
     "Weight",
     "all_permutations",
-    "conjugated_shift",
-    "descent_suffix_counts",
     "dominance_shift",
     "is_dominant",
 ]
@@ -117,11 +116,6 @@ class Permutation:
             if win[a] > win[b]
         )
 
-    def descents(self) -> tuple[int, ...]:
-        """Places i with self(i) > self(i + 1)."""
-        win = self.window
-        return tuple(i for i in range(1, len(win)) if win[i - 1] > win[i])
-
     def act_weight(self, kbar: Weight) -> Weight:
         """Permute weight entries: result[self(j)] = kbar[j]."""
         out = [0] * self.n
@@ -164,24 +158,8 @@ def _dominance_thresholds(w: Permutation) -> tuple[int, ...]:
     return tuple(0 if winv[i] < winv[i + 1] else -1 for i in range(w.n - 1))
 
 
-def descent_suffix_counts(w: Permutation) -> Weight:
-    """Entry i counts descents of ``w**-1`` at places >= i (entry n is 0).
-
-    >>> descent_suffix_counts(Permutation.simple(3, 1))
-    (1, 0, 0)
-    >>> descent_suffix_counts(Permutation.longest(3))
-    (2, 1, 0)
-    """
-    n = w.n
-    desc = set(w.inverse().descents())
-    counts = [0] * n
-    for i in range(n - 1, 0, -1):
-        counts[i - 1] = counts[i] + (1 if i in desc else 0)
-    return tuple(counts)
-
-
 def dominance_shift(w: Permutation) -> Weight:
-    """Negated descent suffix counts; the vertex of the w-dominance cone.
+    """Suffix sums of the dominance thresholds; the vertex of the w-dominance cone.
 
     ``kbar`` is w-dominant exactly when ``kbar - dominance_shift(w)`` is
     weakly decreasing, and the difference condition pins the shift:
@@ -193,34 +171,7 @@ def dominance_shift(w: Permutation) -> Weight:
     >>> dominance_shift(Permutation.longest(4))
     (-3, -2, -1, 0)
     """
-    return tuple(-c for c in descent_suffix_counts(w))
-
-
-def conjugated_shift(w: Permutation) -> tuple[Weight, int]:
-    """Weight of w0.shift(w).w0.shift(w0) and the central exponent z.
-
-    Conjugating a diagonal weight by the longest element reverses it;
-    multiplying diagonals adds exponents.  The returned weight differs
-    from ``dominance_shift(w0 * w)`` by ``z`` in every entry; if the
-    difference is not constant, ArithmeticError is raised.
-
-    >>> conjugated_shift(Permutation.identity(2))
-    ((-1, 0), 0)
-    >>> conjugated_shift(Permutation.longest(2))
-    ((-1, -1), 1)
-    """
-    n = w.n
-    w0 = Permutation.longest(n)
-    shift_w = dominance_shift(w)
-    shift_w0 = dominance_shift(w0)
-    weight = tuple(shift_w[n - i] + shift_w0[i - 1] for i in range(1, n + 1))
-    target = dominance_shift(w0 * w)
-    diffs = {target[i] - weight[i] for i in range(n)}
-    if len(diffs) != 1:
-        raise ArithmeticError(
-            f"conjugated shift {weight} of {w.window} is not a central translate of {target}"
-        )
-    return weight, diffs.pop()
+    return tuple(itertools.accumulate(reversed(_dominance_thresholds(w)), initial=0))[::-1]
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ is dominant for w; on the support
 
 with e the rotation eigenvalue exponent (right translation by the
 rotation matrix multiplies every value by eps^e).  ``eval_cell`` applies
-this closed form; ``eval_recursive`` recomputes the same values through
-the diagonal recursion and the shift identity for the off-diagonal
-cells, and is kept as an independent cross-check.
+this closed form, the one evaluation of a cell in the library; the
+support test reads the same dominance thresholds as ``weyl.is_dominant``.
+The diagonal recursion and the longest-element shift lemma, through
+which the closed form is derived, live in the tests as its oracle.
 
 At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
 is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
@@ -43,24 +44,15 @@ from .padic import PAdicMatrix, _minors_pass, frac_psi_phase
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum
-from .weyl import (
-    Permutation,
-    Weight,
-    _dominance_thresholds,
-    descent_suffix_counts,
-    dominance_shift,
-    is_dominant,
-)
+from .weyl import Permutation, Weight, _dominance_thresholds, dominance_shift
 
 __all__ = [
     "WhittakerValue",
     "eval_cell",
     "eval_matrix",
-    "eval_recursive",
     "parahoric_check",
     "phase_sum",
     "serialize",
-    "support",
     "verify_functional_equations",
 ]
 
@@ -113,11 +105,6 @@ def phase_sum(value: WhittakerValue, n: int, p: int) -> PhaseSum:
         return PhaseSum.zero(n, p)
     coeff = Fraction(value.sign) * Fraction(p) ** value.q_exp
     return PhaseSum.monomial(n, p, coeff, value.eps_exp, value.psi)
-
-
-def support(kbar: Weight, w: Permutation) -> bool:
-    """Whether the cell (kbar, w) carries a nonzero value."""
-    return is_dominant(kbar, w)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -180,58 +167,6 @@ def _pass_value(label: tuple, p: int, eps_exp: int) -> WhittakerValue:
     kbar, w, terms = label
     form = _closed_form(kbar, w, eps_exp)
     return _ZERO_VALUE if form is None else WhittakerValue(False, *form, _psi_of_terms(terms, p))
-
-
-def _diag_steps(kbar: Weight, eps_exp: int, n: int) -> WhittakerValue:
-    """Walk the diagonal recursion one unit step at a time from zero."""
-    sign, q_exp, eps_total = 1, 0, 0
-    for i, k in enumerate(kbar, start=1):
-        for _ in range(abs(k)):
-            if k > 0:
-                eps_total += eps_exp
-                q_exp -= n + 1 - 2 * i
-            else:
-                eps_total -= eps_exp
-                q_exp += n + 1 - 2 * i
-            sign *= (-1) ** (n - 1)
-    return WhittakerValue.monomial(sign, eps_total % n, q_exp)
-
-
-def eval_recursive(kbar: Weight, w: Permutation, eps_exp: int = 0, base: int = 1) -> WhittakerValue:
-    """Recompute the cell value through the recursion identities.
-
-    ``base`` is the value at the identity (1 by normalization); passing
-    base=0 propagates the zero seed through every identity and must give
-    the zero function.
-    """
-    n = w.n
-    if len(kbar) != n:
-        raise ValueError("weight length must match the permutation size")
-    if base not in (0, 1):
-        raise ValueError("base must be 0 or 1")
-
-    def diag(weight: Weight) -> WhittakerValue:
-        if base == 0:
-            return WhittakerValue.zero_value()
-        if any(weight[i] < weight[i + 1] for i in range(n - 1)):
-            return WhittakerValue.zero_value()
-        return _diag_steps(weight, eps_exp, n)
-
-    if w == Permutation.identity(n):
-        return diag(kbar)
-
-    shift = descent_suffix_counts(w)
-    numerator = diag(tuple(k + s for k, s in zip(kbar, shift)))
-    if numerator.zero:
-        return WhittakerValue.zero_value()
-    denominator = diag(shift)
-    if denominator.zero:
-        raise ArithmeticError(f"diagonal value at the dominance shift {shift} vanished")
-    ell = w.length()
-    sign = numerator.sign * denominator.sign * (-1) ** ell
-    q_exp = numerator.q_exp - denominator.q_exp - ell
-    eps_e = (numerator.eps_exp - denominator.eps_exp) % n
-    return WhittakerValue.monomial(sign, eps_e, q_exp)
 
 
 def parahoric_check(i: int, n: int, eps_exp: int = 0) -> list[CheckResult]:

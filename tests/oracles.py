@@ -1,0 +1,103 @@
+"""Independent second algorithms that the tests compare the library against.
+
+The library evaluates a cell (kbar, w) by one closed form that vanishes
+off the w-dominance cone (``whittaker.eval_cell``).  The paper derives
+that form from the diagonal recursion and the longest-element shift
+lemma; both live here, as oracles, and not in ``src/``.
+
+``eval_recursive`` keeps its own descent-suffix computation and never
+calls ``weyl.dominance_shift``, which shares the dominance thresholds
+with the closed form: a fault in those thresholds then shows up as a
+disagreement instead of being checked against itself.
+
+Pytest does not collect this file; tests import it by name, as they
+import helpers from ``test_padic``.
+"""
+
+from steinwhit import weyl
+from steinwhit.weyl import Permutation, Weight
+from steinwhit.whittaker import WhittakerValue
+
+
+def descent_suffix_counts(w: Permutation) -> Weight:
+    """Entry i counts descents of ``w**-1`` at places >= i (entry n is 0)."""
+    winv = w.inverse().window
+    counts = [0] * w.n
+    for i in range(w.n - 1, 0, -1):
+        counts[i - 1] = counts[i] + (1 if winv[i - 1] > winv[i] else 0)
+    return tuple(counts)
+
+
+def _diag_steps(kbar: Weight, eps_exp: int, n: int) -> WhittakerValue:
+    """Walk the diagonal recursion one unit step at a time from zero."""
+    sign, q_exp, eps_total = 1, 0, 0
+    for i, k in enumerate(kbar, start=1):
+        for _ in range(abs(k)):
+            if k > 0:
+                eps_total += eps_exp
+                q_exp -= n + 1 - 2 * i
+            else:
+                eps_total -= eps_exp
+                q_exp += n + 1 - 2 * i
+            sign *= (-1) ** (n - 1)
+    return WhittakerValue.monomial(sign, eps_total % n, q_exp)
+
+
+def eval_recursive(kbar: Weight, w: Permutation, eps_exp: int = 0, base: int = 1) -> WhittakerValue:
+    """Recompute the cell value through the recursion identities.
+
+    ``base`` is the value at the identity (1 by normalization); passing
+    base=0 propagates the zero seed through every identity and must give
+    the zero function.
+    """
+    n = w.n
+    if len(kbar) != n:
+        raise ValueError("weight length must match the permutation size")
+    if base not in (0, 1):
+        raise ValueError("base must be 0 or 1")
+
+    def diag(weight: Weight) -> WhittakerValue:
+        if base == 0:
+            return WhittakerValue.zero_value()
+        if any(weight[i] < weight[i + 1] for i in range(n - 1)):
+            return WhittakerValue.zero_value()
+        return _diag_steps(weight, eps_exp, n)
+
+    if w == Permutation.identity(n):
+        return diag(kbar)
+
+    shift = descent_suffix_counts(w)
+    numerator = diag(tuple(k + s for k, s in zip(kbar, shift)))
+    if numerator.zero:
+        return WhittakerValue.zero_value()
+    denominator = diag(shift)
+    if denominator.zero:
+        raise ArithmeticError(f"diagonal value at the dominance shift {shift} vanished")
+    ell = w.length()
+    sign = numerator.sign * denominator.sign * (-1) ** ell
+    q_exp = numerator.q_exp - denominator.q_exp - ell
+    eps_e = (numerator.eps_exp - denominator.eps_exp) % n
+    return WhittakerValue.monomial(sign, eps_e, q_exp)
+
+
+def conjugated_shift(w: Permutation) -> tuple[Weight, int]:
+    """Weight of w0.shift(w).w0.shift(w0) and the central exponent z.
+
+    Conjugating a diagonal weight by the longest element reverses it;
+    multiplying diagonals adds exponents.  The returned weight differs
+    from ``dominance_shift(w0 * w)`` by ``z`` in every entry; if the
+    difference is not constant, ArithmeticError is raised.  The shift is
+    read through the ``weyl`` module, so a test can replace it there.
+    """
+    n = w.n
+    w0 = Permutation.longest(n)
+    shift_w = weyl.dominance_shift(w)
+    shift_w0 = weyl.dominance_shift(w0)
+    weight = tuple(shift_w[n - i] + shift_w0[i - 1] for i in range(1, n + 1))
+    target = weyl.dominance_shift(w0 * w)
+    diffs = {target[i] - weight[i] for i in range(n)}
+    if len(diffs) != 1:
+        raise ArithmeticError(
+            f"conjugated shift {weight} of {w.window} is not a central translate of {target}"
+        )
+    return weight, diffs.pop()

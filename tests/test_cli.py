@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from steinwhit.cli import (
@@ -448,33 +448,52 @@ wild_ints = st.integers() | st.sampled_from(
 )
 
 
+# --scale text: usual monomials, exponents at and past the 4,299 digits
+# accepted, q^ with any digits and dashes, and any text at all.
+LONG_EXPONENTS = ["9" * 4299, "9" * 4300, "9" * 5000, "-" + "9" * 5000, "0" * 4300 + "1"]
+scales = (
+    st.sampled_from(["1", "-1", "q", "-q", "q^2", "-q^-3", " q^0 ", *(f"q^{e}" for e in LONG_EXPONENTS)])
+    | st.builds("{}q^{}".format, st.sampled_from(["", "+", "-"]), st.text("0123456789-", min_size=1))
+    | st.text()
+)
+
+
 @st.composite
 def configurations(draw):
-    """argv for ``table`` or one ``verify`` suite, with every flag set and
-    a random subset of the flags wild."""
-    command = draw(st.sampled_from([["table"], ["table", "--format", "csv"],
+    """argv for ``table``, ``eval`` of a fixed matrix on standard input,
+    or one ``verify`` suite, with every flag set and a random subset of
+    the integer flags wild; ``--scale`` takes any text."""
+    command = draw(st.sampled_from([["table"], ["table", "--format", "csv"], ["eval", "-"],
                                     *(["verify", s] for s in ("hecke", "principal", "whittaker", "all"))]))
-    flags = ("--n", "--p", "--eps-exp", "--range") if command[0] == "table" else (
-        "--n", "--p", "--eps-exp", "--samples", "--seed")
+    flags = {"table": ("--n", "--p", "--eps-exp", "--range"), "eval": ("--eps-exp",)}.get(
+        command[0], ("--n", "--p", "--eps-exp", "--samples", "--seed"))
     wild = draw(st.sets(st.sampled_from(flags)))
     argv = list(command)
     for flag in flags:
         argv += [flag, str(draw(wild_ints if flag in wild else st.sampled_from(CONFIG_FLAGS[flag])))]
+    if command[0] != "verify":
+        argv.append(f"--scale={draw(scales)}")
     return argv
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=10))
 @given(configurations())
+@example(["eval", "-", f"--scale=q^{'9' * 5000}"])
+@example(["table", "--n", "3", f"--scale=q^{'9' * 4400}"])
+@example(["table", "--n", "3", "--range", "1", f"--scale=q^{'9' * 4300}"])
 def test_any_configuration_ends_in_a_documented_exit_code(argv):
-    """In process, ``table`` and ``verify`` with any integer flags return
-    0..4, an argparse error counting as its exit code, and raise nothing
-    else."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    """In process, ``table``, ``eval`` and ``verify`` with any integer
+    flags and any ``--scale`` text return 0..4, an argparse error counting
+    as its exit code, and raise nothing else."""
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(DIAG_P_1)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = stdin
     event(f"{' '.join(argv[:2] if argv[0] == 'verify' else argv[:1])} exit {code}")
     assert code in range(5), (argv, code, err.getvalue())
     assert (code in (0, 1)) == bool(out.getvalue()), (argv, code)

@@ -33,20 +33,19 @@ from steinwhit.sampling import (
     random_upper_unipotent,
 )
 from steinwhit.values import PhaseSum
-from steinwhit.weyl import Permutation, all_permutations, dominance_shift
+from steinwhit.weyl import Permutation, all_permutations, dominance_shift, is_dominant
 from steinwhit.whittaker import (
     WhittakerValue,
     _pass_value,
     _psi_of_terms,
     eval_cell,
     eval_matrix,
-    eval_recursive,
     parahoric_check,
     phase_sum,
     serialize,
-    support,
     verify_functional_equations,
 )
+from oracles import eval_recursive
 from test_padic import _pass_with_psi, det, iwasawa_inputs, minors_pass_inputs
 
 ID2 = Permutation.identity(2)
@@ -69,8 +68,8 @@ def test_diagonal_values_frozen():
 
 def test_support_vanishing():
     assert eval_cell((-1, 0), ID2, 0).zero
-    assert not support((-1, 0), ID2)
-    assert support((-1, 0), S1_2)
+    assert not is_dominant((-1, 0), ID2)
+    assert is_dominant((-1, 0), S1_2)
     assert not eval_cell((-1, 0), S1_2, 0).zero
 
 
