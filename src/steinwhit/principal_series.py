@@ -17,12 +17,12 @@ single w is ``casselman``; the two distinguished combinations are
 
 Convolution operators act by right translation over explicit coset
 representatives, listed by ``generator_cosets`` (the centre is the one
-coset p . I).  Each representative is also kept in integer column form
-(``_coset_columns``), so a coset term g . rep is one minors pass (the
-O(n^3) fraction-free elimination ``padic._minors_pass``) on g's stored
-integer rows (``PAdicMatrix.rows``) under one integer column operation,
-with no matrix product:
-``_coset_passes``, the one source of coset terms, behind
+coset p . I).  A coset term g . rep is one minors pass (the O(n^3)
+fraction-free elimination ``padic._minors_pass``) on the unreduced rows
+of g . rep from ``padic._times``, the one matrix product of the library,
+which reads g's stored integer rows (``PAdicMatrix.rows``) under the
+representative's integer column form, built once per cached
+representative: ``_coset_passes``, the one source of coset terms, behind
 ``apply_generator`` and ``_check_identities``, the identity engine of
 ``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
 The functions here read only each pass's label; the whittaker suite
@@ -32,12 +32,11 @@ forms psi from its phase terms, and only on the support.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _columns, _minors_pass, cell_label, matrix_to_json
+from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -108,7 +107,8 @@ def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
     "center" (the single coset of the central scalar p . I).
 
     The result is cached per (n, p, gen) and immutable: a tuple of frozen
-    matrices, shared by every caller.
+    matrices, shared by every caller, each keeping its column form as a
+    right factor once built.
     """
     if gen == "rotation":
         return (realize(ExtAffineElement.rotation(n), p),)
@@ -124,49 +124,10 @@ def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
     return tuple(PAdicMatrix.one_param(p, n, i, i + 1, t) * si for t in range(p))
 
 
-# A representative in column form: for each column j of D . rep the
-# pairs (k, c) of its nonzero integer entries c in rows k, and the lcm D
-# of the representative's denominators.
-_ColumnForm = tuple[tuple[tuple[tuple[int, int], ...], ...], int]
-
-
-@functools.lru_cache(maxsize=128)
-def _coset_columns(n: int, p: int, gen) -> tuple[_ColumnForm, ...]:
-    """``generator_cosets(n, p, gen)`` in column form, cached alongside.
-
-    Built from the representatives' columns (``padic._columns``), so
-    ``generator_cosets`` stays their one definition.  D, the lcm of the
-    columns' denominators, is p for the affine representatives
-    x_{n,1}(p t) s_0, where s_0 has the entry 1/p, and 1 for the others.
-    A finite representative x_{i,i+1}(t) s_i turns columns i and i+1 of g
-    into c_{i+1} + t c_i and c_i and keeps the others.
-    """
-    forms = []
-    for rep in generator_cosets(n, p, gen):
-        cols = _columns(rep.rows)
-        big = math.lcm(*(e for _, e in cols))
-        forms.append((tuple(tuple((k, x * (big // e)) for k, x in enumerate(b) if x) for b, e in cols), big))
-    return tuple(forms)
-
-
-def _times_columns(rows, form: _ColumnForm) -> list[tuple[list[int], int]]:
-    """Rows of g . rep, as integer vectors over positive denominators,
-    from the rows (a_r, d_r) of g.
-
-    Row r of g . rep is (a_r . (D rep)) / (d_r D).  Most columns of a
-    representative have one entry, and are read without a sum.
-    """
-    cols, big = form
-    return [
-        ([a[col[0][0]] * col[0][1] if len(col) == 1 else sum(a[k] * c for k, c in col) for col in cols], d * big)
-        for a, d in rows
-    ]
-
-
 def _coset_passes(rows, n: int, p: int, gen) -> list[tuple]:
     """The minors pass (kbar, w, phase terms) of each coset term g . rep,
     rep over ``generator_cosets(n, p, gen)``, from g's rows ``g.rows``."""
-    return [_minors_pass(_times_columns(rows, form), p) for form in _coset_columns(n, p, gen)]
+    return [_minors_pass(_times(rows, rep), p) for rep in generator_cosets(n, p, gen)]
 
 
 def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:

@@ -129,6 +129,31 @@ def test_eval_bad_scale(capsys, monkeypatch):
     assert "scale" in err
 
 
+# Arabic-Indic three and fullwidth three: digits to ``\d`` and ``int``
+@pytest.mark.parametrize("scale", ["q^\u0663", "q^\uff13"])
+@pytest.mark.parametrize("command", [["eval", "-"], ["table", "--n", "2"]])
+def test_scale_takes_only_ascii_digits(capsys, monkeypatch, command, scale):
+    code, out, err = run(capsys, monkeypatch, [*command, f"--scale={scale}"], IDENTITY_2)
+    assert (code, out) == (2, "")
+    assert "bad --scale value" in err
+
+
+@pytest.mark.parametrize("doc", [SINGULAR, json.dumps({"p": 3, "entries": [["x"] * 1000] * 1000})],
+                         ids=["singular", "oversize"])
+def test_eval_refuses_a_bad_scale_before_reading_the_matrix(capsys, monkeypatch, doc):
+    """A bad --scale exits 2 whatever the document: a singular matrix
+    would exit 3 and an oversize one 4, had the matrix been read first."""
+    from steinwhit import cli
+
+    def refuse(*args):
+        raise AssertionError("read the matrix before the scale")
+
+    code, out, err = run(capsys, monkeypatch, ["eval", "-", "--scale", "bogus"], doc)
+    assert (code, out) == (2, "") and "bad --scale value" in err
+    monkeypatch.setattr(cli, "_read_matrix", refuse)
+    assert run(capsys, monkeypatch, ["eval", "-", "--scale", "bogus"], doc)[:2] == (2, "")
+
+
 def test_parse_error_exit(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["eval", "-"], "nonsense")
     assert code == 2

@@ -276,7 +276,8 @@ def test_internal_matrices_equal_their_public_construction(g):
     """Products, Iwasawa factors and cell witnesses are wrapped from rows
     built in ``padic``, unchecked; they must already be in the canonical
     stored form, and equal (and hash and print like) what the public
-    constructor makes of their entries."""
+    constructor makes of their entries, also once they have built and
+    kept their column form as right factors."""
     assert _has_canonical_rows(g)
     try:
         b, k = iwasawa(g)
@@ -286,6 +287,8 @@ def test_internal_matrices_equal_their_public_construction(g):
     cell = iwahori_cell(g)
     built = [g * g, b * k, b, k, cell.n_factor, cell.t0_factor, cell.j_factor, cell.reconstruct(), g.inverse()]
     for m in built:
+        m._column_form
+        assert "_column_form" in vars(m)
         assert _has_canonical_rows(m)
         assert type(m.entries) is tuple and len(m.entries) == g.n
         for row in m.entries:

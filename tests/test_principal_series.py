@@ -138,13 +138,12 @@ def test_failed_eigen_check_names_its_point(monkeypatch):
     ``apply_generator`` and ``InducedFunction.eval`` rebuild from that
     JSON alone."""
     n, p, e = 3, 2, 1
-    identity_form = (tuple(((k, 1),) for k in range(n)), 1)
-    columns = principal_series._coset_columns
+    cosets = principal_series.generator_cosets
 
     def planted(n_, p_, gen):
-        return (identity_form,) if gen == "rotation" else columns(n_, p_, gen)
+        return (PAdicMatrix.identity(n_, p_),) if gen == "rotation" else cosets(n_, p_, gen)
 
-    monkeypatch.setattr(principal_series, "_coset_columns", planted)
+    monkeypatch.setattr(principal_series, "generator_cosets", planted)
     results = {r.name: r for r in run_eigen_checks(n, p, e, samples=3, seed=5)}
     assert [name for name, r in results.items() if not r.passed] == ["minus-eigenvalue:rotation"]
     assert all(r.detail == "" for r in results.values() if r.passed)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from steinwhit import cli, principal_series, whittaker
+from steinwhit import cli, padic, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
 from steinwhit.padic import (
     Cell,
@@ -19,7 +19,6 @@ from steinwhit.padic import (
 )
 from steinwhit.principal_series import (
     InducedFunction,
-    _coset_columns,
     _coset_passes,
     apply_generator,
     generator_cosets,
@@ -334,7 +333,8 @@ def test_coset_terms_from_columns_match_the_product_oracle(g):
     assert generator_cosets(n, p, "center") == (PAdicMatrix.diagonal(p, [p] * n),)
     for gen in (*range(n), "rotation", "center"):
         reps = generator_cosets(n, p, gen)
-        assert len(reps) == len(_coset_columns(n, p, gen))
+        # the warm-up builds each representative's column form: one pass per coset
+        assert len(_coset_passes(PAdicMatrix.identity(n, p).rows, n, p, gen)) == len(reps)
         if singular:
             with pytest.raises(SingularMatrixError):
                 _coset_passes(rows, n, p, gen)
@@ -367,7 +367,7 @@ def test_coset_terms_take_no_matrix_product(monkeypatch, n, p):
     g = random_group_element(random.Random(f"hot:{n}:{p}"), n, p)
     gens = (*range(n), "rotation")
     for gen in gens:
-        _coset_columns(n, p, gen)
+        _coset_passes(g.rows, n, p, gen)
     funcs = [InducedFunction.eigenvector(n, p, 1 % n, kind) for kind in ("minus", "plus")]
     calls = []
     product = PAdicMatrix.__mul__
@@ -383,6 +383,42 @@ def test_coset_terms_take_no_matrix_product(monkeypatch, n, p):
     assert calls == []
     results = verify_functional_equations(n, p, 1 % n, samples=0)
     assert calls == []
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (4, 2)])
+def test_column_form_is_built_once_per_right_factor(monkeypatch, n, p):
+    """A matrix builds its column form (``padic._columns``) the first time
+    it is a right factor, and keeps it: once per right factor across
+    repeated products, and not at all in ``apply_generator`` and
+    ``verify_functional_equations`` after one warm-up of the
+    representatives through ``_coset_passes``."""
+    rng = random.Random(f"form:{n}:{p}")
+    g, h = random_group_element(rng, n, p), random_iwahori(rng, n, p)
+    fresh_g, fresh_h = PAdicMatrix(p, g.entries), PAdicMatrix(p, h.entries)
+    gh, hg = fresh_g * fresh_h, fresh_h * fresh_g
+    gens = (*range(n), "rotation", "center")
+    for gen in gens:
+        _coset_passes(g.rows, n, p, gen)
+    funcs = [InducedFunction.eigenvector(n, p, 1 % n, kind) for kind in ("minus", "plus")]
+    built = []
+    columns = padic._columns
+
+    def counted(rows):
+        built.append(rows)
+        return columns(rows)
+
+    monkeypatch.setattr(padic, "_columns", counted)
+    assert [g * h for _ in range(3)] == [gh] * 3
+    assert built == [h.rows]
+    assert [h * g, h * g, gh * g, g * h] == [hg, hg, gh * PAdicMatrix(p, g.entries), gh]
+    assert built == [h.rows, g.rows, g.rows]  # the last build is the new copy's
+    del built[:]
+    for func in funcs:
+        for gen in gens:
+            apply_generator(func, gen, g)
+    results = verify_functional_equations(n, p, 1 % n, samples=0)
+    assert built == []
     assert all(r.passed for r in results)
 
 
@@ -420,13 +456,12 @@ def test_failed_check_names_its_point(monkeypatch, tmp_path, capsys):
     The detail names the point as CLI JSON, and ``steinwhit eval`` there
     reproduces both sides."""
     n, p, e = 3, 2, 1
-    identity_form = (tuple(((k, 1),) for k in range(n)), 1)
-    columns = principal_series._coset_columns
+    cosets = principal_series.generator_cosets
 
     def planted(n_, p_, gen):
-        return (identity_form,) if gen == "rotation" else columns(n_, p_, gen)
+        return (PAdicMatrix.identity(n_, p_),) if gen == "rotation" else cosets(n_, p_, gen)
 
-    monkeypatch.setattr(principal_series, "_coset_columns", planted)
+    monkeypatch.setattr(principal_series, "generator_cosets", planted)
     results = {r.name: r for r in verify_functional_equations(n, p, e, samples=3, seed=5)}
     assert [name for name, r in results.items() if not r.passed] == ["rotation-eigenvalue"]
     assert all(r.detail == "" for r in results.values() if r.passed)
