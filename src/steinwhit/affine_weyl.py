@@ -22,9 +22,15 @@ True
 
 Length is the Iwahori–Matsumoto closed form (see ``length_ext``), which
 needs O(n^2) steps and ignores right multiplication by the rotation.
-``reduced_word`` strips the rotation power and then peels left descents,
-always the smallest index first, so it returns the lexicographically
-least reduced word.
+Whether s_i is a right ascent reads one pair term of it (``is_ascent``).
+``reduced_word`` strips the rotation power and then peels left descents
+in place on plain integer lists, always the smallest index first, so it
+returns the lexicographically least reduced word.
+
+Entries are validated at the boundary: the public constructors refuse
+any entry that is not an ``int`` (``bool`` included), while products,
+inverses, powers and ``normalize_central`` build their results from
+valid ones, unchecked.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .weyl import Permutation, Weight
 
 __all__ = [
     "ExtAffineElement",
+    "is_ascent",
     "length_ext",
     "realize",
     "reduced_word",
@@ -50,10 +57,22 @@ class ExtAffineElement:
     w: Permutation
 
     def __post_init__(self) -> None:
-        lam = tuple(int(c) for c in self.lam)
+        lam = tuple(self.lam)
+        if any(type(c) is not int for c in lam):
+            raise TypeError(f"translation entries must be int: {self.lam!r}")
+        if not isinstance(self.w, Permutation):
+            raise TypeError(f"not a Permutation: {self.w!r}")
         if len(lam) != self.w.n:
             raise ValueError("translation part and permutation sizes differ")
         object.__setattr__(self, "lam", lam)
+
+    @classmethod
+    def _of(cls, lam: tuple[int, ...], w: Permutation) -> "ExtAffineElement":
+        """Wrap a pair built in this package from valid ones, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "lam", lam)
+        object.__setattr__(x, "w", w)
+        return x
 
     @property
     def n(self) -> int:
@@ -77,21 +96,26 @@ class ExtAffineElement:
         return cls(lam, Permutation.transposition(n, 1, n))
 
     @classmethod
-    def rotation(cls, n: int) -> "ExtAffineElement":
-        window = (n,) + tuple(range(1, n))
-        return cls((0,) * (n - 1) + (1,), Permutation(window))
+    def rotation(cls, n: int, k: int = 1) -> "ExtAffineElement":
+        """r^k, in closed form: lam_j = floor((k + j - 1) / n) and
+        w(j) = ((j - k - 1) mod n) + 1, so r^n is the translation by (1, ..., 1)."""
+        if n < 1:
+            raise ValueError(f"rotation needs n >= 1, got {n}")
+        lam = tuple([(k + j) // n for j in range(n)])
+        window = tuple([(j - k) % n + 1 for j in range(n)])
+        return cls(lam, Permutation(window))
 
     def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
-        if self.n != other.n:
+        if len(self.lam) != len(other.lam):
             raise ValueError("sizes differ")
         moved = self.w.act_weight(other.lam)
-        lam = tuple(a + b for a, b in zip(self.lam, moved))
-        return ExtAffineElement(lam, self.w * other.w)
+        lam = tuple([a + b for a, b in zip(self.lam, moved)])
+        return ExtAffineElement._of(lam, self.w * other.w)
 
     def inverse(self) -> "ExtAffineElement":
         winv = self.w.inverse()
-        lam = tuple(-c for c in winv.act_weight(self.lam))
-        return ExtAffineElement(lam, winv)
+        lam = tuple([-c for c in winv.act_weight(self.lam)])
+        return ExtAffineElement._of(lam, winv)
 
     def __pow__(self, k: int) -> "ExtAffineElement":
         """By repeated squaring: about 2 log2|k| products."""
@@ -116,8 +140,8 @@ class ExtAffineElement:
         Returns (y, m) with self == y * translation((m, ..., m)).
         """
         m = self.lam[-1]
-        lam = tuple(c - m for c in self.lam)
-        return ExtAffineElement(lam, self.w), m
+        lam = tuple([c - m for c in self.lam])
+        return ExtAffineElement._of(lam, self.w), m
 
     def __repr__(self) -> str:
         return f"ExtAffineElement({self.lam}, {self.w.window})"
@@ -149,6 +173,34 @@ def length_ext(x: ExtAffineElement) -> int:
 length_formula = length_ext
 
 
+def is_ascent(x: ExtAffineElement, i: int) -> bool:
+    """Whether len(x * s_i) > len(x), for i in Z/n, from one pair term.
+
+    With x = (lam, w) and i >= 1, x * s_i = (lam, w s_i) swaps the values
+    i and i + 1 of w^{-1}, at positions a = w(i) and b = w(i + 1), so of
+    the pair terms of ``length_ext`` only the one of {a, b} changes: from
+    |lam_a - lam_b| to |lam_a - lam_b + 1| when a < b, and from
+    |lam_b - lam_a + 1| to |lam_b - lam_a| when a > b.  It grows exactly
+    when lam_a - lam_b - [a > b] >= 0.  As s_0 = r^{-1} s_{n-1} r and
+    right multiplication by r keeps lengths, s_0 is an ascent of x when
+    s_{n-1} is one of x r^{-1} = (lam - e_{w(1)}, w r_w^{-1}), whose
+    window ends in w(n), w(1): with a = w(n) and b = w(1) the test reads
+    lam_a - lam_b + 1 - [a > b] >= 0.
+
+    >>> s = ExtAffineElement.simple_reflection
+    >>> [is_ascent(s(3, 1), i) for i in range(3)]
+    [True, False, True]
+    """
+    n = x.n
+    i %= n
+    win, lam = x.w.window, x.lam
+    if i:
+        a, b = win[i - 1], win[i]
+        return lam[a - 1] - lam[b - 1] - (a > b) >= 0
+    a, b = win[-1], win[0]
+    return lam[a - 1] - lam[b - 1] + 1 - (a > b) >= 0
+
+
 def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
     """Indices (i_1, ..., i_k) and rotation power m with
     x == s_{i_1} ... s_{i_k} * rotation^m and k == length_ext(x).
@@ -161,17 +213,31 @@ def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
     As s_0 = r^{-1} s_{n-1} r, s_0 is one when the same d, read on rows
     n and 1, exceeds 1.
 
+    The descents are peeled in place on the lists lam and w^{-1} of y:
+    s_i * y for i >= 1 swaps entries i and i + 1 of both, and s_0 * y
+    swaps the two ends of w^{-1} and sets (lam_1, lam_n) to
+    (lam_n - 1, lam_1 + 1).  Each step lowers the length by one, and y
+    has coordinate sum 0, so it lies in the affine Weyl group, a Coxeter
+    group, where only the identity has no left descent: the peeling ends
+    there, after exactly length_ext(x) steps.
+
     >>> reduced_word(ExtAffineElement.translation((1, 0, 0)))
     ((1, 2), 1)
     """
     n = x.n
     m = x.rotation_exponent()
-    y = x * ExtAffineElement.rotation(n) ** (-m)
-    gens = [ExtAffineElement.simple_reflection(n, i) for i in range(n)]
+    y = x * ExtAffineElement.rotation(n, -m)
+    lam, winv = list(y.lam), list(y.w.inverse().window)
     word: list[int] = []
-    for _ in range(length_ext(y)):
-        lam, winv = y.lam, y.w.inverse().window
-        i = next(i for i in range(n) if lam[i - 1] - lam[i] + (winv[i - 1] > winv[i]) > (i == 0))
+    def first_descent() -> int | None:
+        return next((j for j in range(n) if lam[j - 1] - lam[j] + (winv[j - 1] > winv[j]) > (j == 0)), None)
+
+    while (i := first_descent()) is not None:
         word.append(i)
-        y = gens[i] * y
+        if i:
+            lam[i - 1], lam[i] = lam[i], lam[i - 1]
+            winv[i - 1], winv[i] = winv[i], winv[i - 1]
+        else:
+            lam[0], lam[-1] = lam[-1] - 1, lam[0] + 1
+            winv[0], winv[-1] = winv[-1], winv[0]
     return tuple(word), m

@@ -9,6 +9,9 @@ rules
     T_x T_{s_i} = q T_{x s_i} + (q - 1) T_x     otherwise,
 
 and T_x T_r = T_{x r} for the length-zero rotation generator r.  The
+length comparison is read off one pair term of the closed form
+(``affine_weyl.is_ascent``), and a product walks a reduced word of its
+right factor, peeled in place (``affine_weyl.reduced_word``).  The
 defining relations (quadratic, braid, commuting, rotation conjugation
 T_{s_i} T_r = T_r T_{s_{(i+1) mod n}}, and the n-th rotation power
 being the central translation) are re-derived from these rules by
@@ -16,14 +19,15 @@ being the central translation) are re-derived from these rules by
 
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
-evaluates it on basis elements and ``character_of`` extends linearly.
+evaluates it on basis elements, with the sign of the permutation part
+standing in for the length parity, and ``character_of`` extends linearly.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .affine_weyl import ExtAffineElement, length_ext, reduced_word
+from .affine_weyl import ExtAffineElement, is_ascent, reduced_word
 from .reporting import CheckResult
 
 __all__ = [
@@ -225,7 +229,7 @@ def mult_generator(h: HeckeElement, i: int) -> HeckeElement:
     out = HeckeElement.zero(n)
     for x, c in h._terms.items():
         xs = x * s
-        if length_ext(xs) > length_ext(x):
+        if is_ascent(x, i):
             out._add(xs, c)
         else:
             out._add(xs, c * q)
@@ -240,7 +244,7 @@ def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
     A pure relabeling of indices by r^m: no q-corrections occur.
     """
     n = h.n
-    r = ExtAffineElement.rotation(n) ** m
+    r = ExtAffineElement.rotation(n, m)
     out = HeckeElement.zero(n)
     for x, c in h._terms.items():
         out._add(x * r, c)
@@ -265,11 +269,17 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
     """Character value on T_x: (-1)^len(x) times ((-1)^{n-1} eps^e)^m,
-    where m is the rotation exponent of x."""
+    where m is the rotation exponent of x.
+
+    That sign is sgn(w) for x = (lam, w).  As |a| and a have one parity,
+    len(x) = sum over i < j of |lam_i - lam_j + [w^{-1}(i) > w^{-1}(j)]|
+    is congruent mod 2 to sum over i < j of (lam_i + lam_j) plus the
+    inversions of w^{-1}, that is to (n - 1) m + inv(w).  So
+    (n - 1) m + len(x) is congruent to inv(w), and no length is needed.
+    """
     n = x.n
     m = x.rotation_exponent()
-    sign = -1 if ((n - 1) * m + length_ext(x)) % 2 else 1
-    return HeckeScalar.monomial(n, sign, 0, m * eps_exp)
+    return HeckeScalar.monomial(n, x.w.sign(), 0, m * eps_exp)
 
 
 def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:

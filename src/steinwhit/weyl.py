@@ -53,9 +53,20 @@ class Permutation:
     window: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.window)
-        if sorted(self.window) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.window}")
+        window = tuple(self.window)
+        if any(type(v) is not int for v in window):
+            raise TypeError(f"permutation entries must be int: {self.window!r}")
+        n = len(window)
+        if sorted(window) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {window}")
+        object.__setattr__(self, "window", window)
+
+    @classmethod
+    def _of(cls, window: tuple[int, ...]) -> "Permutation":
+        """Wrap a window built in this package from valid ones, unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "window", window)
+        return w
 
     @property
     def n(self) -> int:
@@ -92,13 +103,14 @@ class Permutation:
         """Composition with ``other`` acting first: (self * other)(i) == self(other(i))."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return Permutation(tuple(self.window[k - 1] for k in other.window))
+        win = self.window
+        return Permutation._of(tuple([win[k - 1] for k in other.window]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for pos, val in enumerate(self.window, start=1):
             inv[val - 1] = pos
-        return Permutation(tuple(inv))
+        return Permutation._of(tuple(inv))
 
     def length(self) -> int:
         """Number of inversions.
@@ -116,11 +128,32 @@ class Permutation:
             if win[a] > win[b]
         )
 
+    def sign(self) -> int:
+        """(-1)^length, as (-1)^(n - number of cycles), in O(n) steps.
+
+        >>> Permutation((2, 3, 1)).sign(), Permutation.simple(3, 2).sign()
+        (1, -1)
+        """
+        win = self.window
+        seen = [False] * len(win)
+        parity = len(win)
+        for start in range(len(win)):
+            if not seen[start]:
+                parity += 1
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = win[j] - 1
+        return -1 if parity % 2 else 1
+
     def act_weight(self, kbar: Weight) -> Weight:
         """Permute weight entries: result[self(j)] = kbar[j]."""
-        out = [0] * self.n
-        for j in range(1, self.n + 1):
-            out[self.window[j - 1] - 1] = kbar[j - 1]
+        win = self.window
+        if len(kbar) != len(win):
+            raise ValueError("weight length mismatch")
+        out = [0] * len(win)
+        for k, v in zip(win, kbar):
+            out[k - 1] = v
         return tuple(out)
 
     def __repr__(self) -> str:

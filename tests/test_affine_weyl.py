@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinwhit.affine_weyl import (
     ExtAffineElement,
+    is_ascent,
     length_ext,
     realize,
     reduced_word,
@@ -61,6 +64,15 @@ def _elements(draw) -> ExtAffineElement:
     lam = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
     window = draw(st.permutations(range(1, n + 1)))
     return ExtAffineElement(tuple(lam), Permutation(tuple(window)))
+
+
+def _ball_elements():
+    """Every element of every oracle ball times each rotation power -n..n, with its length."""
+    for n, radius in ORACLE_BALLS:
+        for m in range(-n, n + 1):
+            rotation_m = ExtAffineElement.rotation(n) ** m
+            for y, (length, _, _) in _bfs_ball(n, radius).items():
+                yield y * rotation_m, length
 
 
 def test_simple_reflection_zero_is_affine():
@@ -186,6 +198,47 @@ def test_length_and_reduced_word_properties(x):
         y = x * ExtAffineElement.rotation(n) ** (-m)
         descents = [i for i in range(n) if length_ext(ExtAffineElement.simple_reflection(n, i) * y) < length]
         assert word[0] == min(descents)
+
+
+def test_ascent_is_the_length_comparison():
+    for x, length in _ball_elements():
+        for i in range(x.n):
+            assert is_ascent(x, i) == (length_ext(x * ExtAffineElement.simple_reflection(x.n, i)) > length), (x, i)
+
+
+@settings(deadline=None)
+@given(_elements(), _elements(), st.integers(-9, 9))
+def test_products_equal_their_validated_copies(x, y, k):
+    """The group law builds its results unchecked; each must be the element
+    the validating constructor builds from the same entries."""
+    results = [x.inverse(), x**k, x.normalize_central()[0], ExtAffineElement.rotation(x.n, k)]
+    if x.n == y.n:
+        results.append(x * y)
+    for z in results:
+        copy = ExtAffineElement(z.lam, Permutation(z.w.window))
+        assert z == copy and hash(z) == hash(copy) and repr(z) == repr(copy)
+        for entries in (z.lam, z.w.window):
+            assert type(entries) is tuple and all(type(c) is int for c in entries)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExtAffineElement((1.5, Fraction(7, 2)), Permutation((2, 1))),
+    lambda: ExtAffineElement(("3", True), Permutation((1, 2))),
+    lambda: ExtAffineElement((0, 0), (2, 1)),
+    lambda: Permutation((1.0, 2)),
+    lambda: Permutation((True, 2)),
+], ids=["float-and-fraction", "str-and-bool", "window-not-permutation", "float", "bool"])
+def test_constructors_refuse_non_int_entries(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_rotation_power_closed_form_is_the_repeated_product(n):
+    for k in range(-3 * n, 3 * n + 1):
+        assert ExtAffineElement.rotation(n, k) == ExtAffineElement.rotation(n) ** k
+    with pytest.raises(ValueError):
+        ExtAffineElement.rotation(0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

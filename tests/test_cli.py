@@ -215,6 +215,16 @@ def test_table_guard(capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [["--n", "2", "--range", "7", "--scale", "bogus"],
+                                  ["--n", "9", "--scale", "bogus"],
+                                  ["--n", "9", "--range", "-1"]])
+def test_table_checks_its_flags_before_its_size_guard(capsys, monkeypatch, argv):
+    """A bad --scale or a negative --range exits 2 even where the size guard would refuse."""
+    code, out, err = run(capsys, monkeypatch, ["table", *argv])
+    assert (code, out) == (2, "")
+    assert "guard" not in err
+
+
 def test_table_agrees_with_eval(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["table", "--n", "2", "--range", "1"])
     rows = json.loads(out)

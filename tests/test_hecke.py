@@ -1,6 +1,6 @@
 import pytest
 
-from steinwhit.affine_weyl import ExtAffineElement
+from steinwhit.affine_weyl import ExtAffineElement, length_ext
 from steinwhit.hecke import (
     HeckeElement,
     HeckeScalar,
@@ -12,6 +12,7 @@ from steinwhit.hecke import (
     steinberg_character,
     verify_presentation,
 )
+from test_affine_weyl import _ball_elements
 
 
 def test_scalar_arithmetic():
@@ -93,6 +94,15 @@ def test_steinberg_character_values():
         assert steinberg_character(u, e) == HeckeScalar.monomial(n, 1, 0, e)
     u2 = ExtAffineElement.rotation(2)
     assert steinberg_character(u2, 1) == HeckeScalar.monomial(2, -1, 0, 1)
+
+
+def test_steinberg_sign_is_the_length_parity():
+    """The character reads sgn(w); the definition is (-1)^((n-1) m + len(x))."""
+    for x, length in _ball_elements():
+        n, m = x.n, x.rotation_exponent()
+        assert length == length_ext(x)
+        sign = (-1) ** (((n - 1) * m + length) % 2)
+        assert steinberg_character(x, 1) == HeckeScalar.monomial(n, sign, 0, m), x
 
 
 def test_character_is_multiplicative():

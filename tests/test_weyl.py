@@ -62,6 +62,8 @@ def test_act_weight_pushes_entry_to_image_slot():
     w = Permutation((2, 3, 1))
     # entry j lands in slot w(j)
     assert w.act_weight((10, 20, 30)) == (30, 10, 20)
+    with pytest.raises(ValueError):
+        w.act_weight((10, 20, 30, 40))
 
 
 @given(perms)
@@ -69,6 +71,12 @@ def test_act_weight_is_group_action(w):
     kbar = tuple(range(w.n))
     v = w.inverse()
     assert v.act_weight(w.act_weight(kbar)) == kbar
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sign_is_the_length_parity(n):
+    for w in all_permutations(n):
+        assert w.sign() == (-1) ** w.length(), w
 
 
 def test_all_permutations_counts():
