@@ -17,6 +17,12 @@ T_{s_i} T_r = T_r T_{s_{(i+1) mod n}}, and the n-th rotation power
 being the central translation) are re-derived from these rules by
 ``verify_presentation``.
 
+``HeckeScalar`` and ``HeckeElement`` are term maps on the core of
+``values`` (one add-and-cancel rule, one ``+``, ``-``, context check and
+hash refusal): their constructors check every term (``int`` exponents
+and coefficients; ``ExtAffineElement`` keys and coefficients of the same
+n), and products build their results unchecked.
+
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
 evaluates it on basis elements, with the sign of the permutation part
@@ -29,6 +35,7 @@ from typing import Mapping
 
 from .affine_weyl import ExtAffineElement, is_ascent, reduced_word
 from .reporting import CheckResult
+from .values import _merge, _TermMap
 
 __all__ = [
     "HeckeElement",
@@ -43,30 +50,25 @@ __all__ = [
 ]
 
 
-class HeckeScalar:
+class HeckeScalar(_TermMap):
     """Laurent polynomial in q over Z[eps]/(eps^n - 1).
 
-    Terms map (q_exponent, eps_exponent mod n) to an integer.
+    Terms map (q_exponent, eps_exponent mod n) to a nonzero integer; the
+    constructor refuses any other type (``bool`` included).
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], int] | None = None):
-        self.n = n
-        self._terms: dict[tuple[int, int], int] = {}
+        self.n, self.p, self._terms = n, None, {}
         if terms:
+            pairs = []
             for (qe, ee), c in terms.items():
-                self._add(qe, ee, c)
-
-    def _add(self, q_exp: int, eps_exp: int, coeff: int) -> None:
-        if coeff == 0:
-            return
-        key = (q_exp, eps_exp % self.n)
-        new = self._terms.get(key, 0) + coeff
-        if new == 0:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = new
+                if type(qe) is not int or type(ee) is not int or type(c) is not int:
+                    raise TypeError(f"a term must be (int, int): int, not {(qe, ee)!r}: {c!r}")
+                if c:
+                    pairs.append(((qe, ee % n), c))
+            _merge(self._terms, pairs)
 
     @classmethod
     def zero(cls, n: int) -> "HeckeScalar":
@@ -88,41 +90,14 @@ class HeckeScalar:
     def q_minus_one(cls, n: int) -> "HeckeScalar":
         return cls(n, {(1, 0): 1, (0, 0): -1})
 
-    def _check(self, other: "HeckeScalar") -> None:
-        if self.n != other.n:
-            raise ValueError("coefficient context mismatch")
-
-    def __add__(self, other: "HeckeScalar") -> "HeckeScalar":
-        self._check(other)
-        out = HeckeScalar(self.n, self._terms)
-        for (qe, ee), c in other._terms.items():
-            out._add(qe, ee, c)
-        return out
-
-    def __neg__(self) -> "HeckeScalar":
-        return HeckeScalar(self.n, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "HeckeScalar") -> "HeckeScalar":
-        return self + (-other)
-
     def __mul__(self, other: "HeckeScalar") -> "HeckeScalar":
         self._check(other)
-        out = HeckeScalar(self.n)
+        n, terms, pairs = self.n, {}, []
         for (q1, e1), c1 in self._terms.items():
             for (q2, e2), c2 in other._terms.items():
-                out._add(q1 + q2, e1 + e2, c1 * c2)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeScalar):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("HeckeScalar is unhashable")
+                pairs.append(((q1 + q2, (e1 + e2) % n), c1 * c2))
+        _merge(terms, pairs)
+        return self._wrap(terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -138,29 +113,25 @@ class HeckeScalar:
         return f"HeckeScalar({' + '.join(bits)})"
 
 
-class HeckeElement:
-    """Finite linear combination of basis elements T_x."""
+class HeckeElement(_TermMap):
+    """Finite linear combination of basis elements T_x.
 
-    __slots__ = ("n", "_terms")
+    Terms map an ``ExtAffineElement`` x to a nonzero ``HeckeScalar``, in
+    insertion order (the order of ``repr``); the constructor refuses other
+    types (TypeError) and a term of another n (ValueError).
+    """
+
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[ExtAffineElement, HeckeScalar] | None = None):
-        self.n = n
-        self._terms: dict[ExtAffineElement, HeckeScalar] = {}
-        if terms:
-            for x, c in terms.items():
-                self._add(x, c)
-
-    def _add(self, x: ExtAffineElement, coeff: HeckeScalar) -> None:
-        if coeff.is_zero():
-            return
-        if x in self._terms:
-            new = self._terms[x] + coeff
-            if new.is_zero():
-                del self._terms[x]
-            else:
-                self._terms[x] = new
-        else:
-            self._terms[x] = coeff
+        terms = terms or {}
+        for x, c in terms.items():
+            if not isinstance(x, ExtAffineElement) or type(c) is not HeckeScalar:
+                raise TypeError(f"a term must be ExtAffineElement: HeckeScalar, not {x!r}: {c!r}")
+            if x.n != n or c.n != n:
+                raise ValueError(f"term {x!r}: {c!r} is not of size {n}")
+        # the keys are distinct and stay so: only zero coefficients drop
+        self.n, self.p, self._terms = n, None, {x: c for x, c in terms.items() if c._terms}
 
     @classmethod
     def zero(cls, n: int) -> "HeckeElement":
@@ -185,33 +156,9 @@ class HeckeElement:
     def terms(self) -> list[tuple[ExtAffineElement, HeckeScalar]]:
         return list(self._terms.items())
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        out = HeckeElement(self.n, self._terms)
-        for x, c in other._terms.items():
-            out._add(x, c)
-        return out
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.n, {x: -c for x, c in self._terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
     def scaled(self, c: HeckeScalar) -> "HeckeElement":
-        return HeckeElement(self.n, {x: c * v for x, v in self._terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("HeckeElement is unhashable")
+        products = ((x, c * v) for x, v in self._terms.items())
+        return self._wrap({x: cv for x, cv in products if cv})
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -221,40 +168,38 @@ class HeckeElement:
 
 
 def mult_generator(h: HeckeElement, i: int) -> HeckeElement:
-    """Right-multiply by T_{s_i} (i taken mod n, 0 is the affine one)."""
-    n = h.n
-    s = ExtAffineElement.simple_reflection(n, i)
-    q = HeckeScalar.q(n)
-    q1 = HeckeScalar.q_minus_one(n)
-    out = HeckeElement.zero(n)
+    """Right-multiply by T_{s_i} (i taken mod n, 0 is the affine one).
+
+    A descent x gives q c T_{x s_i} + (q - 1) c T_x, with q c a shift of
+    the q exponents of c and (q - 1) c = q c - c.
+    """
+    s = ExtAffineElement.simple_reflection(h.n, i)
+    pairs = []
     for x, c in h._terms.items():
-        xs = x * s
         if is_ascent(x, i):
-            out._add(xs, c)
+            pairs.append((x * s, c))
         else:
-            out._add(xs, c * q)
-            out._add(x, c * q1)
-    return out
+            qc = c._wrap({(qe + 1, ee): v for (qe, ee), v in c._terms.items()})
+            pairs += ((x * s, qc), (x, qc - c))
+    terms = {}
+    _merge(terms, pairs)
+    return h._wrap(terms)
 
 
 def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
     """Multiply on the right by T_r^m, the m-th power of the (invertible,
     length-zero) rotation basis element, for any integer m.
 
-    A pure relabeling of indices by r^m: no q-corrections occur.
+    A pure relabeling of indices by r^m, a bijection: no q-corrections
+    occur and no two terms merge.
     """
-    n = h.n
-    r = ExtAffineElement.rotation(n, m)
-    out = HeckeElement.zero(n)
-    for x, c in h._terms.items():
-        out._add(x * r, c)
-    return out
+    r = ExtAffineElement.rotation(h.n, m)
+    return h._wrap({x * r: c for x, c in h._terms.items()})
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the algebra, via reduced words for the right factor."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
+    a._check(b)
     out = HeckeElement.zero(a.n)
     for y, c in b._terms.items():
         word, m = reduced_word(y)
@@ -292,10 +237,9 @@ def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
 def equal_mod_center(a: HeckeElement, b: HeckeElement) -> bool:
     """Equality after collapsing basis indices by central translations."""
     def reduce(h: HeckeElement) -> HeckeElement:
-        out = HeckeElement.zero(h.n)
-        for x, c in h._terms.items():
-            out._add(x.normalize_central()[0], c)
-        return out
+        terms = {}
+        _merge(terms, ((x.normalize_central()[0], c) for x, c in h._terms.items()))
+        return h._wrap(terms)
 
     return reduce(a) == reduce(b)
 

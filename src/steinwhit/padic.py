@@ -835,4 +835,6 @@ def _minors_pass(
             elif t != prev:
                 cols[j] = [x * t // prev for x in col]
         prev, prev_v = t, best_v
-    return tuple(kbar), Permutation(tuple(window)), terms
+    # each row set one entry of window and each column was popped once, so
+    # window is a permutation by construction
+    return tuple(kbar), Permutation._of(tuple(window)), terms

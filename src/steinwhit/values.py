@@ -18,6 +18,13 @@ rewritten through the minimal polynomial relation
 
 after which the surviving exponents form a Z-basis, so the sum vanishes
 exactly when every coefficient does.  Distinct eps classes never mix.
+
+``PhaseSum`` and the two formal-q rings of ``hecke`` are sparse sums on
+one core, ``_TermMap``: one add-and-cancel rule (``_merge``), one ``+``,
+negation, ``-``, context check and hash refusal.  The rings are checked at
+their boundary (constructors, ``monomial`` and ``times_monomial`` refuse
+an exponent that is not an ``int``, ``bool`` included, and a coefficient
+of another type) and unchecked inside (``_wrap``).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Iterable, Mapping, Union
 __all__ = ["PhaseSum"]
 
 Rational = Union[int, Fraction]
-_ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
 
 
 def _phase_ok(phase: Fraction, p: int) -> bool:
@@ -38,40 +45,114 @@ def _phase_ok(phase: Fraction, p: int) -> bool:
     return den == 1
 
 
-class PhaseSum:
+def _check_monomial(eps_exp: int, phase: Rational, coeff: Rational) -> None:
+    """TypeError unless eps_exp is an ``int`` and phase and coeff are each an
+    ``int`` or a ``Fraction``; types compare exactly, so ``bool`` is refused."""
+    if type(eps_exp) is not int or type(phase) not in _RATIONAL or type(coeff) not in _RATIONAL:
+        raise TypeError(f"need an int eps exponent, int or Fraction phase and coefficient: "
+                        f"{eps_exp!r}, {phase!r}, {coeff!r}")
+
+
+def _merge(terms: dict, pairs: Iterable[tuple]) -> None:
+    """Add each (key, c) of ``pairs``, c nonzero, into ``terms``, deleting a
+    key whose coefficient cancels: the one add-and-cancel rule of the term
+    maps.  A key already present keeps its place and a new key goes last,
+    so insertion order is kept (``HeckeElement.__repr__`` reads it)."""
+    for key, c in pairs:
+        old = terms.get(key)
+        if old is not None:
+            c = old + c
+            if not c:
+                del terms[key]
+                continue
+        terms[key] = c
+
+
+class _TermMap:
+    """A finite sum over one context (n, p), a dict from basis key to nonzero
+    coefficient: the core of ``PhaseSum``, ``hecke.HeckeScalar`` and
+    ``hecke.HeckeElement`` (p is None there, as q is formal).
+
+    Public constructors check their terms; ``_wrap`` wraps canonical terms
+    unchecked, and builds every result of the arithmetic.  ``+``, ``-`` and
+    ``==`` need one class (else TypeError) and one context (ValueError).
+    """
+
+    __slots__ = ("n", "p", "_terms")
+    __hash__ = None  # the terms are a mutable dict
+
+    def _wrap(self, terms: dict) -> "_TermMap":
+        """A term map of this class and context on canonical ``terms``."""
+        out = object.__new__(type(self))
+        out.n, out.p, out._terms = self.n, self.p, terms
+        return out
+
+    def _check(self, other: "_TermMap") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.n != other.n or self.p != other.p:
+            raise ValueError(f"{type(self).__name__} context mismatch")
+
+    def __add__(self, other: "_TermMap") -> "_TermMap":
+        self._check(other)
+        terms = dict(self._terms)
+        _merge(terms, other._terms.items())
+        return self._wrap(terms)
+
+    def __neg__(self) -> "_TermMap":
+        return self._wrap({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other: "_TermMap") -> "_TermMap":
+        return self + (-other)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self._terms == other._terms
+
+
+class PhaseSum(_TermMap):
     """Finite sum of terms coeff . eps^e . exp(2 pi i t).
 
     The terms are kept canonical: every key (e, t) has 0 <= e < n and t a
     rational in [0, 1) with p-power denominator, and every coefficient is
-    a nonzero ``Fraction``.  Terms from outside the class are validated by
-    ``_add_term``; the internal arithmetic (``+``, ``-``, negation,
-    ``times_monomial``) starts from canonical terms, so it
-    copies them and only drops coefficients that cancel.
+    a nonzero ``Fraction``.  Terms from outside the class are checked by
+    ``_add_term``; the arithmetic starts from canonical terms, so it only
+    drops coefficients that cancel.  Under the zeta relation the terms of
+    a sum are not unique: equality is ``is_zero`` of the difference.
     """
 
-    __slots__ = ("n", "p", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, p: int, terms: Mapping[tuple[int, Fraction], Rational] | None = None):
-        self.n = n
-        self.p = p
-        self._terms: dict[tuple[int, Fraction], Fraction] = {}
+        if type(n) is not int or type(p) is not int:
+            raise TypeError(f"n and p must be int: {n!r}, {p!r}")
+        if n < 1 or p < 2:
+            raise ValueError(f"need n >= 1 and p >= 2, got n = {n}, p = {p}")
+        self.n, self.p, self._terms = n, p, {}
         if terms:
             for (e, t), c in terms.items():
                 self._add_term(e, t, c)
 
     def _add_term(self, eps_exp: int, phase: Rational, coeff: Rational) -> None:
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        _check_monomial(eps_exp, phase, coeff)
+        if not coeff:
             return
+        _merge(self._terms, (((eps_exp % self.n, self._phase(phase)), Fraction(coeff)),))
+
+    def _phase(self, phase: Rational) -> Fraction:
+        """The phase reduced into [0, 1), checked to be a p-power root of unity."""
         phase = Fraction(phase) % 1
         if not _phase_ok(phase, self.p):
             raise ValueError(f"phase {phase} is not a p-power root of unity at p={self.p}")
-        key = (eps_exp % self.n, phase)
-        new = self._terms.get(key, Fraction(0)) + coeff
-        if new == 0:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = new
+        return phase
 
     @classmethod
     def zero(cls, n: int, p: int) -> "PhaseSum":
@@ -83,50 +164,24 @@ class PhaseSum:
         out._add_term(eps_exp, phase, coeff)
         return out
 
-    @classmethod
-    def _canonical(cls, n: int, p: int, terms: dict[tuple[int, Fraction], Fraction]) -> "PhaseSum":
-        """Wrap terms that are already canonical, without validating them."""
-        out = cls.__new__(cls)
-        out.n, out.p, out._terms = n, p, terms
-        return out
-
-    def _check(self, other: "PhaseSum") -> None:
-        if self.n != other.n or self.p != other.p:
-            raise ValueError("value context mismatch")
-
-    def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        self._check(other)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            new = terms.get(key, _ZERO) + c
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-        return PhaseSum._canonical(self.n, self.p, terms)
-
-    def __neg__(self) -> "PhaseSum":
-        return PhaseSum._canonical(self.n, self.p, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "PhaseSum") -> "PhaseSum":
-        return self + (-other)
+    # ``perfbench/tracer.py`` wraps ``__add__``, ``__eq__``, ``is_zero`` and
+    # ``times_monomial`` in this class's own ``__dict__``: bind the sum here.
+    __add__ = _TermMap.__add__
 
     def times_monomial(self, coeff: Rational = 1, eps_exp: int = 0, phase: Rational = 0) -> "PhaseSum":
         """Multiply by coeff . eps^eps_exp . exp(2 pi i phase).
 
         The key shift (e, t) -> (e + eps_exp, t + phase) is a bijection, so
-        no two terms merge; a nonzero phase is validated once, as soon as
-        there is a nonzero term to carry it.
+        no two terms merge; the types are checked at once, and a nonzero
+        phase is validated as soon as there is a nonzero term to carry it.
         """
-        coeff = Fraction(coeff)
-        if coeff == 0 or not self._terms:
-            return PhaseSum.zero(self.n, self.p)
+        _check_monomial(eps_exp, phase, coeff)
+        if not coeff or not self._terms:
+            return self._wrap({})
         if phase:
-            phase = Fraction(phase) % 1
-            if not _phase_ok(phase, self.p):
-                raise ValueError(f"phase {phase} is not a p-power root of unity at p={self.p}")
+            phase = self._phase(phase)
         n = self.n
-        return PhaseSum._canonical(n, self.p, {
+        return self._wrap({
             ((e + eps_exp) % n, (t + phase) % 1 if phase else t): c * coeff
             for (e, t), c in self._terms.items()
         })
@@ -166,13 +221,9 @@ class PhaseSum:
         return all(c == 0 for c in coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhaseSum):
+        if type(other) is not PhaseSum:
             return NotImplemented
-        self._check(other)
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("PhaseSum is unhashable; compare with ==")
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -1,4 +1,9 @@
+import operator
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinwhit.affine_weyl import ExtAffineElement, length_ext
 from steinwhit.hecke import (
@@ -12,6 +17,7 @@ from steinwhit.hecke import (
     steinberg_character,
     verify_presentation,
 )
+from steinwhit.weyl import Permutation
 from test_affine_weyl import _ball_elements
 
 
@@ -19,7 +25,9 @@ def test_scalar_arithmetic():
     q = HeckeScalar.q(2)
     one = HeckeScalar.one(2)
     assert q * q == HeckeScalar.monomial(2, 1, 2, 0)
-    assert (q - q).is_zero()
+    assert (q - q)._terms == {} and repr(q - q) == "HeckeScalar(0)"
+    h = HeckeElement.generator(2, 1).scaled(q) + HeckeElement.rotation_term(2)
+    assert (h - h).terms() == [] and repr(h - h) == "HeckeElement(0)"
     assert q + one - q == one
     eps = HeckeScalar.monomial(3, 1, 0, 1)
     assert eps * eps * eps == HeckeScalar.one(3)
@@ -132,10 +140,21 @@ def test_equal_mod_center():
 
 
 def test_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        HeckeElement.unit(2) + HeckeElement.unit(3)
+    """+, -, * and == across sizes raise ValueError; no element is hashable."""
+    for a, b in ((HeckeScalar.one(2), HeckeScalar.one(3)), (HeckeElement.unit(2), HeckeElement.unit(3))):
+        for op in (operator.add, operator.sub, operator.eq):
+            with pytest.raises(ValueError):
+                op(a, b)
+        for x in (a, b):
+            with pytest.raises(TypeError):
+                hash(x)
     with pytest.raises(ValueError):
         HeckeScalar.one(2) * HeckeScalar.one(3)
+    with pytest.raises(ValueError):
+        multiply(HeckeElement.unit(2), HeckeElement.unit(3))
+    with pytest.raises(ValueError):
+        equal_mod_center(HeckeElement.unit(2), HeckeElement.unit(3))
+    assert HeckeScalar.one(2) != HeckeElement.unit(2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -143,3 +162,160 @@ def test_presentation_suite_passes(n):
     results = verify_presentation(n)
     failures = [r.name for r in results if not r.passed]
     assert failures == []
+
+
+# repr of multiply(T_x, T_y) per (x.lam, x.w, y.lam, y.w), recorded before the
+# Hecke rings moved onto the shared term map of ``values``: the terms of an
+# element print in insertion order, so this pins the order of every merge.
+FROZEN_PRODUCTS = {
+    ((0, 0, 0), (2, 1, 3), (0, 0, 0), (2, 1, 3)): (
+        '(HeckeScalar(1*q^1))*T(0, 0, 0)(1, 2, 3) + '
+        '(HeckeScalar(-1 + 1*q^1))*T(0, 0, 0)(2, 1, 3)'
+    ),
+    ((1, 0, 0), (1, 2, 3), (0, 0, 0), (3, 2, 1)): (
+        '(HeckeScalar(1))*T(1, 0, 0)(3, 2, 1)'
+    ),
+    ((1, 0, -1), (2, 3, 1), (0, 1, 0), (3, 1, 2)): (
+        '(HeckeScalar(1*q^4))*T(1, 0, 0)(1, 2, 3) + '
+        '(HeckeScalar(-1*q^3 + 1*q^4))*T(1, 0, 0)(2, 1, 3) + '
+        '(HeckeScalar(-1*q^1 + 2*q^2 + -2*q^3 + 1*q^4))*T(1, 0, 0)(3, 2, 1) + '
+        '(HeckeScalar(-1*q^3 + 1*q^4))*T(1, 0, 0)(1, 3, 2) + '
+        '(HeckeScalar(1*q^2 + -2*q^3 + 1*q^4))*T(1, 0, 0)(3, 1, 2) + '
+        '(HeckeScalar(1*q^2 + -2*q^3 + 1*q^4))*T(1, 0, 0)(2, 3, 1) + '
+        '(HeckeScalar(-1 + 1*q^1))*T(2, 0, -1)(3, 2, 1)'
+    ),
+    ((0, 2, -1), (3, 2, 1), (-1, 0, 1), (2, 1, 3)): (
+        '(HeckeScalar(1*q^1))*T(1, 2, -2)(2, 3, 1) + '
+        '(HeckeScalar(-1 + 1*q^1))*T(1, 2, -2)(1, 3, 2)'
+    ),
+    ((2, -1, 0, 1), (2, 4, 1, 3), (0, 0, 0, 0), (2, 1, 4, 3)): (
+        '(HeckeScalar(1*q^1))*T(2, -1, 0, 1)(4, 2, 3, 1) + '
+        '(HeckeScalar(-1 + 1*q^1))*T(2, -1, 0, 1)(2, 4, 3, 1)'
+    ),
+    ((0, 1, 1, -1), (1, 3, 2, 4), (0, 0, 1, 0), (1, 2, 4, 3)): (
+        '(HeckeScalar(1))*T(0, 2, 1, -1)(1, 3, 4, 2)'
+    ),
+    ((0, 0, 0, 0), (2, 1, 4, 3), (1, 0, 0, -1), (2, 1, 3, 4)): (
+        '(HeckeScalar(1*q^2))*T(0, 1, -1, 0)(1, 2, 4, 3) + '
+        '(HeckeScalar(-1*q^1 + 1*q^2))*T(0, 1, 0, -1)(1, 2, 3, 4) + '
+        '(HeckeScalar(-1*q^1 + 1*q^2))*T(1, 0, -1, 0)(2, 1, 4, 3) + '
+        '(HeckeScalar(1 + -2*q^1 + 1*q^2))*T(1, 0, 0, -1)(2, 1, 3, 4)'
+    ),
+    ((1, 0, 0, 0), (4, 3, 2, 1), (0, 0, 0, 0), (4, 3, 2, 1)): (
+        '(HeckeScalar(1*q^6))*T(1, 0, 0, 0)(1, 2, 3, 4) + '
+        '(HeckeScalar(-1*q^5 + 1*q^6))*T(1, 0, 0, 0)(2, 1, 3, 4) + '
+        '(HeckeScalar(-1*q^3 + 2*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(3, 2, 1, 4) + '
+        '(HeckeScalar(-1*q^1 + 3*q^2 + -5*q^3 + 5*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(4, 2, 3, 1) + '
+        '(HeckeScalar(-1*q^5 + 1*q^6))*T(1, 0, 0, 0)(1, 3, 2, 4) + '
+        '(HeckeScalar(1*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(3, 1, 2, 4) + '
+        '(HeckeScalar(1*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(2, 3, 1, 4) + '
+        '(HeckeScalar(1 + -3*q^1 + 4*q^2 + -4*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(4, 3, 2, 1) + '
+        '(HeckeScalar(-1*q^3 + 2*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(1, 4, 3, 2) + '
+        '(HeckeScalar(1*q^2 + -3*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(4, 1, 3, 2) + '
+        '(HeckeScalar(1*q^2 + -3*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(3, 4, 1, 2) + '
+        '(HeckeScalar(-1*q^1 + 3*q^2 + -4*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(4, 3, 1, 2) + '
+        '(HeckeScalar(1*q^2 + -3*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(2, 4, 3, 1) + '
+        '(HeckeScalar(-1*q^1 + 3*q^2 + -4*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(3, 4, 2, 1) + '
+        '(HeckeScalar(-1*q^5 + 1*q^6))*T(1, 0, 0, 0)(1, 2, 4, 3) + '
+        '(HeckeScalar(1*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(2, 1, 4, 3) + '
+        '(HeckeScalar(1*q^2 + -3*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(4, 2, 1, 3) + '
+        '(HeckeScalar(1*q^2 + -3*q^3 + 4*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(3, 2, 4, 1) + '
+        '(HeckeScalar(1*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(1, 4, 2, 3) + '
+        '(HeckeScalar(-1*q^3 + 3*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(4, 1, 2, 3) + '
+        '(HeckeScalar(-1*q^3 + 3*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(2, 4, 1, 3) + '
+        '(HeckeScalar(1*q^4 + -2*q^5 + 1*q^6))*T(1, 0, 0, 0)(1, 3, 4, 2) + '
+        '(HeckeScalar(-1*q^3 + 3*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(3, 1, 4, 2) + '
+        '(HeckeScalar(-1*q^3 + 3*q^4 + -3*q^5 + 1*q^6))*T(1, 0, 0, 0)(2, 3, 4, 1)'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_PRODUCTS))
+def test_products_keep_their_frozen_normal_form(case):
+    x_lam, x_w, y_lam, y_w = case
+    x, y = ExtAffineElement(x_lam, Permutation(x_w)), ExtAffineElement(y_lam, Permutation(y_w))
+    assert repr(multiply(HeckeElement.basis(x), HeckeElement.basis(y))) == FROZEN_PRODUCTS[case]
+
+
+N = 3
+_KEYS = [
+    ExtAffineElement.identity(N),
+    *(ExtAffineElement.simple_reflection(N, i) for i in range(N)),
+    ExtAffineElement.rotation(N),
+    ExtAffineElement.translation((1, 0, 0)),
+    ExtAffineElement.simple_reflection(N, 1) * ExtAffineElement.simple_reflection(N, 2),
+    ExtAffineElement.simple_reflection(N, 0) * ExtAffineElement.rotation(N, -1),
+]
+hecke_scalars = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-3, 5)), st.integers(-2, 2), max_size=4
+).map(lambda terms: HeckeScalar(N, terms))
+hecke_elements = st.dictionaries(st.sampled_from(_KEYS), hecke_scalars, max_size=5).map(
+    lambda terms: HeckeElement(N, terms)
+)
+
+
+def _same_as_validated(x):
+    """x equals its copy through the public constructor, with one repr,
+    and keeps no zero coefficient."""
+    if isinstance(x, HeckeScalar):
+        copy = HeckeScalar(x.n, dict(x._terms))
+        assert all(type(c) is int and c for c in x._terms.values())
+    else:
+        copy = HeckeElement(x.n, {k: _same_as_validated(c) for k, c in x.terms()})
+        assert all(type(k) is ExtAffineElement and not c.is_zero() for k, c in x.terms())
+    assert type(x) is type(copy) and x == copy and repr(x) == repr(copy)
+    return copy
+
+
+@settings(max_examples=150, deadline=None)
+@given(hecke_elements, hecke_elements, hecke_scalars, hecke_scalars, st.integers(0, N - 1))
+def test_internal_arithmetic_equals_validated_copies(a, b, c, d, i):
+    for x in (c + d, c - d, -c, c * d):
+        _same_as_validated(x)
+    for h in (a + b, a - b, -a, a.scaled(c), mult_generator(a, i), mult_rotation(a, i - 1), multiply(a, b)):
+        _same_as_validated(h)
+    assert (c - c)._terms == {} and (a - a).terms() == []
+
+
+def test_scaling_by_a_zero_divisor_drops_the_term():
+    # (1 - eps)(1 + eps + eps^2) = 1 - eps^3 = 0 in Z[eps]/(eps^3 - 1)
+    norm = HeckeScalar(N, {(0, 0): 1, (0, 1): 1, (0, 2): 1})
+    h = HeckeElement.generator(N, 1).scaled(norm) + HeckeElement.unit(N)
+    scaled = h.scaled(HeckeScalar(N, {(0, 0): 1, (0, 1): -1}))
+    assert scaled.terms() == [(ExtAffineElement.identity(N), HeckeScalar(N, {(0, 0): 1, (0, 1): -1}))]
+
+
+def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
+    a = HeckeElement.generator(N, 1) + HeckeElement.rotation_term(N).scaled(HeckeScalar.q_minus_one(N))
+    b = mult_generator(a, 2)
+    c = HeckeScalar.monomial(N, 2, 1, 1)
+    calls = []
+    for cls in (HeckeScalar, HeckeElement):
+        def counted(self, *args, _original=cls.__init__, **kwargs):
+            calls.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    HeckeScalar.one(N)
+    assert calls == ["HeckeScalar"]  # the counter sees a public constructor
+    calls.clear()
+    [c + c, c - c, -c, a + b, a - b, -a, a.scaled(c), mult_generator(a, 1), mult_generator(b, 2)]
+    assert calls == []
+    assert mult_generator(b, 2) == multiply(b, HeckeElement.generator(N, 2))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: HeckeScalar.monomial(2, 0.5), TypeError),
+    (lambda: HeckeScalar(2, {(0.5, 0): 1}), TypeError),
+    (lambda: HeckeScalar.monomial(2, True), TypeError),
+    (lambda: HeckeScalar.monomial(2, 1, 0, 1.0), TypeError),
+    (lambda: HeckeScalar(2, {(0, 0): Fraction(1)}), TypeError),
+    (lambda: HeckeElement(2, {ExtAffineElement.identity(3): HeckeScalar.one(5)}), ValueError),
+    (lambda: HeckeElement(2, {ExtAffineElement.identity(2): HeckeScalar.one(3)}), ValueError),
+    (lambda: HeckeElement(2, {ExtAffineElement.identity(3): HeckeScalar.one(2)}), ValueError),
+    (lambda: HeckeElement(2, {(0, 0): HeckeScalar.one(2)}), TypeError),
+    (lambda: HeckeElement(2, {ExtAffineElement.identity(2): 1}), TypeError),
+])
+def test_public_constructors_check_their_terms(build, error):
+    with pytest.raises(error):
+        build()

@@ -511,6 +511,21 @@ def test_minors_pass_matches_the_laplace_oracle(case):
     assert _outcome(_pass_with_psi, rows, p) == _outcome(_laplace_pass, rows, p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(minors_pass_inputs())
+def test_minors_pass_window_equals_its_validated_copy(case):
+    """The pass builds w unchecked; it is the permutation the public
+    constructor gives for the same window."""
+    rows, p = case
+    try:
+        _, w, _ = _minors_pass(rows, p)
+    except SingularMatrixError:
+        return
+    copy = Permutation(w.window)
+    assert w == copy and hash(w) == hash(copy) and repr(w) == repr(copy)
+    assert type(w.window) is tuple and all(type(v) is int for v in w.window)
+
+
 @pytest.mark.parametrize("rows, kbar, window", [
     # every entry of the bottom row has valuation 1: ties go to the least column
     ([[1, 0, 0], [0, 1, 0], [3, 3, 3]], (0, 0, 1), (3, 2, 1)),

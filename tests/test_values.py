@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -81,8 +82,11 @@ def test_times_monomial_shifts_and_scales():
 
 
 def test_context_mismatch_rejected():
-    with pytest.raises(ValueError):
-        mono(1, n=2, p=2) + mono(1, n=2, p=3)
+    for a, b in ((mono(1, n=2, p=2), mono(1, n=2, p=3)), (mono(1, n=2, p=2), mono(1, n=3, p=2))):
+        for op in (operator.add, operator.sub, operator.eq):
+            with pytest.raises(ValueError):
+                op(a, b)
+    assert mono(1) != 1
 
 
 def test_unhashable():
@@ -165,3 +169,50 @@ def test_times_monomial_validates_phase_and_zero_coefficient():
     zero = x.times_monomial(0, 1, Fraction(1, 4))
     assert list(zero.terms()) == []
     assert repr(zero) == "PhaseSum(2, 2, 0)"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PhaseSum(2, 2, {(0.5, 0): 1}),
+    lambda: PhaseSum(2, 2, {(True, 0): 1}),
+    lambda: PhaseSum(2, 2, {(0, 0.5): 1}),
+    lambda: PhaseSum(2, 2, {(0, 0): 0.5}),
+    lambda: PhaseSum(2, 2, {(0, 0): True}),
+    lambda: PhaseSum.monomial(2, 2, 1, 1.0),
+    lambda: PhaseSum.monomial(2, 2, 1.5),
+    lambda: PhaseSum.monomial(2, 2, 1, 0, 0.25),
+    lambda: PhaseSum.monomial(2, 2, 1).times_monomial(1, 0.5),
+    lambda: PhaseSum.monomial(2, 2, 1).times_monomial(1, True),
+    lambda: PhaseSum.monomial(2, 2, 1).times_monomial(0.5),
+    lambda: PhaseSum.monomial(2, 2, 1).times_monomial(1, 0, 0.5),
+    lambda: PhaseSum(2.0, 2),
+    lambda: PhaseSum(2, True),
+])
+def test_public_constructors_refuse_wrong_types(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("n, p", [(0, 2), (2, 1), (2, 0), (2, -3)])
+def test_context_out_of_range_is_refused(n, p):
+    # p = 1 made the phase check loop forever
+    with pytest.raises(ValueError):
+        PhaseSum(n, p)
+
+
+def test_traced_names_are_in_the_class_body():
+    """The benchmark's tracer wraps these four in ``PhaseSum.__dict__``."""
+    assert {"__add__", "__eq__", "is_zero", "times_monomial"} <= set(PhaseSum.__dict__)
+
+
+def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
+    a = mono(Fraction(1, 2), 1, Fraction(1, 4)) + mono(3, 2)
+    b = mono(-3, 2) + mono(1, 0, Fraction(1, 2))
+    calls = []
+
+    def counted(self, *args, _original=PhaseSum.__init__, **kwargs):
+        calls.append(1)
+        _original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseSum, "__init__", counted)
+    [a + b, a - b, -a, a.times_monomial(2, 1, Fraction(1, 2)), a.times_monomial(0), a == b]
+    assert calls == []
