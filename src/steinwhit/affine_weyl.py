@@ -30,15 +30,20 @@ returns the lexicographically least reduced word.
 Entries are validated at the boundary: the public constructors refuse
 any entry that is not an ``int`` (``bool`` included), while products,
 inverses, powers and ``normalize_central`` build their results from
-valid ones, unchecked.
+valid ones, unchecked.  The generators check their arguments (``int``
+n and index, ``bool`` refused; n >= 2 for a reflection, n >= 1 for a
+rotation) and then cost only their arithmetic: each s_i is built once
+per (n, i mod n) and shared, and r^k is built unchecked from its
+closed form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .padic import PAdicMatrix
-from .weyl import Permutation, Weight
+from .weyl import Permutation, Weight, _check_int
 
 __all__ = [
     "ExtAffineElement",
@@ -88,29 +93,33 @@ class ExtAffineElement:
 
     @classmethod
     def simple_reflection(cls, n: int, i: int) -> "ExtAffineElement":
-        """s_i for i in Z/n: s_0 is the affine reflection."""
-        i %= n
-        if i > 0:
-            return cls((0,) * n, Permutation.simple(n, i))
-        lam = (-1,) + (0,) * (n - 2) + (1,)
-        return cls(lam, Permutation.transposition(n, 1, n))
+        """s_i for i in Z/n: s_0 is the affine reflection.
+
+        One frozen instance per (n, i mod n), shared by every caller.
+        """
+        _check_int("n", n, 2)
+        _check_int("i", i)
+        return _simple_reflection(n, i % n)
 
     @classmethod
     def rotation(cls, n: int, k: int = 1) -> "ExtAffineElement":
         """r^k, in closed form: lam_j = floor((k + j - 1) / n) and
         w(j) = ((j - k - 1) mod n) + 1, so r^n is the translation by (1, ..., 1)."""
-        if n < 1:
-            raise ValueError(f"rotation needs n >= 1, got {n}")
+        _check_int("n", n, 1)
+        _check_int("k", k)
         lam = tuple([(k + j) // n for j in range(n)])
         window = tuple([(j - k) % n + 1 for j in range(n)])
-        return cls(lam, Permutation(window))
+        return cls._of(lam, Permutation._of(window))
 
     def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
-        if len(self.lam) != len(other.lam):
+        """(lam + w.mu, w v), adding mu_j into entry w(j) of lam in place."""
+        mu = other.lam
+        if len(self.lam) != len(mu):
             raise ValueError("sizes differ")
-        moved = self.w.act_weight(other.lam)
-        lam = tuple([a + b for a, b in zip(self.lam, moved)])
-        return ExtAffineElement._of(lam, self.w * other.w)
+        lam = list(self.lam)
+        for k, c in zip(self.w.window, mu):
+            lam[k - 1] += c
+        return ExtAffineElement._of(tuple(lam), self.w * other.w)
 
     def inverse(self) -> "ExtAffineElement":
         winv = self.w.inverse()
@@ -121,7 +130,8 @@ class ExtAffineElement:
         """By repeated squaring: about 2 log2|k| products."""
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        out = ExtAffineElement.identity(self.n)
+        n = self.n
+        out = ExtAffineElement._of((0,) * n, Permutation._of(tuple(range(1, n + 1))))
         while k:
             if k & 1:
                 out = out * base
@@ -145,6 +155,15 @@ class ExtAffineElement:
 
     def __repr__(self) -> str:
         return f"ExtAffineElement({self.lam}, {self.w.window})"
+
+
+@functools.lru_cache(maxsize=1024)
+def _simple_reflection(n: int, i: int) -> ExtAffineElement:
+    """s_i for 0 <= i < n, through the validating constructors, once per (n, i)."""
+    if i:
+        return ExtAffineElement((0,) * n, Permutation.simple(n, i))
+    lam = (-1,) + (0,) * (n - 2) + (1,)
+    return ExtAffineElement(lam, Permutation.transposition(n, 1, n))
 
 
 def realize(x: ExtAffineElement, p: int) -> PAdicMatrix:

@@ -19,9 +19,12 @@ being the central translation) are re-derived from these rules by
 
 ``HeckeScalar`` and ``HeckeElement`` are term maps on the core of
 ``values`` (one add-and-cancel rule, one ``+``, ``-``, context check and
-hash refusal): their constructors check every term (``int`` exponents
-and coefficients; ``ExtAffineElement`` keys and coefficients of the same
-n), and products build their results unchecked.
+hash refusal): their constructors check n (an ``int`` >= 1, ``bool``
+refused) and every term (``int`` exponents and coefficients;
+``ExtAffineElement`` keys and coefficients of the same n), and products
+and the Steinberg character build their results unchecked.  A product
+step takes its generator s_i from the shared instance of
+``ExtAffineElement.simple_reflection``, built once per (n, i).
 
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
@@ -36,6 +39,7 @@ from typing import Mapping
 from .affine_weyl import ExtAffineElement, is_ascent, reduced_word
 from .reporting import CheckResult
 from .values import _merge, _TermMap
+from .weyl import _check_int
 
 __all__ = [
     "HeckeElement",
@@ -54,12 +58,14 @@ class HeckeScalar(_TermMap):
     """Laurent polynomial in q over Z[eps]/(eps^n - 1).
 
     Terms map (q_exponent, eps_exponent mod n) to a nonzero integer; the
-    constructor refuses any other type (``bool`` included).
+    constructor refuses any other type (``bool`` included), and an n that
+    is not an ``int`` >= 1.
     """
 
     __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], int] | None = None):
+        _check_int("n", n, 1)
         self.n, self.p, self._terms = n, None, {}
         if terms:
             pairs = []
@@ -69,6 +75,13 @@ class HeckeScalar(_TermMap):
                 if c:
                     pairs.append(((qe, ee % n), c))
             _merge(self._terms, pairs)
+
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "HeckeScalar":
+        """Wrap canonical terms of size n built in this package, unchecked."""
+        out = object.__new__(cls)
+        out.n, out.p, out._terms = n, None, terms
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "HeckeScalar":
@@ -118,12 +131,14 @@ class HeckeElement(_TermMap):
 
     Terms map an ``ExtAffineElement`` x to a nonzero ``HeckeScalar``, in
     insertion order (the order of ``repr``); the constructor refuses other
-    types (TypeError) and a term of another n (ValueError).
+    types (TypeError) and a term of another n (ValueError), and an n that
+    is not an ``int`` >= 1.
     """
 
     __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[ExtAffineElement, HeckeScalar] | None = None):
+        _check_int("n", n, 1)
         terms = terms or {}
         for x, c in terms.items():
             if not isinstance(x, ExtAffineElement) or type(c) is not HeckeScalar:
@@ -200,7 +215,7 @@ def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the algebra, via reduced words for the right factor."""
     a._check(b)
-    out = HeckeElement.zero(a.n)
+    out = a._wrap({})
     for y, c in b._terms.items():
         word, m = reduced_word(y)
         acc = a
@@ -221,14 +236,17 @@ def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
     is congruent mod 2 to sum over i < j of (lam_i + lam_j) plus the
     inversions of w^{-1}, that is to (n - 1) m + inv(w).  So
     (n - 1) m + len(x) is congruent to inv(w), and no length is needed.
+    The eps exponent m * e must be an ``int`` (else TypeError).
     """
     n = x.n
-    m = x.rotation_exponent()
-    return HeckeScalar.monomial(n, x.w.sign(), 0, m * eps_exp)
+    e = x.rotation_exponent() * eps_exp
+    if type(e) is not int:
+        raise TypeError(f"the eps exponent must be an int, not {e!r}")
+    return HeckeScalar._of(n, {(0, e % n): x.w.sign()})
 
 
 def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
-    out = HeckeScalar.zero(h.n)
+    out = HeckeScalar._of(h.n, {})
     for x, c in h._terms.items():
         out = out + c * steinberg_character(x, eps_exp)
     return out

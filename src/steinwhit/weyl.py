@@ -101,10 +101,10 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition with ``other`` acting first: (self * other)(i) == self(other(i))."""
-        if self.n != other.n:
+        win, right = self.window, other.window
+        if len(win) != len(right):
             raise ValueError("size mismatch")
-        win = self.window
-        return Permutation._of(tuple([win[k - 1] for k in other.window]))
+        return Permutation._of(tuple([win[k - 1] for k in right]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -158,6 +158,15 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.window})"
+
+
+def _check_int(name: str, value: int, least: int | None = None) -> None:
+    """TypeError unless ``value`` is an ``int`` (``bool`` refused); ValueError
+    if it is below ``least``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from steinwhit.affine_weyl import (
     realize,
     reduced_word,
 )
+from steinwhit.hecke import HeckeScalar, steinberg_character
 from steinwhit.padic import PAdicMatrix
 from steinwhit.weyl import Permutation
 
@@ -211,7 +213,7 @@ def test_ascent_is_the_length_comparison():
 def test_products_equal_their_validated_copies(x, y, k):
     """The group law builds its results unchecked; each must be the element
     the validating constructor builds from the same entries."""
-    results = [x.inverse(), x**k, x.normalize_central()[0], ExtAffineElement.rotation(x.n, k)]
+    results = [x.inverse(), x**k, x ** -abs(k), x.normalize_central()[0], ExtAffineElement.rotation(x.n, k)]
     if x.n == y.n:
         results.append(x * y)
     for z in results:
@@ -219,6 +221,11 @@ def test_products_equal_their_validated_copies(x, y, k):
         assert z == copy and hash(z) == hash(copy) and repr(z) == repr(copy)
         for entries in (z.lam, z.w.window):
             assert type(entries) is tuple and all(type(c) is int for c in entries)
+    n, m = x.n, x.rotation_exponent()
+    for e in range(n):
+        value = steinberg_character(x, e)
+        copy = HeckeScalar.monomial(n, x.w.sign(), 0, m * e)
+        assert value == copy and repr(value) == repr(copy) and value._terms == copy._terms
 
 
 @pytest.mark.parametrize("build", [
@@ -231,6 +238,30 @@ def test_products_equal_their_validated_copies(x, y, k):
 def test_constructors_refuse_non_int_entries(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: ExtAffineElement.simple_reflection(0, 1), ValueError, "n must be >= 2"),
+    (lambda: ExtAffineElement.simple_reflection(1, 0), ValueError, "n must be >= 2"),
+    (lambda: ExtAffineElement.simple_reflection(3, 1.0), TypeError, "i must be an int"),
+    (lambda: ExtAffineElement.simple_reflection(3, True), TypeError, "i must be an int"),
+    (lambda: ExtAffineElement.rotation(True, 1), TypeError, "n must be an int"),
+    (lambda: ExtAffineElement.rotation(2, True), TypeError, "k must be an int"),
+], ids=["reflection-n0", "reflection-n1", "reflection-float-index", "reflection-bool-index",
+        "rotation-bool-n", "rotation-bool-k"])
+def test_generators_check_their_arguments(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_simple_reflections_are_shared_frozen_instances(n):
+    s = ExtAffineElement.simple_reflection
+    for i in range(n):
+        assert s(n, i) is s(n, i + n) is s(n, i - n)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s(n, i).lam = (0,) * n
+    assert s(n, 1).lam == (0,) * n and s(n, 0).lam == (-1,) + (0,) * (n - 2) + (1,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinwhit.affine_weyl import ExtAffineElement, length_ext
+from steinwhit.affine_weyl import ExtAffineElement, length_ext, reduced_word
 from steinwhit.hecke import (
     HeckeElement,
     HeckeScalar,
@@ -289,17 +289,35 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
     a = HeckeElement.generator(N, 1) + HeckeElement.rotation_term(N).scaled(HeckeScalar.q_minus_one(N))
     b = mult_generator(a, 2)
     c = HeckeScalar.monomial(N, 2, 1, 1)
+    x = _KEYS[-1] * ExtAffineElement.translation((2, -1, 0))
+    s = ExtAffineElement.simple_reflection
+    hot_path = [
+        lambda: [c + c, c - c, -c, a + b, a - b, -a, a.scaled(c)],
+        lambda: [mult_generator(a, i) for i in range(-N, 2 * N)] + [mult_generator(b, 2)],
+        lambda: [mult_rotation(a, m) for m in range(-N, N + 1)],
+        lambda: [multiply(a, b), character_of(b, 1), reduced_word(x)],
+        lambda: [steinberg_character(x, e) for e in range(N)],
+        lambda: [ExtAffineElement.rotation(N, k) for k in range(-N, N + 1)],
+        lambda: [x**k for k in range(-5, 6)],
+        lambda: [s(N, i) for i in range(-N, 2 * N)],
+    ]
+    for run in hot_path:  # warm-up: builds the shared simple reflections
+        run()
     calls = []
-    for cls in (HeckeScalar, HeckeElement):
-        def counted(self, *args, _original=cls.__init__, **kwargs):
+    for cls, name in ((HeckeScalar, "__init__"), (HeckeElement, "__init__"),
+                      (ExtAffineElement, "__post_init__"), (Permutation, "__post_init__")):
+        def counted(self, *args, _original=getattr(cls, name), **kwargs):
             calls.append(type(self).__name__)
             _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, name, counted)
     HeckeScalar.one(N)
-    assert calls == ["HeckeScalar"]  # the counter sees a public constructor
+    ExtAffineElement.identity(N)
+    # the counters see the public constructors
+    assert calls == ["HeckeScalar", "Permutation", "ExtAffineElement"]
     calls.clear()
-    [c + c, c - c, -c, a + b, a - b, -a, a.scaled(c), mult_generator(a, 1), mult_generator(b, 2)]
+    for run in hot_path:
+        run()
     assert calls == []
     assert mult_generator(b, 2) == multiply(b, HeckeElement.generator(N, 2))
 
@@ -315,6 +333,12 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
     (lambda: HeckeElement(2, {ExtAffineElement.identity(3): HeckeScalar.one(2)}), ValueError),
     (lambda: HeckeElement(2, {(0, 0): HeckeScalar.one(2)}), TypeError),
     (lambda: HeckeElement(2, {ExtAffineElement.identity(2): 1}), TypeError),
+    (lambda: HeckeScalar(0, {(0, 0): 1}), ValueError),
+    (lambda: HeckeScalar(True, {(0, 1): 1}), TypeError),
+    (lambda: HeckeScalar(2.0), TypeError),
+    (lambda: HeckeElement.unit(0), ValueError),
+    (lambda: HeckeElement(0), ValueError),
+    (lambda: HeckeElement(True), TypeError),
 ])
 def test_public_constructors_check_their_terms(build, error):
     with pytest.raises(error):
