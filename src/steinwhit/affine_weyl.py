@@ -85,6 +85,8 @@ class ExtAffineElement:
 
     @classmethod
     def identity(cls, n: int) -> "ExtAffineElement":
+        """The identity of size n, an ``int`` >= 1 (``bool`` refused)."""
+        _check_int("n", n, 1)
         return cls((0,) * n, Permutation.identity(n))
 
     @classmethod
@@ -127,7 +129,9 @@ class ExtAffineElement:
         return ExtAffineElement._of(lam, winv)
 
     def __pow__(self, k: int) -> "ExtAffineElement":
-        """By repeated squaring: about 2 log2|k| products."""
+        """By repeated squaring: about 2 log2|k| products; k is an ``int``
+        (``bool`` refused)."""
+        _check_int("k", k)
         base = self if k >= 0 else self.inverse()
         k = abs(k)
         n = self.n

@@ -29,7 +29,10 @@ step takes its generator s_i from the shared instance of
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
 evaluates it on basis elements, with the sign of the permutation part
-standing in for the length parity, and ``character_of`` extends linearly.
+standing in for the length parity, and ``character_of`` extends linearly,
+shifting each coefficient by that one term.  A product and a character
+each accumulate their terms into one new dict (``_TermMap._sum``,
+``_merge``), not through a fold of ``+``.
 """
 
 from __future__ import annotations
@@ -213,18 +216,21 @@ def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the algebra, via reduced words for the right factor."""
+    """Product in the algebra, via reduced words for the right factor: the
+    sum over the terms c T_y of b of (a T_y) c, in one accumulation."""
     a._check(b)
-    out = a._wrap({})
-    for y, c in b._terms.items():
-        word, m = reduced_word(y)
-        acc = a
-        for i in word:
-            acc = mult_generator(acc, i)
-        if m:
-            acc = mult_rotation(acc, m)
-        out = out + acc.scaled(c)
-    return out
+
+    def products():
+        for y, c in b._terms.items():
+            word, m = reduced_word(y)
+            acc = a
+            for i in word:
+                acc = mult_generator(acc, i)
+            if m:
+                acc = mult_rotation(acc, m)
+            yield acc.scaled(c)
+
+    return a._wrap({})._sum(products())
 
 
 def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
@@ -246,10 +252,18 @@ def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
 
 
 def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
-    out = HeckeScalar._of(h.n, {})
+    """The Steinberg character extended linearly: the sum of c chi(T_x)
+    over the terms c T_x of h.
+
+    chi(T_x) is the one term s eps^k of ``steinberg_character``, so
+    c chi(T_x) is c with its eps exponents shifted by k and its
+    coefficients times s; every shifted term is merged into one dict.
+    """
+    n, terms = h.n, {}
     for x, c in h._terms.items():
-        out = out + c * steinberg_character(x, eps_exp)
-    return out
+        ((_, k), s), = steinberg_character(x, eps_exp)._terms.items()
+        _merge(terms, (((qe, (ee + k) % n), v * s) for (qe, ee), v in c._terms.items()))
+    return HeckeScalar._of(n, terms)
 
 
 def equal_mod_center(a: HeckeElement, b: HeckeElement) -> bool:

@@ -26,7 +26,9 @@ representative: ``_coset_passes``, the one source of coset terms, behind
 ``apply_generator`` and ``_check_identities``, the identity engine of
 ``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
 The functions here read only each pass's label; the whittaker suite
-forms psi from its phase terms, and only on the support.
+forms psi from its phase terms, and only on the support.  A coset sum is
+one accumulation of its terms' values into one new term map
+(``PhaseSum._sum``), not a fold of ``+``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
+from .padic import PAdicMatrix, _minors_pass, _p_power, _times, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -93,7 +95,7 @@ class InducedFunction:
             return PhaseSum.zero(self.n, self.p)
         ksum = sum(kbar)
         q_exp = -sum((self.n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
-        return coeff.times_monomial(Fraction(self.p) ** q_exp, self.eps_exp * ksum)
+        return coeff.times_monomial(Fraction(*_p_power(self.p, q_exp)), self.eps_exp * ksum)
 
 
 @functools.lru_cache(maxsize=128)
@@ -147,7 +149,7 @@ def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     if (g.n, g.p) != (func.n, func.p):
         raise ValueError("matrix context mismatch")
     passes = _coset_passes(g.rows, g.n, g.p, gen)
-    return sum(map(func._label_value, passes), PhaseSum.zero(func.n, func.p))
+    return PhaseSum.zero(func.n, func.p)._sum(map(func._label_value, passes))
 
 
 def _check_identities(
@@ -173,7 +175,7 @@ def _check_identities(
         for name, cell, gen, (c, e), (lhs_text, rhs_text) in identities:
             if gen not in passes:
                 passes[gen] = _coset_passes(rows, n, p, gen)
-            lhs, rhs = sum(map(cell, passes[gen]), zero), f_at_g(cell).times_monomial(c, e)
+            lhs, rhs = zero._sum(map(cell, passes[gen])), f_at_g(cell).times_monomial(c, e)
             if lhs != rhs and name not in details:
                 details[name] = (
                     f"point {k} (seed {seed}): g = {matrix_to_json(g)}; "
@@ -188,11 +190,11 @@ def _casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
     identity read once per generator: '' if it holds everywhere, else the
     first failing (i, w) and both sides."""
     casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
-    one = PAdicMatrix.identity(n, p)
+    one, zero = PAdicMatrix.identity(n, p), PhaseSum.zero(n, p)
     for i in range(1, n):
         passes = _coset_passes(one.rows, n, p, i)
         for w, f in casselman.items():
-            lhs = sum(map(f._label_value, passes), PhaseSum.zero(n, p))
+            lhs = zero._sum(map(f._label_value, passes))
             rhs = PhaseSum.monomial(n, p, p if w == Permutation.simple(n, i) else 0)
             if lhs != rhs:
                 return (f"generator {i}, w = {w.window}: "

@@ -6,15 +6,16 @@ group elements are built as structured products
 
     upper-unipotent . torus . permutation . Iwahori,
 
-which keeps the true cell label (kbar, w) known by construction.
+which keeps the true cell label (kbar, w) known by construction.  The
+factors are built from integer pairs straight into the canonical rows of
+``PAdicMatrix`` (``padic._row_of``), with no ``Fraction`` in between.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .padic import Cell, DecompositionError, PAdicMatrix
+from .padic import Cell, DecompositionError, PAdicMatrix, _row_of
 from .weyl import Permutation, Weight
 
 __all__ = [
@@ -38,8 +39,9 @@ def random_weight(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> Weig
     return tuple(rng.randint(lo, hi) for _ in range(n))
 
 
-def _random_unit(rng: random.Random, p: int) -> Fraction:
-    """A random p-adic unit with small numerator and denominator."""
+def _random_unit(rng: random.Random, p: int) -> tuple[int, int]:
+    """A random p-adic unit with small numerator and denominator, as the
+    integer pair (numerator, denominator > 0), not in lowest terms."""
     while True:
         a = rng.randint(1, p * p)
         if a % p:
@@ -49,37 +51,42 @@ def _random_unit(rng: random.Random, p: int) -> Fraction:
         if b % p:
             break
     sign = -1 if rng.random() < 0.5 else 1
-    return Fraction(sign * a, b)
+    return sign * a, b
+
+
+def _integer_matrix(p: int, rows: list[list[int]]) -> PAdicMatrix:
+    """The matrix of integer rows: an integer row a is canonical over d = 1."""
+    return PAdicMatrix._of_rows(p, tuple((tuple(a), 1) for a in rows))
 
 
 def random_upper_unipotent(rng: random.Random, n: int, p: int, depth: int = 2) -> PAdicMatrix:
     """Upper unitriangular matrix whose entries may have p-power denominators."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = []
     for i in range(n):
-        for j in range(i + 1, n):
+        pairs = [(int(i == j), 1) for j in range(i + 1)]
+        for _ in range(i + 1, n):
             den = p ** rng.randint(0, depth)
-            num = rng.randint(-(p**depth), p**depth)
-            rows[i][j] = Fraction(num, den)
-    return PAdicMatrix.from_rows(p, rows)
+            pairs.append((rng.randint(-(p**depth), p**depth), den))
+        rows.append(_row_of(pairs))
+    return PAdicMatrix._of_rows(p, tuple(rows))
 
 
 def random_torus_units(rng: random.Random, n: int, p: int) -> PAdicMatrix:
-    return PAdicMatrix.diagonal(p, [_random_unit(rng, p) for _ in range(n)])
+    units = [_random_unit(rng, p) for _ in range(n)]
+    return PAdicMatrix._of_rows(p, tuple(
+        _row_of([unit if i == j else (0, 1) for j in range(n)]) for i, unit in enumerate(units)
+    ))
 
 
 def random_iwahori(rng: random.Random, n: int, p: int) -> PAdicMatrix:
     """Random element of the Iwahori subgroup, as N_O . T_O . N^-_pO."""
-    upper = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) for j in range(n)] for i in range(n)]
+    lower = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            upper[i][j] = Fraction(rng.randint(-(p**2), p**2))
-            lower[j][i] = Fraction(p * rng.randint(-p, p))
-    out = (
-        PAdicMatrix.from_rows(p, upper)
-        * random_torus_units(rng, n, p)
-        * PAdicMatrix.from_rows(p, lower)
-    )
+            upper[i][j] = rng.randint(-(p**2), p**2)
+            lower[j][i] = p * rng.randint(-p, p)
+    out = _integer_matrix(p, upper) * random_torus_units(rng, n, p) * _integer_matrix(p, lower)
     if not out.is_in_iwahori():
         raise DecompositionError(f"N_O . T_O . N^-_pO product left the Iwahori subgroup: {out!r}")
     return out

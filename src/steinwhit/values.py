@@ -21,10 +21,14 @@ exactly when every coefficient does.  Distinct eps classes never mix.
 
 ``PhaseSum`` and the two formal-q rings of ``hecke`` are sparse sums on
 one core, ``_TermMap``: one add-and-cancel rule (``_merge``), one ``+``,
-negation, ``-``, context check and hash refusal.  The rings are checked at
-their boundary (constructors, ``monomial`` and ``times_monomial`` refuse
-an exponent that is not an ``int``, ``bool`` included, and a coefficient
-of another type) and unchecked inside (``_wrap``).
+one accumulator for a sum of many (``_sum``: one new dict, one ``_merge``
+per summand), negation, ``-``, context check and hash refusal.  The rings
+are checked at their boundary (constructors, ``monomial`` and
+``times_monomial`` refuse an exponent that is not an ``int``, ``bool``
+included, and a coefficient of another type) and unchecked inside
+(``_wrap``).  Equal canonical terms are equal elements, so ``PhaseSum``
+equality compares the terms first and runs the zero test of the
+difference only when they differ.
 """
 
 from __future__ import annotations
@@ -99,6 +103,16 @@ class _TermMap:
         _merge(terms, other._terms.items())
         return self._wrap(terms)
 
+    def _sum(self, summands: Iterable["_TermMap"]) -> "_TermMap":
+        """This term map plus every summand, in one new dict with one
+        ``_merge`` per summand: equal, key order included, to the fold of
+        ``+`` from this one.  The summands are built by this package in this
+        context, so their context is not checked again."""
+        terms = dict(self._terms)
+        for summand in summands:
+            _merge(terms, summand._terms.items())
+        return self._wrap(terms)
+
     def __neg__(self) -> "_TermMap":
         return self._wrap({k: -c for k, c in self._terms.items()})
 
@@ -126,7 +140,8 @@ class PhaseSum(_TermMap):
     a nonzero ``Fraction``.  Terms from outside the class are checked by
     ``_add_term``; the arithmetic starts from canonical terms, so it only
     drops coefficients that cancel.  Under the zeta relation the terms of
-    a sum are not unique: equality is ``is_zero`` of the difference.
+    a sum are not unique: equality compares the terms, and where they
+    differ it is ``is_zero`` of the difference.
     """
 
     __slots__ = ()
@@ -221,9 +236,12 @@ class PhaseSum(_TermMap):
         return all(c == 0 for c in coeffs)
 
     def __eq__(self, other: object) -> bool:
+        """Equal canonical terms are equal elements; terms that differ may
+        still agree under the zeta relation, so then the difference decides."""
         if type(other) is not PhaseSum:
             return NotImplemented
-        return (self - other).is_zero()
+        self._check(other)
+        return self._terms == other._terms or (self - other).is_zero()
 
     def __repr__(self) -> str:
         if not self._terms:

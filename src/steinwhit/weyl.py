@@ -74,11 +74,16 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        """The identity of size n, an ``int`` >= 1 (``bool`` refused)."""
+        _check_int("n", n, 1)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def simple(cls, n: int, i: int) -> "Permutation":
-        """The adjacent transposition swapping i and i + 1 (1 <= i < n)."""
+        """The adjacent transposition swapping i and i + 1 (1 <= i < n);
+        n and i are ``int``s (``bool`` refused), n >= 1."""
+        _check_int("n", n, 1)
+        _check_int("i", i)
         if not 1 <= i < n:
             raise ValueError(f"simple reflection index {i} out of range for n={n}")
         window = list(range(1, n + 1))

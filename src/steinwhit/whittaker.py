@@ -27,10 +27,14 @@ rows of g, a fraction-free column elimination of O(n^3) integer
 operations (``padic._minors_pass``), the pass that also gives the
 principal series its cell labels; it builds no witness
 (``padic.iwahori_cell`` does, for ``decompose``).  psi(n) is formed
-from the terms only on the support (``_pass_value``).
+from the terms only on the support (``_pass_value``), in integers over
+one p-power denominator (``_psi_of_terms``).
 ``verify_functional_equations`` is a table of identities for the engine
 of ``principal_series``, which runs the same pass on every coset term
-g . rep (the central term being g . pI), with no matrix product.
+g . rep (the central term being g . pI), with no matrix product; each
+term's value goes straight from the closed form and psi into a one-term
+``PhaseSum``, while ``phase_sum`` validates a ``WhittakerValue`` from
+outside.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PAdicMatrix, _minors_pass, frac_psi_phase
+from .padic import PAdicMatrix, _minors_pass, _p_power
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum
@@ -156,9 +160,23 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
 
 
 def _psi_of_terms(terms, p: int) -> Fraction:
-    """psi(n) on the support: the sum of the phases of num / den over the
-    phase terms (num, den, v) of a minors pass with p^v not dividing num."""
-    return sum((frac_psi_phase(Fraction(num, den), p) for num, den, v in terms if num % p**v), _ZERO) % 1
+    """psi(n) on the support: the sum mod 1 of the phases of num / den over
+    the phase terms (num, den, u) of a minors pass, in integers.
+
+    den has valuation exactly u, so den = b p^u with b a unit, and the
+    phase of num / den is r / p^u with r = num b^{-1} mod p^u (0 when p^u
+    divides num).  The phases are summed over the largest p^u met, and one
+    ``Fraction`` is built at the end.
+    """
+    total, top = 0, 1
+    for num, den, u in terms:
+        pu = p**u
+        if num % pu:
+            r = num * pow(den // pu, -1, pu) % pu
+            if pu > top:
+                total, top = total * (pu // top), pu
+            total += r * (top // pu)
+    return Fraction(total % top, top)
 
 
 def _pass_value(label: tuple, p: int, eps_exp: int) -> WhittakerValue:
@@ -167,6 +185,22 @@ def _pass_value(label: tuple, p: int, eps_exp: int) -> WhittakerValue:
     kbar, w, terms = label
     form = _closed_form(kbar, w, eps_exp)
     return _ZERO_VALUE if form is None else WhittakerValue(False, *form, _psi_of_terms(terms, p))
+
+
+def _pass_phase_sum(label: tuple, zero: PhaseSum, eps_exp: int) -> PhaseSum:
+    """``phase_sum(_pass_value(label, p, eps_exp), n, p)`` in the context
+    (n, p) of ``zero``, built unchecked: off the support it is ``zero``
+    itself, and on it the one term (e, psi) -> sign p^q_exp is canonical,
+    as ``_closed_form`` reduces e mod n, psi lies in [0, 1) with a p-power
+    denominator and the coefficient is nonzero."""
+    kbar, w, terms = label
+    form = _closed_form(kbar, w, eps_exp)
+    if form is None:
+        return zero
+    p = zero.p
+    sign, e, q_exp = form
+    up, down = _p_power(p, q_exp)
+    return zero._wrap({(e, _psi_of_terms(terms, p)): Fraction(sign * up, down)})
 
 
 def parahoric_check(i: int, n: int, eps_exp: int = 0) -> list[CheckResult]:
@@ -203,18 +237,18 @@ def verify_functional_equations(
 
     For each sampled g: every reflection coset sum returns -W(g), right
     rotation multiplies by eps^e, and the central scalar p acts
-    trivially.  W(g) is ``eval_matrix(g)``; every other term is a minors
-    pass of ``principal_series._check_identities``, which also records
-    the first failing point of each check.
+    trivially.  W(g) is ``eval_matrix(g)``, once per point; every other
+    term is a minors pass of ``principal_series._check_identities``, which
+    also records the first failing point of each check, and its value is
+    built as a canonical one-term ``PhaseSum`` from the closed form and
+    psi, with no ``WhittakerValue`` and no validating constructor between.
     """
 
     def value_at(g: PAdicMatrix):
         w_g = phase_sum(eval_matrix(g, eps_exp), n, p)
         return lambda cell: w_g
 
-    def cell(label) -> PhaseSum:
-        return phase_sum(_pass_value(label, p, eps_exp), n, p)
-
+    cell = functools.partial(_pass_phase_sum, zero=PhaseSum.zero(n, p), eps_exp=eps_exp)
     identities = [
         (f"reflection-sum[{i}]", cell, i, (-1, 0), (f"sum of W(g rep) over the cosets of s_{i}", "-W(g)"))
         for i in range(n)

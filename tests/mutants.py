@@ -1,0 +1,187 @@
+"""Mutation checks: every catalogued mutant must make its tests fail.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+
+Each mutant is a file of ``src/steinwhit``, an exact source snippet, its
+replacement, and the pytest ids that must catch it.  The script copies
+``src/`` to a temporary directory, replaces the snippet there (never in
+the working tree), runs the ids in a subprocess with the copy first on
+``PYTHONPATH``, and prints CAUGHT when a test fails, else MISSED (with
+PASSED, a timeout, or the pytest exit code of an error that is not a
+failing test).  A snippet that no longer occurs exactly once is reported
+as NO MATCH: a refactor must re-point its mutants, not drop them.  First
+the same ids run on the unchanged sources and must pass.  The exit code
+is 1 if any mutant is MISSED or has NO MATCH, else 0.
+
+Pytest does not collect this file (its name does not start with
+``test_``), and it stays out of tier-1: one pytest process per mutant
+takes a few seconds.  A later change that reports a mutation adds it to
+``MUTANTS``.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+MEMORY_BYTES = 1 << 30  # a mutant that loops while it allocates stops here
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/steinwhit
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant(
+        "sum-moves-an-updated-key-last", "values.py",
+        "        for summand in summands:\n"
+        "            _merge(terms, summand._terms.items())\n",
+        "        for summand in summands:\n"
+        "            for key, c in summand._terms.items():\n"
+        "                if key in terms:\n"
+        "                    c = terms.pop(key) + c\n"
+        "                if c:\n"
+        "                    terms[key] = c\n",
+        ("tests/test_values.py::test_sum_is_the_fold_of_plus",
+         "tests/test_hecke.py::test_sum_is_the_fold_of_plus"),
+    ),
+    Mutant(
+        "merge-moves-an-updated-key-last", "values.py",
+        "            c = old + c\n"
+        "            if not c:\n"
+        "                del terms[key]\n"
+        "                continue\n",
+        "            c = old + c\n"
+        "            del terms[key]\n"
+        "            if not c:\n"
+        "                continue\n",
+        ("tests/test_hecke.py::test_products_keep_their_frozen_normal_form",),
+    ),
+    Mutant(
+        "eq-fast-path-skips-the-context-check", "values.py",
+        "        self._check(other)\n"
+        "        return self._terms == other._terms or (self - other).is_zero()\n",
+        "        return self._terms == other._terms or (self - other).is_zero()\n",
+        ("tests/test_values.py::test_equality_across_contexts_raises_even_between_zeros",),
+    ),
+    Mutant(
+        "psi-inverts-den-not-its-unit-part", "whittaker.py",
+        "r = num * pow(den // pu, -1, pu) % pu",
+        "r = num * pow(den, -1, pu) % pu",
+        ("tests/test_whittaker.py::test_integer_psi_matches_the_fraction_oracle",
+         "tests/test_whittaker.py::test_integer_psi_on_drawn_terms"),
+    ),
+    Mutant(
+        "psi-without-the-row-denominators", "padic.py",
+        "terms.append((piv[-1] * rows[r][1], t * rows[r - 1][1], best_v + dvs[r - 1]))",
+        "terms.append((piv[-1], t, best_v))",
+        ("tests/test_padic.py::test_minors_pass_matches_the_laplace_oracle",),
+    ),
+    Mutant(
+        "character-of-drops-the-sign", "hecke.py",
+        "((qe, (ee + k) % n), v * s)",
+        "((qe, (ee + k) % n), v)",
+        ("tests/test_hecke.py::test_character_of_is_the_fold_of_scalar_products",),
+    ),
+    Mutant(
+        "ascent-drops-the-inversion-term", "affine_weyl.py",
+        "return lam[a - 1] - lam[b - 1] - (a > b) >= 0",
+        "return lam[a - 1] - lam[b - 1] >= 0",
+        ("tests/test_affine_weyl.py::test_ascent_is_the_length_comparison",),
+    ),
+    Mutant(
+        "ascent-drops-the-s0-plus-one", "affine_weyl.py",
+        "return lam[a - 1] - lam[b - 1] + 1 - (a > b) >= 0",
+        "return lam[a - 1] - lam[b - 1] - (a > b) >= 0",
+        ("tests/test_affine_weyl.py::test_ascent_is_the_length_comparison",),
+    ),
+    Mutant(
+        "reduced-word-s0-threshold-off-by-one", "affine_weyl.py",
+        "+ (winv[j - 1] > winv[j]) > (j == 0)), None)",
+        "+ (winv[j - 1] > winv[j]) > 2 * (j == 0)), None)",
+        ("tests/test_affine_weyl.py::test_length_matches_closed_formula",),
+    ),
+    Mutant(
+        "reduced-word-takes-the-largest-descent", "affine_weyl.py",
+        "return next((j for j in range(n) if",
+        "return next((j for j in reversed(range(n)) if",
+        ("tests/test_affine_weyl.py::test_length_matches_closed_formula",),
+    ),
+    Mutant(
+        "dominance-threshold-zero-at-a-descent", "weyl.py",
+        "return tuple(0 if winv[i] < winv[i + 1] else -1 for i in range(w.n - 1))",
+        "return tuple(0 if winv[i] < winv[i + 1] else 0 for i in range(w.n - 1))",
+        ("tests/test_acceptance.py::test_criterion_05_closed_form_vs_recursion",),
+    ),
+    Mutant(
+        "column-form-not-kept", "padic.py",
+        "    @functools.cached_property\n    def _column_form(self)",
+        "    @property\n    def _column_form(self)",
+        ("tests/test_whittaker.py::test_column_form_is_built_once_per_right_factor",),
+    ),
+]
+
+
+def run(tests, file: str | None = None, snippet: str = "", replacement: str = "") -> str:
+    """FAILED or PASSED for the pytest ids ``tests`` on a copy of ``src/``
+    with ``snippet`` replaced in ``file`` (unchanged without a file), or
+    NO MATCH when the snippet does not occur exactly once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if file is not None:
+            path = src / "steinwhit" / file
+            text = path.read_text()
+            if text.count(snippet) != 1:
+                return "NO MATCH"
+            path.write_text(text.replace(snippet, replacement))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=_limit_memory,
+            )
+        except subprocess.TimeoutExpired:
+            return "TIMEOUT"
+    # 0: every test passed; 1: some test failed; anything else (no such
+    # test, a usage or collection error) is neither
+    return {0: "PASSED", 1: "FAILED"}.get(proc.returncode, f"EXIT {proc.returncode}")
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    clean = run(sorted({t for m in chosen for t in m.tests}))
+    if clean != "PASSED":
+        print(f"the catalogue's tests on the unchanged sources: {clean}; nothing can be caught")
+        return 1
+    missed = 0
+    for mutant in chosen:
+        outcome = run(mutant.tests, mutant.file, mutant.snippet, mutant.replacement)
+        verdict = {"FAILED": "CAUGHT", "NO MATCH": "NO MATCH"}.get(outcome, f"MISSED ({outcome})")
+        missed += verdict != "CAUGHT"
+        print(f"{verdict:8s} {mutant.name}", flush=True)
+    return 1 if missed else 0
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -254,6 +254,32 @@ def test_generators_check_their_arguments(build, error, match):
         build()
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: ExtAffineElement.identity(True), TypeError, "n must be an int"),
+    (lambda: ExtAffineElement.identity(0), ValueError, "n must be >= 1"),
+    (lambda: ExtAffineElement.identity(2.0), TypeError, "n must be an int"),
+    (lambda: Permutation.identity(True), TypeError, "n must be an int"),
+    (lambda: Permutation.identity(0), ValueError, "n must be >= 1"),
+    (lambda: Permutation.identity(2.0), TypeError, "n must be an int"),
+    (lambda: Permutation.simple(3, True), TypeError, "i must be an int"),
+    (lambda: Permutation.simple(3, 1.0), TypeError, "i must be an int"),
+    (lambda: Permutation.simple(True, 1), TypeError, "n must be an int"),
+    (lambda: ExtAffineElement.rotation(3) ** True, TypeError, "k must be an int"),
+    (lambda: ExtAffineElement.rotation(3) ** 2.0, TypeError, "k must be an int"),
+], ids=["identity-bool-n", "identity-n0", "identity-float-n", "permutation-identity-bool-n",
+        "permutation-identity-n0", "permutation-identity-float-n", "simple-bool-index", "simple-float-index",
+        "simple-bool-n", "power-bool", "power-float"])
+def test_constructors_by_size_check_their_arguments(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize("n, i", [(1, 1), (3, 0), (3, 3), (3, -1)])
+def test_simple_keeps_refusing_its_range(n, i):
+    with pytest.raises(ValueError, match="out of range"):
+        Permutation.simple(n, i)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_simple_reflections_are_shared_frozen_instances(n):
     s = ExtAffineElement.simple_reflection

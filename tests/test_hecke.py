@@ -1,4 +1,5 @@
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from steinwhit.hecke import (
     verify_presentation,
 )
 from steinwhit.weyl import Permutation
-from test_affine_weyl import _ball_elements
+from test_affine_weyl import ORACLE_BALLS, _ball_elements, _bfs_ball
 
 
 def test_scalar_arithmetic():
@@ -343,3 +344,53 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
 def test_public_constructors_check_their_terms(build, error):
     with pytest.raises(error):
         build()
+
+
+def _fold(start, summands):
+    for s in summands:
+        start = start + s
+    return start
+
+
+@st.composite
+def _summands(draw, ring):
+    """A start and summands of ``ring``; each later summand may be the
+    negation of an earlier one, or a part of it, so keys cancel and
+    come back."""
+    summands = []
+    for _ in range(draw(st.integers(0, 6))):
+        if summands and draw(st.booleans()):
+            summands.append(-draw(st.sampled_from(summands)))
+        else:
+            summands.append(draw(ring))
+    return draw(ring), summands
+
+
+@settings(max_examples=100, deadline=None)
+@given(_summands(hecke_scalars), _summands(hecke_elements))
+def test_sum_is_the_fold_of_plus(scalars, elements):
+    """``_sum`` equals the fold of ``+``: one value, one repr, one key
+    order (``HeckeElement.__repr__`` reads it) and no zero coefficient."""
+    for start, summands in (scalars, elements):
+        total, fold = start._sum(summands), _fold(start, summands)
+        assert type(total) is type(start) and total == fold and repr(total) == repr(fold)
+        assert list(total._terms.items()) == list(fold._terms.items())
+        _same_as_validated(total)
+
+
+def test_character_of_is_the_fold_of_scalar_products():
+    """On products T_x T_y of the oracle balls' elements (times rotation
+    powers), plus a multiple of a third basis element, ``character_of``
+    equals the sum of c * steinberg_character(x, e) for every e."""
+    rng = random.Random("character-of")
+    for n, radius in ORACLE_BALLS:
+        ball = list(_bfs_ball(n, radius))
+        for x in ball:
+            y, z = rng.choice(ball), rng.choice(ball)
+            x = x * ExtAffineElement.rotation(n, rng.randint(-n, n))
+            c = HeckeScalar(n, {(rng.randint(-2, 2), rng.randrange(n)): rng.choice([-2, -1, 1, 3]) for _ in range(3)})
+            h = multiply(HeckeElement.basis(x), HeckeElement.basis(y)) + HeckeElement.basis(z).scaled(c)
+            for e in range(n):
+                got = character_of(h, e)
+                want = _fold(HeckeScalar.zero(n), [v * steinberg_character(t, e) for t, v in h.terms()])
+                assert got == want and repr(got) == repr(want) and got._terms == want._terms, (x, y, z, e)

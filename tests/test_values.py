@@ -216,3 +216,66 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
     monkeypatch.setattr(PhaseSum, "__init__", counted)
     [a + b, a - b, -a, a.times_monomial(2, 1, Fraction(1, 2)), a.times_monomial(0), a == b]
     assert calls == []
+
+
+# Summands for the accumulator: each later summand may repeat, negated,
+# terms of the earlier ones, so keys cancel and come back in the sum.
+@st.composite
+def summand_lists(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    p = draw(st.sampled_from([2, 3, 5]))
+    term = st.tuples(
+        st.integers(0, n - 1), st.builds(lambda a, k: Fraction(a % p**k, p**k), st.integers(0, 30), st.integers(0, 2)),
+        coeffs.filter(bool),
+    )
+    seen, summands = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        terms = draw(st.lists(term, max_size=4))
+        if seen:
+            terms += [(e, t, -c) for e, t, c in draw(st.lists(st.sampled_from(seen), max_size=3))]
+        seen += terms
+        summands.append(_built(n, p, terms))
+    start = _built(n, p, draw(st.lists(term, max_size=3)))
+    return start, summands
+
+
+@settings(max_examples=100, deadline=None)
+@given(summand_lists())
+def test_sum_is_the_fold_of_plus(case):
+    start, summands = case
+    before = [list(s._terms.items()) for s in [start, *summands]]
+    total = start._sum(iter(summands))
+    fold = start
+    for s in summands:
+        fold = fold + s
+    assert total == fold and repr(total) == repr(fold)
+    assert list(total._terms.items()) == list(fold._terms.items())  # one key order
+    assert all(c for c in total._terms.values())
+    assert type(total) is PhaseSum and (total.n, total.p) == (start.n, start.p)
+    assert total is not start and total._terms is not start._terms
+    assert [list(s._terms.items()) for s in [start, *summands]] == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_pairs(), st.sampled_from(["drawn", "copy", "zeta"]), st.integers(0, 4), coeffs.filter(bool))
+def test_equality_is_the_zero_test_of_the_difference(pair, kind, e, c):
+    """Random pairs, equal copies, and pairs whose terms differ by a sum of
+    all p-th roots of unity (zero under the zeta relation)."""
+    n, p, a, b = pair
+    if kind == "copy":
+        b = PhaseSum(n, p, dict(a.terms()))
+    elif kind == "zeta":
+        b = a._sum(PhaseSum.monomial(n, p, c, e, Fraction(k, p)) for k in range(p))
+        assert a._terms != b._terms
+    assert (a == b) == (a - b).is_zero()
+    assert (a != b) == (not (a - b).is_zero())
+    if kind != "drawn":
+        assert a == b
+
+
+@pytest.mark.parametrize("other", [PhaseSum.zero(3, 2), PhaseSum.zero(2, 3), PhaseSum.monomial(2, 3, 1)])
+def test_equality_across_contexts_raises_even_between_zeros(other):
+    with pytest.raises(ValueError):
+        PhaseSum.zero(2, 2) == other
+    with pytest.raises(ValueError):
+        other == PhaseSum.zero(2, 2)

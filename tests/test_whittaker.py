@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinwhit import cli, padic, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
@@ -35,6 +36,7 @@ from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations, dominance_shift, is_dominant
 from steinwhit.whittaker import (
     WhittakerValue,
+    _pass_phase_sum,
     _pass_value,
     _psi_of_terms,
     eval_cell,
@@ -489,3 +491,75 @@ def test_cached_cell_constants_agree_with_the_recursion_at_n5():
     for _ in range(2000):
         kbar, w, e = tuple(rng.randint(-3, 3) for _ in range(5)), rng.choice(perms), rng.randrange(5)
         assert eval_cell(kbar, w, e) == eval_recursive(kbar, w, e)
+
+
+def _random_passes(count: int):
+    """(n, p, pass) for the minors passes of ``count`` random group elements,
+    n = 2..5 and p in {2, 3, 5, 7}: the pass of each matrix's rows and of
+    its unreduced coset terms under one generator, as the engine runs them."""
+    rng = random.Random("integer-psi")
+    for k in range(count):
+        n, p = 2 + k % 4, (2, 3, 5, 7)[k // 4 % 4]
+        g = random_group_element(rng, n, p)
+        gen = rng.choice([*range(n), "rotation", "center"])
+        for label in [_minors_pass(g.rows, p), *_coset_passes(g.rows, n, p, gen)]:
+            yield n, p, label
+
+
+def _fraction_psi(terms, p):
+    """The oracle: psi as the sum mod 1 of ``frac_psi_phase`` of each ratio."""
+    return sum((frac_psi_phase(Fraction(num, den), p) for num, den, u in terms if num % p**u), Fraction(0)) % 1
+
+
+def test_integer_psi_matches_the_fraction_oracle():
+    seen = set()
+    for n, p, (kbar, w, terms) in _random_passes(2000):
+        psi = _psi_of_terms(terms, p)
+        assert type(psi) is Fraction and psi == _fraction_psi(terms, p), (terms, p)
+        seen.add(psi.denominator > 1)
+    assert seen == {False, True}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(st.just(p), st.lists(st.tuples(
+    st.integers(-10**6, 10**6), st.integers(1, 10**4).filter(lambda b: b % p), st.integers(0, 6), st.booleans()
+), max_size=5))))
+def test_integer_psi_on_drawn_terms(case):
+    """Terms (num, b p^u, u) with b a unit of either sign, p^u dividing num
+    or not."""
+    p, drawn = case
+    terms = [(num, (b if positive else -b) * p**u, u) for num, b, u, positive in drawn]
+    assert _psi_of_terms(terms, p) == _fraction_psi(terms, p)
+
+
+def test_identity_engine_cells_equal_validated_values():
+    """The one-term PhaseSum of a pass, built unchecked, is the validated
+    ``phase_sum`` of its ``WhittakerValue``: same value, repr and terms."""
+    for n, p, label in _random_passes(300):
+        zero = PhaseSum.zero(n, p)
+        for e in range(n):
+            got, want = _pass_phase_sum(label, zero, e), phase_sum(_pass_value(label, p, e), n, p)
+            assert got == want and repr(got) == repr(want)
+            assert list(got._terms.items()) == list(want._terms.items())
+
+
+def test_verify_builds_one_validated_value_per_point(monkeypatch):
+    """``verify_functional_equations`` calls the validating ``PhaseSum``
+    constructor once per point (W(g), read through ``eval_matrix``) plus a
+    constant, whatever p and the number of generators and coset terms."""
+    samples, counts = 4, {}
+    for n in (2, 3):
+        for p in (2, 5):
+            verify_functional_equations(n, p, 1, samples=samples, seed=11)  # warm-up: the cached representatives
+            calls = []
+
+            def counted(self, *args, _original=PhaseSum.__init__, **kwargs):
+                calls.append(1)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PhaseSum, "__init__", counted)
+            results = verify_functional_equations(n, p, 1, samples=samples, seed=11)
+            monkeypatch.undo()
+            assert all(r.passed for r in results)
+            counts[n, p] = len(calls)
+    assert len(set(counts.values())) == 1 and counts[2, 2] <= (samples + 1) + 2, counts
