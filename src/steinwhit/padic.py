@@ -12,17 +12,29 @@ writes that form, with no ``Fraction`` in between: ``iwasawa``
 eliminates on integer columns, the minors pass reads the rows as they
 are, ``iwahori_cell`` builds and checks its witnesses on rows, and
 ``matrix_to_json`` writes each entry from its row with one gcd.  The
-public constructors clear their input once; ``entries``, the
+public constructors check p and clear their input once; ``entries``, the
 ``Fraction`` view, is built on access, for the readers that want
 rationals.
 
-One kernel multiplies matrices: ``_times`` gives the unreduced rows of
-g . m from g's rows and the column form of m, which m builds the first
+Two kernels multiply matrices, one per kind of right factor.  A factor
+used again and again, by ``__mul__`` or as a coset representative of
+``principal_series``, goes through ``_times``: it gives the unreduced rows
+of g . m from g's rows and the column form of m, which m builds the first
 time it is a right factor and keeps (``PAdicMatrix._column_form``).  Each
 column keeps its own factor to the common denominator, so dense entries
 stay small (scaled in, ``iwahori_cell`` at n = 56 took 3.7 s, not 1.8 s).
-``__mul__`` reduces each row; the coset terms of ``principal_series`` go
-to the minors pass as they are.
+``__mul__`` reduces each row; the coset terms go to the minors pass as
+they are.  A factor used once, in the n witness b . n2 and in
+``Cell.reconstruct``, goes through ``_combined``: each row of the product
+is a combination of the factor's rows, with each coefficient (never the
+entries) scaled to the common denominator and the zero coefficients
+skipped, about half of them against the unitriangular n; nothing is built
+that the product would not read.  These are two jobs, not one kernel with
+a switch: a column form is paid for once and read for every later
+product, and on reused factors the row combination is the slower one (by
+31% on the pooled Iwahori factors of the ``cells`` benchmark and 3.6
+times on the coset representatives, 2-vCPU Xeon VM), while for a factor
+used once building the column form is the waste.
 
 Every invertible g lies in exactly one Iwahori cell,
 
@@ -201,6 +213,8 @@ def _p_power(p: int, v: int) -> tuple[int, int]:
 def _reduced(a, d: int) -> _Row:
     """The canonical row of the vector a / d over integers, d != 0."""
     e = math.gcd(d, *a)
+    if e == 1 and d > 0:
+        return tuple(a), d
     if d < 0:
         e = -e
     return tuple(x // e for x in a), d // e
@@ -240,12 +254,33 @@ def _times(rows, m: "PAdicMatrix") -> list[tuple[list[int], int]]:
     """The rows of g . m, unreduced, from the rows (a_r, d_r) of g: with
     column j of m as b_j / e_j and L the lcm of the e_j, row r is the
     integers (a_r . b_j) L / e_j over d_r L.  A one-entry column is read
-    without a sum."""
+    without a sum, and a column with no zero entry against all of a_r."""
     cols, big = m._column_form
+    mul = operator.mul
     return [
-        ([a[at] * x if s is None else sum(map(operator.mul, at(a), x)) * s for at, x, s in cols], d * big)
+        ([a[at] * x if s is None else sum(map(mul, a if at is None else at(a), x)) * s for at, x, s in cols], d * big)
         for a, d in rows
     ]
+
+
+def _combined(rows, right) -> tuple[_Row, ...]:
+    """The canonical rows of g . m, from the rows (a_r, d_r) of g and the
+    rows (b_k, e_k) of m, integer vectors over positive denominators: with
+    L the lcm of the e_k, row r is the sum of a_r[k] (L / e_k) b_k over
+    d_r L, each coefficient scaled and never the entries, and the zero
+    coefficients skipped.  The product kernel for a right factor used
+    once, which would never read a column form again."""
+    big = math.lcm(*[e for _, e in right])
+    right = [(b, big // e) for b, e in right]
+    out = []
+    for a, d in rows:
+        acc = None
+        for c, (b, f) in zip(a, right):
+            if c:
+                c *= f
+                acc = [c * y for y in b] if acc is None else [x + c * y for x, y in zip(acc, b)]
+        out.append(_reduced([0] * len(right) if acc is None else acc, d * big))
+    return tuple(out)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -259,7 +294,9 @@ class PAdicMatrix:
     (p, rows), and every kernel of this module reads and writes integer
     rows with no ``Fraction`` in between.  The public constructors
     (``PAdicMatrix(p, entries)``, ``from_rows`` and the named ones) check
-    and clear their input once; ``entries``, the matrix as a tuple of
+    and clear their input once: p must be an ``int`` (``bool`` refused,
+    TypeError) and prime (``is_prime``, else ValueError), and the entries
+    a square array of rationals.  ``entries``, the matrix as a tuple of
     tuples of ``Fraction``s, is computed on each access for the readers
     that want rationals.
     """
@@ -268,6 +305,10 @@ class PAdicMatrix:
     rows: tuple[_Row, ...]
 
     def __init__(self, p: int, entries) -> None:
+        if type(p) is not int:
+            raise TypeError(f"p must be an int, got {p!r}")
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         n = len(entries)
         rows = []
         for row in entries:
@@ -299,14 +340,18 @@ class PAdicMatrix:
         """The matrix as a right factor (``_times``), built on first use and
         kept; not a field, so equality, hashing and repr read (p, rows) only.
         Per column b_j / e_j of ``_columns``: (k, b_j[k] L / e_j, None) if
-        b_j has one nonzero entry (or none: k = 0), else (a getter of the
-        rows of its nonzero entries, those entries, L / e_j); and L."""
+        b_j has one nonzero entry (or none: k = 0), (None, b_j, L / e_j) if
+        it has no zero entry, else (a getter of the rows of its nonzero
+        entries, those entries, L / e_j); and L."""
         cols = _columns(self.rows)
+        n = len(cols)
         big = math.lcm(*[e for _, e in cols])
         form = []
         for b, e in cols:
             ks = [k for k, x in enumerate(b) if x]
-            if len(ks) > 1:
+            if len(ks) == n > 1:
+                form.append((None, b, big // e))
+            elif len(ks) > 1:
                 get = operator.itemgetter(*ks)
                 form.append((get, get(b), big // e))
             else:
@@ -599,20 +644,27 @@ class Cell:
     j_factor: PAdicMatrix
 
     def reconstruct(self) -> PAdicMatrix:
-        """The product of the witnesses, for a diagonal t0, as one product.
+        """The product of the witnesses, as one product.
 
         Row r of diag(p^kbar) . t0 . P_w . j is p^{k_r} t0_r times row
         w^{-1}(r) of j, so g is n times j with its rows permuted and scaled.
+        ValueError unless kbar, w and the three matrices have one size, the
+        matrices one prime, and t0 is diagonal.
         """
-        p = self.n_factor.p
-        winv, j_rows = self.w.inverse(), self.j_factor.rows
+        n_factor, t0, j = self.n_factor, self.t0_factor, self.j_factor
+        n, p = n_factor.n, n_factor.p
+        if len(self.kbar) != n or self.w.n != n or (t0.n, t0.p) != (n, p) or (j.n, j.p) != (n, p):
+            raise ValueError("cell witnesses of different sizes or primes")
+        if any(any(a[:r]) or any(a[r + 1:]) for r, (a, _) in enumerate(t0.rows)):
+            raise ValueError(f"t0 witness is not diagonal: {t0!r}")
+        winv, j_rows = self.w.inverse(), j.rows
         right = []
-        for r, (k, (t, t_den)) in enumerate(zip(self.kbar, self.t0_factor.rows)):
+        for r, (k, (t, t_den)) in enumerate(zip(self.kbar, t0.rows)):
             up, down = _p_power(p, k)
             a, d = j_rows[winv(r + 1) - 1]
             s = up * t[r]
-            right.append(_reduced([x * s for x in a], d * down * t_den))
-        return self.n_factor * PAdicMatrix._of_rows(p, tuple(right))
+            right.append(([x * s for x in a], d * down * t_den))
+        return PAdicMatrix._of_rows(p, _combined(n_factor.rows, right))
 
 
 def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
@@ -625,7 +677,9 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
         j = P_{w^-1} b1^{-1} k,   t0 = diag(b1),   n = b b1 t0^{-1} p^{-kbar},
 
     and j is found by back substitution against the triangular b1 on
-    integer rows.  (kbar, w) is the unique cell label.  The witnesses n and
+    integer rows.  Every row of n2 = b1 t0^{-1} p^{-kbar} is an integer
+    vector over one denominator, and n = b n2 is one ``_combined``
+    product.  (kbar, w) is the unique cell label.  The witnesses n and
     t0 are always verified to lie in their subgroups; with ``check``, j is
     verified to lie in J and the cell to reconstruct g entry for entry,
     once each.  A failure raises DecompositionError.
@@ -650,14 +704,16 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
         den *= b1[r][r]
         y[r] = _reduced(acc, den)
     j_factor = PAdicMatrix._of_rows(p, tuple(y[w(r) - 1] for r in range(1, n + 1)))
-    # n = b n2 with n2 = b1 t0^{-1} p^{-kbar}: column c of b1 over b1[c][c] p^{k_c}
+    # n = b n2 with n2 = b1 t0^{-1} p^{-kbar}: column c of b1 over
+    # b1[c][c] p^{k_c}, so every row of n2 is an integer vector over D, the
+    # lcm of those denominators
     up_down = [_p_power(p, kv) for kv in kbar]
-    n2 = PAdicMatrix._of_rows(p, tuple(
-        _row_of((x * down, b1[c][c] * up) for c, (x, (up, down)) in enumerate(zip(row, up_down)))
-        for row in b1
-    ))
+    dens = [b1[c][c] * up for c, (up, _) in enumerate(up_down)]
+    den = math.lcm(*dens)
+    scale = [den // e * down for e, (_, down) in zip(dens, up_down)]
+    n2 = [(list(map(operator.mul, row, scale)), den) for row in b1]
     t0 = PAdicMatrix._of_rows(p, tuple((tuple(b1[i][i] if c == i else 0 for c in range(n)), 1) for i in range(n)))
-    cell = Cell(kbar, w, b * n2, t0, j_factor)
+    cell = Cell(kbar, w, PAdicMatrix._of_rows(p, _combined(b.rows, n2)), t0, j_factor)
     if not cell.n_factor.is_upper_unitriangular():
         raise DecompositionError(f"n witness is not upper unitriangular: {cell.n_factor!r}")
     if any(

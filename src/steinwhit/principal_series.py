@@ -19,9 +19,10 @@ Convolution operators act by right translation over explicit coset
 representatives, listed by ``generator_cosets`` (the centre is the one
 coset p . I).  A coset term g . rep is one minors pass (the O(n^3)
 fraction-free elimination ``padic._minors_pass``) on the unreduced rows
-of g . rep from ``padic._times``, the one matrix product of the library,
-which reads g's stored integer rows (``PAdicMatrix.rows``) under the
-representative's integer column form, built once per cached
+of g . rep from ``padic._times``, the product kernel for reused right
+factors (the other, ``padic._combined``, serves the witness products used
+once), which reads g's stored integer rows (``PAdicMatrix.rows``) under
+the representative's integer column form, built once per cached
 representative: ``_coset_passes``, the one source of coset terms, behind
 ``apply_generator`` and ``_check_identities``, the identity engine of
 ``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
@@ -55,13 +56,14 @@ __all__ = [
 class InducedFunction:
     """Iwahori-fixed function with one PhaseSum coefficient per w."""
 
-    __slots__ = ("n", "p", "eps_exp", "coeffs")
+    __slots__ = ("n", "p", "eps_exp", "coeffs", "_zero")
 
     def __init__(self, n: int, p: int, eps_exp: int, coeffs: dict[Permutation, PhaseSum]):
         self.n = n
         self.p = p
         self.eps_exp = eps_exp % n
         self.coeffs = dict(coeffs)
+        self._zero = PhaseSum.zero(n, p)  # the value off the support, shared
 
     @classmethod
     def casselman(cls, w: Permutation, p: int, eps_exp: int) -> "InducedFunction":
@@ -92,7 +94,7 @@ class InducedFunction:
         kbar, w = label[0], label[1]
         coeff = self.coeffs.get(w)
         if coeff is None:
-            return PhaseSum.zero(self.n, self.p)
+            return self._zero
         ksum = sum(kbar)
         q_exp = -sum((self.n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
         return coeff.times_monomial(Fraction(*_p_power(self.p, q_exp)), self.eps_exp * ksum)
@@ -149,7 +151,7 @@ def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     if (g.n, g.p) != (func.n, func.p):
         raise ValueError("matrix context mismatch")
     passes = _coset_passes(g.rows, g.n, g.p, gen)
-    return PhaseSum.zero(func.n, func.p)._sum(map(func._label_value, passes))
+    return func._zero._sum(map(func._label_value, passes))
 
 
 def _check_identities(
@@ -190,12 +192,12 @@ def _casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
     identity read once per generator: '' if it holds everywhere, else the
     first failing (i, w) and both sides."""
     casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
-    one, zero = PAdicMatrix.identity(n, p), PhaseSum.zero(n, p)
+    one, zero, hit = PAdicMatrix.identity(n, p), PhaseSum.zero(n, p), PhaseSum.monomial(n, p, p)
     for i in range(1, n):
-        passes = _coset_passes(one.rows, n, p, i)
+        passes, si = _coset_passes(one.rows, n, p, i), Permutation.simple(n, i)
         for w, f in casselman.items():
             lhs = zero._sum(map(f._label_value, passes))
-            rhs = PhaseSum.monomial(n, p, p if w == Permutation.simple(n, i) else 0)
+            rhs = hit if w == si else zero
             if lhs != rhs:
                 return (f"generator {i}, w = {w.window}: "
                         f"sum of f_w(rep) over the cosets of s_{i} = {lhs!r}; expected {rhs!r}")

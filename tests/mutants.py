@@ -132,6 +132,18 @@ MUTANTS = [
         "    @property\n    def _column_form(self)",
         ("tests/test_whittaker.py::test_column_form_is_built_once_per_right_factor",),
     ),
+    Mutant(
+        "single-use-kernel-without-the-row-scale", "padic.py",
+        "    right = [(b, big // e) for b, e in right]\n",
+        "    right = [(b, 1) for b, e in right]\n",
+        ("tests/test_padic.py::test_single_use_kernel_equals_the_fraction_product",),
+    ),
+    Mutant(
+        "n-witness-without-the-down-factor", "padic.py",
+        "scale = [den // e * down for e, (_, down) in zip(dens, up_down)]",
+        "scale = [den // e for e in dens]",
+        ("tests/test_padic.py::test_cell_witnesses_live_in_their_groups",),
+    ),
 ]
 
 

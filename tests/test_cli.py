@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -626,3 +627,43 @@ def test_verify_failure_lines_carry_the_detail_only_when_there_is_one(capsys, mo
     assert code == 1
     assert err == "FAIL whittaker:planted at point 0\nFAIL whittaker:bare\n"
     assert [doc["detail"] for doc in json.loads(out)] == ["at point 0", ""]
+
+
+def _frozen_decompose_documents() -> list[tuple[list[str], str]]:
+    """About 200 seeded ``decompose`` inputs at n = 2..8 and p in {2, 3, 5}:
+    cell products u . t . diag(p^kbar) . P_w . j from the sampler and
+    matrices of small rationals with p-power and other denominators, every
+    fourth with --mod-center; then one dense n = 40 matrix of integers in
+    [-9, 9] at p = 3."""
+    from steinwhit.padic import matrix_to_json
+    from steinwhit.sampling import random_cell_product
+
+    rng = random.Random("decompose-frozen")
+    docs = []
+    for k in range(210):
+        n, p = 2 + k % 7, (2, 3, 5)[k // 7 % 3]
+        if k % 2:
+            doc = matrix_to_json(random_cell_product(rng, n, p)[0])
+        else:
+            dens = [1, 1, p, p * p, 7, 10]
+            entries = [[str(Fraction(rng.randint(-9, 9), rng.choice(dens))) for _ in range(n)] for _ in range(n)]
+            doc = json.dumps({"p": p, "entries": entries})
+        docs.append((["decompose", "-"] + ["--mod-center"] * (k % 4 == 3), doc))
+    dense = [[str(rng.randint(-9, 9)) for _ in range(40)] for _ in range(40)]
+    docs.append((["decompose", "-"], json.dumps({"p": 3, "entries": dense})))
+    return docs
+
+
+# SHA-256 of the exit codes and outputs of ``_frozen_decompose_documents``,
+# computed before the witness products moved to row combinations.
+FROZEN_DECOMPOSE_SHA256 = "068672554040cb6f390d6e937d5f8240972ae6892a02883af2263bbf63682d2b"
+
+
+def test_decompose_output_is_frozen_on_a_seeded_set(capsys, monkeypatch):
+    """The witnesses are unique only up to the pivot choices of ``iwasawa``
+    and ``residue_bruhat``; a faster product must print the same bytes."""
+    digest = hashlib.sha256()
+    for argv, doc in _frozen_decompose_documents():
+        code, out, err = run(capsys, monkeypatch, argv, doc)
+        digest.update(f"{code}\n{out}{err}\n".encode())
+    assert digest.hexdigest() == FROZEN_DECOMPOSE_SHA256

@@ -19,6 +19,7 @@ from steinwhit.padic import (
     MatrixFormatError,
     PAdicMatrix,
     SingularMatrixError,
+    _combined,
     _minors_pass,
     cell_label,
     frac_psi_phase,
@@ -740,3 +741,100 @@ def test_single_check_catches_planted_faults_under_optimize_flag(plant):
     )
     stdout = _run_optimized(script)
     assert stdout.startswith(f"raised {message}"), stdout
+
+
+def test_reconstruct_refuses_witnesses_that_do_not_fit():
+    """Each row of t0 was read at its diagonal entry only, so a t0 with an
+    entry off the diagonal was silently dropped and this cell reconstructed
+    to I.  A kbar or w too long was cut to n by ``zip`` and accepted, and a
+    kbar too short refused only by accident, by the product's "matrix
+    context mismatch".  Now each misfit is a ValueError."""
+    p, w = 3, Permutation.identity(2)
+    one = PAdicMatrix.identity(2, p)
+    assert Cell((0, 0), w, one, one, one).reconstruct() == one
+    misfits = [
+        Cell((0, 0), w, one, PAdicMatrix.from_rows(p, [[1, 1], [0, 1]]), one),  # t0 not diagonal
+        Cell((0, 0), w, one, PAdicMatrix.from_rows(p, [[1, 0], [2, 1]]), one),
+        Cell((0,), w, one, one, one),  # kbar too short
+        Cell((0, 0, 0), w, one, one, one),  # kbar too long
+        Cell((0, 0), Permutation.identity(3), one, one, one),
+        Cell((0, 0), w, one, PAdicMatrix.identity(3, p), one),
+        Cell((0, 0), w, one, one, PAdicMatrix.identity(3, p)),
+        Cell((0, 0, 0), Permutation.identity(3), PAdicMatrix.identity(3, p), one, one),
+        Cell((0, 0), w, one, PAdicMatrix.identity(2, 5), one),  # another prime
+        Cell((0, 0), w, one, one, PAdicMatrix.identity(2, 5)),
+        Cell((0, 0), w, PAdicMatrix.identity(2, 5), one, one),
+    ]
+    for cell in misfits:
+        with pytest.raises(ValueError):
+            cell.reconstruct()
+
+
+NOT_PRIME_INTS = [4, 1, 0, -3, 9, 3215031751, PRIME_BOUND, PRIME_BOUND + 2]
+NOT_INTS = [True, False, 3.0, "3", Fraction(3), None]
+
+
+@pytest.mark.parametrize("p", NOT_PRIME_INTS + NOT_INTS, ids=repr)
+def test_public_constructors_refuse_a_p_that_is_not_a_prime_int(p):
+    """Every public constructor goes through ``__init__``, which refused
+    nothing: ``PAdicMatrix(4, I)`` built, and ``iwahori_cell`` and
+    ``cell_label`` answered for the "prime" 4.  Now a p that is not an
+    ``int`` (``bool`` included) is a TypeError and an ``int`` that is not
+    prime a ValueError."""
+    error = ValueError if p in NOT_PRIME_INTS and type(p) is int else TypeError
+    builds = [
+        lambda: PAdicMatrix(p, [[1, 0], [0, 1]]),
+        lambda: PAdicMatrix.from_rows(p, [[1, 2], [3, 4]]),
+        lambda: PAdicMatrix.identity(2, p),
+        lambda: PAdicMatrix.diagonal(p, [1, 2]),
+        lambda: PAdicMatrix.weight_matrix(p, (0, 1)),
+        lambda: PAdicMatrix.permutation(p, Permutation.simple(2, 1)),
+        lambda: PAdicMatrix.one_param(p, 2, 1, 2, 1),
+    ]
+    for build in builds:
+        with pytest.raises(error):
+            build()
+
+
+def test_internal_wrapping_stays_unchecked():
+    """``_of_rows`` wraps rows built in this package and checks nothing."""
+    m = PAdicMatrix._of_rows(4, (((1, 0), 1), ((0, 1), 1)))
+    assert (m.p, m.n) == (4, 2)
+    assert PAdicMatrix.identity(2, 2) * PAdicMatrix.identity(2, 2) == PAdicMatrix._of_rows(2, m.rows)
+
+
+@st.composite
+def single_use_products(draw):
+    """Pairs of matrices of small rationals at n = 2..6 and p in {2, 3, 5},
+    with denominators prime to p as well as p-powers, and zero entries,
+    rows and columns."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    p = draw(st.sampled_from([2, 3, 5]))
+    entry = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 4, 5, 7, 9, 10, 12, 25]))
+
+    def matrix():
+        rows = [[draw(entry) if draw(st.integers(0, 3)) else Fraction(0) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+        if draw(st.booleans()):
+            c = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[c] = Fraction(0)
+        return PAdicMatrix.from_rows(p, rows)
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_use_products())
+def test_single_use_kernel_equals_the_fraction_product(pair):
+    """``_combined``, the kernel of ``Cell.reconstruct`` and of the n
+    witness, gives the canonical rows of the product, equal to the
+    ``Fraction`` triple loop and to ``__mul__``; its right factor may come
+    as rows over any positive denominators, unreduced."""
+    a, b = pair
+    rows = _combined(a.rows, b.rows)
+    product = PAdicMatrix._of_rows(a.p, rows)
+    assert _has_canonical_rows(product)
+    assert product == _naive_product(a, b) == a * b
+    assert _combined(a.rows, [([6 * x for x in row], 6 * d) for row, d in b.rows]) == rows

@@ -237,3 +237,39 @@ def test_one_minors_pass_per_coset_term(monkeypatch, n, p, samples):
     calls.clear()
     assert all(r.passed for r in verify_functional_equations(n, p, 1 % n, samples=samples, seed=3))
     assert len(calls) == (samples + 1) * (n * p + 3)
+
+
+def test_eigen_checks_build_a_fixed_number_of_phase_sums(monkeypatch):
+    """``run_eigen_checks`` builds its validated PhaseSums per function and
+    per call: the count depends on n alone, not on p or the samples, where
+    a zero per off-support coset term and a monomial per (generator, w)
+    made it grow as n! (n - 1) p (63 at (3, 3) and 492 at (4, 5))."""
+    counts = {}
+    for n, p, samples in [(3, 2, 2), (3, 3, 2), (3, 5, 5), (4, 2, 2), (4, 5, 2), (4, 5, 5)]:
+        run_eigen_checks(n, p, 1, samples=samples)  # warm-up: the cached representatives
+        calls = []
+
+        def counted(self, *args, _original=PhaseSum.__init__, **kwargs):
+            calls.append(1)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PhaseSum, "__init__", counted)
+        results = run_eigen_checks(n, p, 1, samples=samples)
+        monkeypatch.undo()
+        assert all(r.passed for r in results)
+        counts[n, p, samples] = len(calls)
+    for n, factorial in [(3, 6), (4, 24)]:
+        seen = {c for (m, _, _), c in counts.items() if m == n}
+        assert len(seen) == 1 and seen.pop() <= 5 * factorial, counts
+
+
+def test_the_shared_off_support_zero_stays_zero():
+    """Every value off the support is one zero per function; a sum that
+    starts from it must not write into it."""
+    one = PAdicMatrix.identity(3, 5)
+    func = InducedFunction.casselman(Permutation.simple(3, 1), 5, 1)
+    off = func.eval(one)
+    assert off.is_zero() and (off.n, off.p) == (3, 5)
+    assert apply_generator(func, 1, one) == PhaseSum.monomial(3, 5, 5)
+    assert apply_generator(func, 2, one).is_zero()
+    assert func.eval(one) is off and off.is_zero()
