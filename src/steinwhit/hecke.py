@@ -29,10 +29,14 @@ step takes its generator s_i from the shared instance of
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
 evaluates it on basis elements, with the sign of the permutation part
-standing in for the length parity, and ``character_of`` extends linearly,
-shifting each coefficient by that one term.  A product and a character
-each accumulate their terms into one new dict (``_TermMap._sum``,
-``_merge``), not through a fold of ``+``.
+standing in for the length parity.  ``character_of`` extends it linearly
+through the element's character table, its terms c T_x read once as
+(rotation exponent m of x, sgn(w), c) (``_character_table``): at an
+exponent e each coefficient is shifted by the one term sgn(w) eps^{m e}
+(``_character_at``), so ``verify_presentation`` reads one table per side
+of a relation and evaluates it at all n exponents.  A product and a
+character each accumulate their terms into one new dict
+(``_TermMap._sum``, ``_merge``), not through a fold of ``+``.
 """
 
 from __future__ import annotations
@@ -251,19 +255,32 @@ def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
     return HeckeScalar._of(n, {(0, e % n): x.w.sign()})
 
 
-def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
-    """The Steinberg character extended linearly: the sum of c chi(T_x)
-    over the terms c T_x of h.
+def _character_table(h: HeckeElement) -> list[tuple[int, int, HeckeScalar]]:
+    """The terms c T_x of h as (m, sgn(w), c), m the rotation exponent of
+    x = (lam, w): read once, then evaluated at any eps exponent."""
+    return [(x.rotation_exponent(), x.w.sign(), c) for x, c in h._terms.items()]
 
-    chi(T_x) is the one term s eps^k of ``steinberg_character``, so
-    c chi(T_x) is c with its eps exponents shifted by k and its
-    coefficients times s; every shifted term is merged into one dict.
-    """
-    n, terms = h.n, {}
-    for x, c in h._terms.items():
-        ((_, k), s), = steinberg_character(x, eps_exp)._terms.items()
+
+def _character_at(n: int, table: list, eps_exp: int) -> HeckeScalar:
+    """The Steinberg character of the element with the character table
+    ``table`` at the eps exponent e: chi(T_x) = sgn(w) eps^{m e} is one
+    term, so c chi(T_x) is c with its eps exponents shifted by m e and its
+    coefficients times sgn(w); every shifted term is merged into one dict.
+    Each m e must be an ``int`` (else TypeError), as in
+    ``steinberg_character``."""
+    terms = {}
+    for m, s, c in table:
+        k = m * eps_exp
+        if type(k) is not int:
+            raise TypeError(f"the eps exponent must be an int, not {k!r}")
         _merge(terms, (((qe, (ee + k) % n), v * s) for (qe, ee), v in c._terms.items()))
     return HeckeScalar._of(n, terms)
+
+
+def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
+    """The Steinberg character extended linearly: the sum of c chi(T_x)
+    over the terms c T_x of h, from its character table at one exponent."""
+    return _character_at(h.n, _character_table(h), eps_exp)
 
 
 def equal_mod_center(a: HeckeElement, b: HeckeElement) -> bool:
@@ -340,8 +357,9 @@ def verify_presentation(n: int) -> list[CheckResult]:
 
     for name, lhs, rhs in relation_pairs:
         results.append(CheckResult(f"relation:{name}", lhs == rhs))
+        lhs_table, rhs_table = _character_table(lhs), _character_table(rhs)
         for e in range(n):
-            ok = character_of(lhs, e) == character_of(rhs, e)
+            ok = _character_at(n, lhs_table, e) == _character_at(n, rhs_table, e)
             results.append(CheckResult(f"character:{name}:eps={e}", ok))
 
     results.append(

@@ -29,7 +29,12 @@ representative: ``_coset_passes``, the one source of coset terms, behind
 The functions here read only each pass's label; the whittaker suite
 forms psi from its phase terms, and only on the support.  A coset sum is
 one accumulation of its terms' values into one new term map
-(``PhaseSum._sum``), not a fold of ``+``.
+(``PhaseSum._sum``), not a fold of ``+``.  ``InducedFunction`` checks its
+coefficients' types and context once, when it is built; the value on a
+cell is then coeff(w) with its eps exponents shifted and its coefficients
+scaled by the integer p^q (or divided by p^-q), wrapped unchecked like
+the whittaker suite's one-term values, with no ``Fraction`` power and no
+``times_monomial`` per coset term.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _minors_pass, _p_power, _times, cell_label, matrix_to_json
+from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
@@ -54,16 +59,32 @@ __all__ = [
 
 
 class InducedFunction:
-    """Iwahori-fixed function with one PhaseSum coefficient per w."""
+    """Iwahori-fixed function with one PhaseSum coefficient per w.
+
+    The constructor checks its input once: every key a ``Permutation`` of
+    size n and every coefficient a ``PhaseSum`` of context (n, p), and an
+    ``int`` eps exponent (``bool`` refused); a wrong type raises TypeError,
+    a wrong size or context ValueError.  The values on the cells are then
+    built from the coefficients unchecked.
+    """
 
     __slots__ = ("n", "p", "eps_exp", "coeffs", "_zero")
 
     def __init__(self, n: int, p: int, eps_exp: int, coeffs: dict[Permutation, PhaseSum]):
+        zero = PhaseSum.zero(n, p)  # checks n and p; the value off the support, shared
+        if type(eps_exp) is not int:
+            raise TypeError(f"the eps exponent must be an int, not {eps_exp!r}")
+        coeffs = dict(coeffs)
+        for w, c in coeffs.items():
+            if not isinstance(w, Permutation) or type(c) is not PhaseSum:
+                raise TypeError(f"a coefficient must be Permutation: PhaseSum, not {w!r}: {c!r}")
+            if w.n != n or (c.n, c.p) != (n, p):
+                raise ValueError(f"coefficient {w!r}: {c!r} is not of context ({n}, {p})")
         self.n = n
         self.p = p
         self.eps_exp = eps_exp % n
-        self.coeffs = dict(coeffs)
-        self._zero = PhaseSum.zero(n, p)  # the value off the support, shared
+        self.coeffs = coeffs
+        self._zero = zero
 
     @classmethod
     def casselman(cls, w: Permutation, p: int, eps_exp: int) -> "InducedFunction":
@@ -90,14 +111,25 @@ class InducedFunction:
 
     def _label_value(self, label: tuple) -> PhaseSum:
         """The value on the cell of a label (kbar, w), or of a minors pass
-        (kbar, w, terms): the function is left N-invariant, so psi plays no part."""
+        (kbar, w, terms): the function is left N-invariant, so psi plays no part.
+
+        coeff(w) q^{q_exp} eps^{e sum(kbar)} shifts every key of coeff(w)
+        by a bijection and scales every coefficient by the integer p^q_exp
+        (or divides it by p^-q_exp), so the terms stay canonical and are
+        wrapped unchecked; ``__init__`` checked the coefficients' context.
+        """
         kbar, w = label[0], label[1]
         coeff = self.coeffs.get(w)
         if coeff is None:
             return self._zero
-        ksum = sum(kbar)
-        q_exp = -sum((self.n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
-        return coeff.times_monomial(Fraction(*_p_power(self.p, q_exp)), self.eps_exp * ksum)
+        n, p = self.n, self.p
+        e = self.eps_exp * sum(kbar)
+        q_exp = -sum((n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
+        if q_exp >= 0:
+            up = p**q_exp
+            return coeff._wrap({((ee + e) % n, t): c * up for (ee, t), c in coeff._terms.items()})
+        down = p**-q_exp
+        return coeff._wrap({((ee + e) % n, t): c / down for (ee, t), c in coeff._terms.items()})
 
 
 @functools.lru_cache(maxsize=128)

@@ -9,13 +9,16 @@ group elements are built as structured products
 which keeps the true cell label (kbar, w) known by construction.  The
 factors are built from integer pairs straight into the canonical rows of
 ``PAdicMatrix`` (``padic._row_of``), with no ``Fraction`` in between.
+Each product is one ``padic._combined``, the kernel for factors used
+once: the verification suites draw a fresh point per sample in every
+call, so the samplers run on the ``verify`` path.
 """
 
 from __future__ import annotations
 
 import random
 
-from .padic import Cell, DecompositionError, PAdicMatrix, _row_of
+from .padic import Cell, DecompositionError, PAdicMatrix, _combined, _row_of
 from .weyl import Permutation, Weight
 
 __all__ = [
@@ -54,11 +57,6 @@ def _random_unit(rng: random.Random, p: int) -> tuple[int, int]:
     return sign * a, b
 
 
-def _integer_matrix(p: int, rows: list[list[int]]) -> PAdicMatrix:
-    """The matrix of integer rows: an integer row a is canonical over d = 1."""
-    return PAdicMatrix._of_rows(p, tuple((tuple(a), 1) for a in rows))
-
-
 def random_upper_unipotent(rng: random.Random, n: int, p: int, depth: int = 2) -> PAdicMatrix:
     """Upper unitriangular matrix whose entries may have p-power denominators."""
     rows = []
@@ -79,14 +77,20 @@ def random_torus_units(rng: random.Random, n: int, p: int) -> PAdicMatrix:
 
 
 def random_iwahori(rng: random.Random, n: int, p: int) -> PAdicMatrix:
-    """Random element of the Iwahori subgroup, as N_O . T_O . N^-_pO."""
+    """Random element of the Iwahori subgroup, as N_O . T_O . N^-_pO.
+
+    The units are drawn as ``random_torus_units`` draws them; row k of
+    T_O . N^-_pO is u_k times row k of the lower factor, so the product is
+    one ``padic._combined`` of the upper rows with those rows."""
     upper = [[int(i == j) for j in range(n)] for i in range(n)]
     lower = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             upper[i][j] = rng.randint(-(p**2), p**2)
             lower[j][i] = p * rng.randint(-p, p)
-    out = _integer_matrix(p, upper) * random_torus_units(rng, n, p) * _integer_matrix(p, lower)
+    units_lower = [([x * num for x in row], den) for row, (num, den) in
+                   zip(lower, [_random_unit(rng, p) for _ in range(n)])]
+    out = PAdicMatrix._of_rows(p, _combined([(row, 1) for row in upper], units_lower))
     if not out.is_in_iwahori():
         raise DecompositionError(f"N_O . T_O . N^-_pO product left the Iwahori subgroup: {out!r}")
     return out

@@ -97,6 +97,24 @@ MUTANTS = [
         ("tests/test_hecke.py::test_character_of_is_the_fold_of_scalar_products",),
     ),
     Mutant(
+        "character-table-without-the-rotation-shift", "hecke.py",
+        "(x.rotation_exponent(), x.w.sign(), c)",
+        "(0, x.w.sign(), c)",
+        ("tests/test_hecke.py::test_character_table_is_the_fold_on_every_relation_side",),
+    ),
+    Mutant(
+        "label-value-inverts-the-q-power", "principal_series.py",
+        "            up = p**q_exp\n",
+        "            up = Fraction(1, p**q_exp)\n",
+        ("tests/test_principal_series.py::test_label_values_equal_the_times_monomial_path",),
+    ),
+    Mutant(
+        "iwahori-sampler-without-the-units", "sampling.py",
+        "([x * num for x in row], den)",
+        "(row, 1)",
+        ("tests/test_sampling.py::test_samplers_equal_their_copies_through_the_public_constructors",),
+    ),
+    Mutant(
         "ascent-drops-the-inversion-term", "affine_weyl.py",
         "return lam[a - 1] - lam[b - 1] - (a > b) >= 0",
         "return lam[a - 1] - lam[b - 1] >= 0",

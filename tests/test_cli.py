@@ -667,3 +667,21 @@ def test_decompose_output_is_frozen_on_a_seeded_set(capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, argv, doc)
         digest.update(f"{code}\n{out}{err}\n".encode())
     assert digest.hexdigest() == FROZEN_DECOMPOSE_SHA256
+
+
+# SHA-256 of the exit codes and outputs of ``verify all --samples 3`` at the
+# six acceptance configs, eps 0 and 1, computed before the character tables,
+# the unchecked principal-series values and the one-shot sampler product.
+FROZEN_VERIFY_SHA256 = "0a5b052d24aad4d38890df6a230f18fa5d219c9d9220de9bd4a378f188583efe"
+
+
+def test_verify_output_is_frozen_at_the_acceptance_configs(capsys, monkeypatch):
+    """Every check name, detail and verdict of ``verify all`` at its seeded
+    points: a faster path must print the same bytes, with no point re-seeded."""
+    digest = hashlib.sha256()
+    for n, p in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]:
+        for eps_exp in (0, 1):
+            argv = ["verify", "all", "--n", str(n), "--p", str(p), "--eps-exp", str(eps_exp), "--samples", "3"]
+            code, out, err = run(capsys, monkeypatch, argv)
+            digest.update(f"{code}\n{out}{err}\n".encode())
+    assert digest.hexdigest() == FROZEN_VERIFY_SHA256

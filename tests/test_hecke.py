@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinwhit import hecke
 from steinwhit.affine_weyl import ExtAffineElement, length_ext, reduced_word
 from steinwhit.hecke import (
     HeckeElement,
@@ -394,3 +395,55 @@ def test_character_of_is_the_fold_of_scalar_products():
                 got = character_of(h, e)
                 want = _fold(HeckeScalar.zero(n), [v * steinberg_character(t, e) for t, v in h.terms()])
                 assert got == want and repr(got) == repr(want) and got._terms == want._terms, (x, y, z, e)
+
+
+def _steinberg_fold(h, e):
+    """The Steinberg character of h as the fold of c * steinberg_character(x, e)."""
+    return _fold(HeckeScalar.zero(h.n), [v * steinberg_character(x, e) for x, v in h.terms()])
+
+
+def _same_scalar(got, want):
+    assert got == want and repr(got) == repr(want)
+    assert list(got._terms.items()) == list(want._terms.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_character_table_is_the_fold_on_every_relation_side(monkeypatch, n):
+    """``verify_presentation`` reads one character table per side of each
+    relation and evaluates it at every eps exponent: at every e (also
+    outside 0..n-1) the table's value is the fold of c * steinberg_character(x, e)."""
+    sides, table_of = [], hecke._character_table
+
+    def recorded(h):
+        sides.append(h)
+        return table_of(h)
+
+    monkeypatch.setattr(hecke, "_character_table", recorded)
+    results = verify_presentation(n)
+    monkeypatch.undo()
+    assert all(r.passed for r in results)
+    assert len(sides) == 2 * sum(r.name.startswith("relation:") for r in results)
+    assert any(any(x.rotation_exponent() % n for x, _ in h.terms()) for h in sides)
+    for h in sides:
+        table = table_of(h)
+        for e in range(-n, 2 * n):
+            _same_scalar(hecke._character_at(n, table, e), _steinberg_fold(h, e))
+            _same_scalar(character_of(h, e), _steinberg_fold(h, e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hecke_elements, st.integers(-2 * N, 2 * N))
+def test_character_of_is_the_fold_on_drawn_elements(h, e):
+    _same_scalar(character_of(h, e), _steinberg_fold(h, e))
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, Fraction(1), "1", None])
+def test_character_of_refuses_an_exponent_that_is_not_an_int(bad):
+    x = ExtAffineElement.translation((1, 0, 0))
+    for h in (HeckeElement.basis(x), HeckeElement.generator(N, 1), HeckeElement.rotation_term(N) + HeckeElement.unit(N)):
+        with pytest.raises(TypeError):
+            character_of(h, bad)
+        with pytest.raises(TypeError):
+            hecke._character_at(N, hecke._character_table(h), bad)
+    with pytest.raises(TypeError):
+        steinberg_character(x, bad)

@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,7 @@ from steinwhit.principal_series import (
 )
 from steinwhit.sampling import random_group_element, random_iwahori
 from steinwhit.values import PhaseSum
-from steinwhit.weyl import Permutation
+from steinwhit.weyl import Permutation, all_permutations
 from steinwhit.whittaker import verify_functional_equations
 
 
@@ -273,3 +275,83 @@ def test_the_shared_off_support_zero_stays_zero():
     assert apply_generator(func, 1, one) == PhaseSum.monomial(3, 5, 5)
     assert apply_generator(func, 2, one).is_zero()
     assert func.eval(one) is off and off.is_zero()
+
+
+@pytest.mark.parametrize("build, error", [
+    # a coefficient in another context was returned as a value in that context
+    (lambda: InducedFunction(2, 3, 0, {Permutation.identity(2): PhaseSum.monomial(2, 5, 1)}), ValueError),
+    (lambda: InducedFunction(2, 3, 0, {Permutation.identity(2): PhaseSum.monomial(3, 3, 1)}), ValueError),
+    # a key of another size was accepted and never matched
+    (lambda: InducedFunction(2, 3, 0, {Permutation.identity(3): PhaseSum.monomial(2, 3, 1)}), ValueError),
+    # an int coefficient failed with AttributeError inside _label_value
+    (lambda: InducedFunction(2, 3, 0, {Permutation.identity(2): 7}), TypeError),
+    (lambda: InducedFunction(2, 3, 0, {Permutation.identity(2): Fraction(1)}), TypeError),
+    (lambda: InducedFunction(2, 3, 0, {(1, 2): PhaseSum.monomial(2, 3, 1)}), TypeError),
+    (lambda: InducedFunction(2, 3, 1.0, {}), TypeError),
+    (lambda: InducedFunction(2, 3, True, {}), TypeError),
+    (lambda: InducedFunction(2, 3, "1", {}), TypeError),
+    (lambda: InducedFunction(2.0, 3, 0, {}), TypeError),
+    (lambda: InducedFunction(2, 1, 0, {}), ValueError),
+])
+def test_induced_function_checks_its_input(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_induced_function_keeps_its_checked_input():
+    w = Permutation.simple(3, 2)
+    coeff = PhaseSum(3, 5, {(1, Fraction(1, 5)): 2, (0, 0): -1})
+    func = InducedFunction(3, 5, 4, {w: coeff})
+    assert (func.n, func.p, func.eps_exp, func.coeffs) == (3, 5, 1, {w: coeff})
+    assert func.eval(PAdicMatrix.permutation(5, w)) == coeff
+    assert InducedFunction(3, 5, -1, {}).eval(PAdicMatrix.identity(3, 5)) == PhaseSum.zero(3, 5)
+
+
+def _label_value_by_times_monomial(func, label):
+    """The value on a cell through the validating ``times_monomial``, with
+    q^q_exp as a Fraction: the path ``_label_value`` replaced."""
+    kbar, w = label[0], label[1]
+    coeff = func.coeffs.get(w)
+    if coeff is None:
+        return func._zero
+    q_exp = -sum((func.n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
+    return coeff.times_monomial(Fraction(func.p) ** q_exp, func.eps_exp * sum(kbar))
+
+
+def _multi_term_function(n, p, eps_exp, rng):
+    """A function whose coefficients have several terms: eps powers, p-power
+    phases and rationals, one w left out."""
+    coeffs = {}
+    for w in list(all_permutations(n))[1:]:
+        terms = {(rng.randrange(n), Fraction(rng.randrange(p * p), p * p)): Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, p]))
+                 for _ in range(rng.randint(1, 4))}
+        coeffs[w] = PhaseSum(n, p, terms)
+    return InducedFunction(n, p, eps_exp, coeffs)
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 2), (3, 5, 1), (4, 2, 1)])
+def test_label_values_equal_the_times_monomial_path(monkeypatch, n, p, radius):
+    """On every cell (kbar, w) of the box |k_i| <= radius, the unchecked
+    value equals the ``times_monomial`` one: value, coefficient types and
+    key order, for every Casselman function, both eigenvectors and a
+    function with multi-term coefficients, and it calls no ``times_monomial``."""
+    eps_exp = 1 % n
+    funcs = [InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)]
+    funcs += [InducedFunction.eigenvector(n, p, eps_exp, kind) for kind in ("minus", "plus")]
+    funcs.append(_multi_term_function(n, p, eps_exp, random.Random(f"multi:{n}:{p}")))
+    labels = [(kbar, w) for kbar in itertools.product(range(-radius, radius + 1), repeat=n)
+              for w in all_permutations(n)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("times_monomial on the label path")
+
+    monkeypatch.setattr(PhaseSum, "times_monomial", refused)
+    got = [[f._label_value(label) for label in labels] for f in funcs]
+    monkeypatch.undo()
+    for f, values in zip(funcs, got):
+        for label, value in zip(labels, values):
+            want = _label_value_by_times_monomial(f, label)
+            assert type(value) is PhaseSum and (value.n, value.p) == (n, p)
+            assert value == want and repr(value) == repr(want), (label, value, want)
+            assert list(value._terms.items()) == list(want._terms.items())
+            assert all(type(c) is Fraction for c in value._terms.values())
