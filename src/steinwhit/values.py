@@ -5,19 +5,25 @@ Function values in this package live in the group ring
     Q[E/n][zeta_{p^inf}],
 
 where ``eps`` is a formal n-th root of unity (exponents kept mod n, no
-further relations) and phases are p-power roots of unity written as
-rationals in [0, 1) with p-power denominator: the pair (e, t) stands for
-eps^e . exp(2 pi i t).  Coefficients are exact rationals; powers of q
-enter numerically as powers of p.
+further relations) and phases are p-power roots of unity: the key
+(e, (a, d)) stands for eps^e . exp(2 pi i a/d), with d = p^u and a/d in
+[0, 1) in lowest terms (phase 0 is (0, 1)).  The key is canonical, so
+equal phases are equal keys, hashed and compared as small integers.
+Phases enter as ``int`` or ``Fraction`` and leave (``terms``, ``repr``)
+as ``Fraction``; a product of phases is added in integers over the
+larger p-power and reduced to lowest terms again.  Coefficients are
+exact rationals; powers of q enter numerically as powers of p.
 
-Zero testing is exact.  Within each eps class the phases generate the
-cyclotomic field Q(zeta_{p^M}); exponents at or above (p-1) p^{M-1} are
-rewritten through the minimal polynomial relation
-
-    zeta^{(p-1) p^{M-1}} = -(1 + zeta^{p^{M-1}} + ... + zeta^{(p-2) p^{M-1}}),
-
-after which the surviving exponents form a Z-basis, so the sum vanishes
-exactly when every coefficient does.  Distinct eps classes never mix.
+Zero testing is exact and sparse.  Within each eps class let p^M be the
+largest phase denominator and zeta = exp(2 pi i / p^M).  For M >= 1 the
+powers zeta^r, 0 <= r < p^{M-1}, are a basis of Q(zeta) over Q(zeta_p),
+and the only Q-relation among 1, zeta_p, ..., zeta_p^{p-1} is that their
+sum vanishes.  So sum_t c_t zeta^t (t mod p^M) is zero exactly when,
+for every residue r mod p^{M-1}, the coset terms t = r + j p^{M-1},
+j = 0..p-1, are all absent or all p present with equal coefficients.
+That costs one pass over the terms, however large p^M is.  For M = 0
+the class is zero when its coefficients sum to zero.  Distinct eps
+classes never mix.
 
 ``PhaseSum`` and the two formal-q rings of ``hecke`` are sparse sums on
 one core, ``_TermMap``: one add-and-cancel rule (``_merge``), one ``+``,
@@ -40,6 +46,7 @@ __all__ = ["PhaseSum"]
 
 Rational = Union[int, Fraction]
 _RATIONAL = (int, Fraction)
+_NO_PHASE = Fraction(0)
 
 
 def _phase_ok(phase: Fraction, p: int) -> bool:
@@ -47,6 +54,17 @@ def _phase_ok(phase: Fraction, p: int) -> bool:
     while den % p == 0:
         den //= p
     return den == 1
+
+
+def _reduced_phase(a: int, d: int, p: int) -> tuple[int, int]:
+    """The canonical key of the phase a/d mod 1, d a power of p: a/d reduced
+    into [0, 1) and to lowest terms, (0, 1) for phase 0."""
+    a %= d
+    if not a:
+        return 0, 1
+    while not a % p:
+        a, d = a // p, d // p
+    return a, d
 
 
 def _check_monomial(eps_exp: int, phase: Rational, coeff: Rational) -> None:
@@ -135,18 +153,20 @@ class _TermMap:
 class PhaseSum(_TermMap):
     """Finite sum of terms coeff . eps^e . exp(2 pi i t).
 
-    The terms are kept canonical: every key (e, t) has 0 <= e < n and t a
-    rational in [0, 1) with p-power denominator, and every coefficient is
-    a nonzero ``Fraction``.  Terms from outside the class are checked by
-    ``_add_term``; the arithmetic starts from canonical terms, so it only
-    drops coefficients that cancel.  Under the zeta relation the terms of
-    a sum are not unique: equality compares the terms, and where they
-    differ it is ``is_zero`` of the difference.
+    The terms are kept canonical: every key is (e, (a, d)) with 0 <= e < n
+    and the phase t = a/d in [0, 1) in lowest terms, d = p^u (phase 0 is
+    (0, 1)), and every coefficient is a nonzero ``Fraction``.  Phases from
+    outside the class, ``int`` or ``Fraction``, are checked and converted
+    once, by ``_phase``; the arithmetic starts from canonical terms, so it
+    only drops coefficients that cancel.  Under the zeta relation the terms
+    of a sum are not unique: equality compares the terms, and where they
+    differ it is ``is_zero`` of the difference, the sparse coset test of
+    the module docstring.
     """
 
     __slots__ = ()
 
-    def __init__(self, n: int, p: int, terms: Mapping[tuple[int, Fraction], Rational] | None = None):
+    def __init__(self, n: int, p: int, terms: Mapping[tuple[int, Rational], Rational] | None = None):
         if type(n) is not int or type(p) is not int:
             raise TypeError(f"n and p must be int: {n!r}, {p!r}")
         if n < 1 or p < 2:
@@ -162,12 +182,13 @@ class PhaseSum(_TermMap):
             return
         _merge(self._terms, (((eps_exp % self.n, self._phase(phase)), Fraction(coeff)),))
 
-    def _phase(self, phase: Rational) -> Fraction:
-        """The phase reduced into [0, 1), checked to be a p-power root of unity."""
+    def _phase(self, phase: Rational) -> tuple[int, int]:
+        """The canonical key (a, d) of a phase given as an ``int`` or a
+        ``Fraction``, checked to be a p-power root of unity."""
         phase = Fraction(phase) % 1
         if not _phase_ok(phase, self.p):
             raise ValueError(f"phase {phase} is not a p-power root of unity at p={self.p}")
-        return phase
+        return phase.numerator, phase.denominator
 
     @classmethod
     def zero(cls, n: int, p: int) -> "PhaseSum":
@@ -189,51 +210,43 @@ class PhaseSum(_TermMap):
         The key shift (e, t) -> (e + eps_exp, t + phase) is a bijection, so
         no two terms merge; the types are checked at once, and a nonzero
         phase is validated as soon as there is a nonzero term to carry it.
+        Phases add in integers over the larger of the two p-powers (one
+        divides the other), reduced to lowest terms again.
         """
         _check_monomial(eps_exp, phase, coeff)
         if not coeff or not self._terms:
             return self._wrap({})
-        if phase:
-            phase = self._phase(phase)
         n = self.n
-        return self._wrap({
-            ((e + eps_exp) % n, (t + phase) % 1 if phase else t): c * coeff
-            for (e, t), c in self._terms.items()
-        })
+        if not phase:
+            return self._wrap({((e + eps_exp) % n, t): c * coeff for (e, t), c in self._terms.items()})
+        b, f = self._phase(phase)
+        p, terms = self.p, {}
+        for (e, (a, d)), c in self._terms.items():
+            top = max(d, f)
+            terms[(e + eps_exp) % n, _reduced_phase(a * (top // d) + b * (top // f), top, p)] = c * coeff
+        return self._wrap(terms)
 
     def terms(self) -> Iterable[tuple[tuple[int, Fraction], Fraction]]:
-        return sorted(self._terms.items())
+        """The terms ((e, phase), coeff), each phase a ``Fraction``, sorted."""
+        return sorted(((e, Fraction(a, d) if a else _NO_PHASE), c) for (e, (a, d)), c in self._terms.items())
 
     def is_zero(self) -> bool:
-        by_eps: dict[int, dict[Fraction, Fraction]] = {}
+        by_eps: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (e, t), c in self._terms.items():
             by_eps.setdefault(e, {})[t] = c
         return all(self._class_is_zero(cls_terms) for cls_terms in by_eps.values())
 
-    def _class_is_zero(self, terms: dict[Fraction, Fraction]) -> bool:
-        p = self.p
-        big_m = 0
-        for t in terms:
-            den, m = t.denominator, 0
-            while den > 1:
-                den //= p
-                m += 1
-            big_m = max(big_m, m)
-        if big_m == 0:
-            return sum(terms.values(), Fraction(0)) == 0
-        order = p**big_m
-        coeffs = [Fraction(0)] * order
-        for t, c in terms.items():
-            coeffs[int(t * order)] += c
-        threshold = (p - 1) * p ** (big_m - 1)
-        step = p ** (big_m - 1)
-        for t in range(order - 1, threshold - 1, -1):
-            c = coeffs[t]
-            if c:
-                coeffs[t] = Fraction(0)
-                for i in range(p - 1):
-                    coeffs[t - threshold + i * step] -= c
-        return all(c == 0 for c in coeffs)
+    def _class_is_zero(self, terms: dict[tuple[int, int], Fraction]) -> bool:
+        """The coset test of the module docstring on one eps class: the
+        phase a/d is t = a p^M / d mod p^M, in the coset of t mod p^{M-1}."""
+        p, top = self.p, max(d for _, d in terms)
+        if top == 1:
+            return sum(terms.values()) == 0
+        step = top // p
+        cosets: dict[int, list[Fraction]] = {}
+        for (a, d), c in terms.items():
+            cosets.setdefault(a * (top // d) % step, []).append(c)
+        return all(len(cs) == p and cs.count(cs[0]) == p for cs in cosets.values())
 
     def __eq__(self, other: object) -> bool:
         """Equal canonical terms are equal elements; terms that differ may

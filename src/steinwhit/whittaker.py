@@ -27,14 +27,21 @@ rows of g, a fraction-free column elimination of O(n^3) integer
 operations (``padic._minors_pass``), the pass that also gives the
 principal series its cell labels; it builds no witness
 (``padic.iwahori_cell`` does, for ``decompose``).  psi(n) is formed
-from the terms only on the support (``_pass_value``), in integers over
-one p-power denominator (``_psi_of_terms``).
+from the terms only on the support, in integers over one p-power
+denominator, as the lowest-terms pair (a, p^u) that is also the phase
+key of ``PhaseSum`` (``_psi_of_terms``, the one psi routine);
+``_pass_value`` makes it the ``Fraction`` a/p^u of ``WhittakerValue.psi``.
 ``verify_functional_equations`` is a table of identities for the engine
 of ``principal_series``, which runs the same pass on every coset term
 g . rep (the central term being g . pI), with no matrix product; each
-term's value goes straight from the closed form and psi into a one-term
-``PhaseSum``, while ``phase_sum`` validates a ``WhittakerValue`` from
-outside.
+term's value goes straight from the closed form and the psi pair into a
+one-term ``PhaseSum``, while ``phase_sum`` validates a ``WhittakerValue``
+from outside.
+
+``WhittakerValue`` checks its fields when built from outside (sign and
+exponents ``int``, ``bool`` refused, psi an ``int`` or ``Fraction``,
+else TypeError); the values of ``eval_cell`` and ``eval_matrix`` are
+built unchecked (``WhittakerValue._of``).
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from fractions import Fraction
 from .padic import PAdicMatrix, _minors_pass, _p_power
 from .principal_series import _check_identities
 from .reporting import CheckResult
-from .values import PhaseSum
+from .values import PhaseSum, _reduced_phase
 from .weyl import Permutation, Weight, _dominance_thresholds, dominance_shift
 
 __all__ = [
@@ -63,7 +70,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WhittakerValue:
-    """One exact monomial value, or the canonical zero."""
+    """One exact monomial value, or the canonical zero.
+
+    The sign and the exponents must be ``int`` and psi an ``int`` or a
+    ``Fraction`` (stored as a ``Fraction``); types compare exactly, so
+    ``bool`` is refused, as is a float, with TypeError.
+    """
 
     zero: bool
     sign: int
@@ -72,6 +84,12 @@ class WhittakerValue:
     psi: Fraction
 
     def __post_init__(self) -> None:
+        if not (type(self.sign) is type(self.eps_exp) is type(self.q_exp) is int
+                and type(self.psi) in (int, Fraction)):
+            raise TypeError(f"need int sign and exponents and an int or Fraction psi: "
+                            f"{self.sign!r}, {self.eps_exp!r}, {self.q_exp!r}, {self.psi!r}")
+        if type(self.psi) is int:
+            object.__setattr__(self, "psi", Fraction(self.psi))
         if self.zero and (self.sign, self.eps_exp, self.q_exp, self.psi) != (1, 0, 0, 0):
             raise ValueError("zero value must be canonical")
         if self.sign not in (-1, 1):
@@ -80,12 +98,23 @@ class WhittakerValue:
             raise ValueError("psi offset must lie in [0, 1)")
 
     @classmethod
+    def _of(cls, zero: bool, sign: int, eps_exp: int, q_exp: int, psi: Fraction) -> "WhittakerValue":
+        """Wrap fields built in this package from valid ones, unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "zero", zero)
+        object.__setattr__(v, "sign", sign)
+        object.__setattr__(v, "eps_exp", eps_exp)
+        object.__setattr__(v, "q_exp", q_exp)
+        object.__setattr__(v, "psi", psi)
+        return v
+
+    @classmethod
     def zero_value(cls) -> "WhittakerValue":
         return cls(True, 1, 0, 0, Fraction(0))
 
     @classmethod
-    def monomial(cls, sign: int, eps_exp: int, q_exp: int, psi=0) -> "WhittakerValue":
-        return cls(False, sign, eps_exp, q_exp, Fraction(psi))
+    def monomial(cls, sign: int, eps_exp: int, q_exp: int, psi: int | Fraction = 0) -> "WhittakerValue":
+        return cls(False, sign, eps_exp, q_exp, psi)
 
 
 _ZERO = Fraction(0)
@@ -135,7 +164,7 @@ def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
     if len(kbar) != w.n:
         raise ValueError("weight length must match the permutation size")
     form = _closed_form(kbar, w, eps_exp)
-    return _ZERO_VALUE if form is None else WhittakerValue(False, *form, _ZERO)
+    return _ZERO_VALUE if form is None else WhittakerValue._of(False, *form, _ZERO)
 
 
 def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
@@ -159,14 +188,16 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     return _pass_value(_minors_pass(g.rows, g.p), g.p, eps_exp)
 
 
-def _psi_of_terms(terms, p: int) -> Fraction:
+def _psi_of_terms(terms, p: int) -> tuple[int, int]:
     """psi(n) on the support: the sum mod 1 of the phases of num / den over
-    the phase terms (num, den, u) of a minors pass, in integers.
+    the phase terms (num, den, u) of a minors pass, in integers, as the
+    lowest-terms pair (a, d) of the phase a/d in [0, 1), d = p^u, (0, 1)
+    for phase 0: the phase key of ``PhaseSum``.
 
     den has valuation exactly u, so den = b p^u with b a unit, and the
     phase of num / den is r / p^u with r = num b^{-1} mod p^u (0 when p^u
-    divides num).  The phases are summed over the largest p^u met, and one
-    ``Fraction`` is built at the end.
+    divides num).  The phases are summed over the largest p^u met, and the
+    sum is reduced to lowest terms at the end; no ``Fraction`` is built.
     """
     total, top = 0, 1
     for num, den, u in terms:
@@ -176,23 +207,27 @@ def _psi_of_terms(terms, p: int) -> Fraction:
             if pu > top:
                 total, top = total * (pu // top), pu
             total += r * (top // pu)
-    return Fraction(total % top, top)
+    return _reduced_phase(total, top, p)
 
 
 def _pass_value(label: tuple, p: int, eps_exp: int) -> WhittakerValue:
     """The value for the (kbar, w, terms) of one minors pass: the closed
-    form of ``eval_cell`` times psi(n), formed only on the support."""
+    form of ``eval_cell`` times psi(n), formed only on the support and
+    built unchecked."""
     kbar, w, terms = label
     form = _closed_form(kbar, w, eps_exp)
-    return _ZERO_VALUE if form is None else WhittakerValue(False, *form, _psi_of_terms(terms, p))
+    if form is None:
+        return _ZERO_VALUE
+    a, d = _psi_of_terms(terms, p)
+    return WhittakerValue._of(False, *form, Fraction(a, d) if a else _ZERO)
 
 
 def _pass_phase_sum(label: tuple, zero: PhaseSum, eps_exp: int) -> PhaseSum:
     """``phase_sum(_pass_value(label, p, eps_exp), n, p)`` in the context
     (n, p) of ``zero``, built unchecked: off the support it is ``zero``
     itself, and on it the one term (e, psi) -> sign p^q_exp is canonical,
-    as ``_closed_form`` reduces e mod n, psi lies in [0, 1) with a p-power
-    denominator and the coefficient is nonzero."""
+    as ``_closed_form`` reduces e mod n, ``_psi_of_terms`` gives the phase
+    key in lowest terms and the coefficient is nonzero."""
     kbar, w, terms = label
     form = _closed_form(kbar, w, eps_exp)
     if form is None:

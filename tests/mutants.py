@@ -85,6 +85,20 @@ MUTANTS = [
          "tests/test_whittaker.py::test_integer_psi_on_drawn_terms"),
     ),
     Mutant(
+        "psi-pair-not-in-lowest-terms", "whittaker.py",
+        "    return _reduced_phase(total, top, p)\n",
+        "    return total % top, top\n",
+        ("tests/test_whittaker.py::test_integer_psi_matches_the_fraction_oracle",
+         "tests/test_whittaker.py::test_engine_values_have_canonical_keys"),
+    ),
+    Mutant(
+        "coset-test-drops-all-p-present", "values.py",
+        "len(cs) == p and cs.count(cs[0]) == p",
+        "cs.count(cs[0]) == len(cs)",
+        ("tests/test_values.py::test_sparse_zero_test_matches_the_dense_oracle",
+         "tests/test_values.py::test_partial_root_sum_does_not_vanish"),
+    ),
+    Mutant(
         "psi-without-the-row-denominators", "padic.py",
         "terms.append((piv[-1] * rows[r][1], t * rows[r - 1][1], best_v + dvs[r - 1]))",
         "terms.append((piv[-1], t, best_v))",

@@ -5,6 +5,10 @@ off the w-dominance cone (``whittaker.eval_cell``).  The paper derives
 that form from the diagonal recursion and the longest-element shift
 lemma; both live here, as oracles, and not in ``src/``.
 
+``PhaseSum`` tests a sum of p-power roots of unity for zero by its
+sparse coset test; ``dense_class_is_zero`` is the dense test it
+replaced, which rewrites every exponent through the minimal polynomial.
+
 ``eval_recursive`` keeps its own descent-suffix computation and never
 calls ``weyl.dominance_shift``, which shares the dominance thresholds
 with the closed form: a fault in those thresholds then shows up as a
@@ -13,6 +17,8 @@ disagreement instead of being checked against itself.
 Pytest does not collect this file; tests import it by name, as they
 import helpers from ``test_padic``.
 """
+
+from fractions import Fraction
 
 from steinwhit import weyl
 from steinwhit.weyl import Permutation, Weight
@@ -101,3 +107,40 @@ def conjugated_shift(w: Permutation) -> tuple[Weight, int]:
             f"conjugated shift {weight} of {w.window} is not a central translate of {target}"
         )
     return weight, diffs.pop()
+
+
+def dense_class_is_zero(terms: dict, p: int) -> bool:
+    """Whether sum_t c_t exp(2 pi i t) vanishes, for ``terms`` {t: c} with
+    each phase t a ``Fraction`` in [0, 1) of p-power denominator.
+
+    With p^M the largest denominator, the coefficients go into a dense
+    array over the exponents mod p^M.  Exponents at or above
+    (p-1) p^{M-1} are rewritten through the minimal polynomial relation
+
+        zeta^{(p-1) p^{M-1}} = -(1 + zeta^{p^{M-1}} + ... + zeta^{(p-2) p^{M-1}}),
+
+    after which the surviving exponents form a Z-basis, so the sum vanishes
+    exactly when every coefficient does.  It costs p^M slots.
+    """
+    big_m = 0
+    for t in terms:
+        den, m = t.denominator, 0
+        while den > 1:
+            den //= p
+            m += 1
+        big_m = max(big_m, m)
+    if big_m == 0:
+        return sum(terms.values(), Fraction(0)) == 0
+    order = p**big_m
+    coeffs = [Fraction(0)] * order
+    for t, c in terms.items():
+        coeffs[int(t * order)] += c
+    threshold = (p - 1) * p ** (big_m - 1)
+    step = p ** (big_m - 1)
+    for t in range(order - 1, threshold - 1, -1):
+        c = coeffs[t]
+        if c:
+            coeffs[t] = Fraction(0)
+            for i in range(p - 1):
+                coeffs[t - threshold + i * step] -= c
+    return all(c == 0 for c in coeffs)

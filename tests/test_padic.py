@@ -492,7 +492,7 @@ def _pass_with_psi(rows, p):
     """``_minors_pass`` with psi formed from its phase terms by the helper
     of ``whittaker``, whether or not the cell is on the support."""
     kbar, w, terms = _minors_pass(rows, p)
-    return kbar, w, _psi_of_terms(terms, p)
+    return kbar, w, Fraction(*_psi_of_terms(terms, p))
 
 
 def _outcome(f, rows, p):

@@ -1,4 +1,6 @@
 import operator
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinwhit.values import PhaseSum
+from oracles import dense_class_is_zero
 
 coeffs = st.fractions(max_denominator=50)
 
@@ -146,6 +149,26 @@ def _same(x, y):
     assert repr(x) == repr(y)
     assert list(x.terms()) == list(y.terms())
     assert all(c != 0 and 0 <= e < x.n and 0 <= t < 1 for (e, t), c in x.terms())
+    assert_canonical_keys(x)
+
+
+def is_phase_key(key, p):
+    """(a, d) is a canonical phase key: d = p^u, 0 <= a < d, a/d in lowest
+    terms, and phase 0 is (0, 1)."""
+    a, d = key
+    if type(a) is not int or type(d) is not int or d < 1 or not 0 <= a < d:
+        return False
+    while d % p == 0:
+        d //= p
+    return d == 1 and (key == (0, 1) or a % p != 0)
+
+
+def assert_canonical_keys(x):
+    """Every key of x is (e, (a, d)) with 0 <= e < n and a canonical phase
+    key, so x has the very terms the validating constructor gives it."""
+    for e, phase in x._terms:
+        assert type(e) is int and 0 <= e < x.n and is_phase_key(phase, x.p), (e, phase)
+    assert x._terms == PhaseSum(x.n, x.p, dict(x.terms()))._terms
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,6 +182,8 @@ def test_internal_arithmetic_matches_term_by_term_oracle(pair, c, e, num, depth)
     _same(-b, neg_b)
     _same(a.times_monomial(c, e, t), _oracle_times_monomial(a, c, e, t))
     _same(a.times_monomial(c, e), _oracle_times_monomial(a, c, e, 0))
+    for (_, t0), _c in a.terms()[:1]:  # a phase sum that reaches 0: key (0, 1)
+        _same(a.times_monomial(c, e, -t0), _oracle_times_monomial(a, c, e, -t0))
     _same(a + (-a), PhaseSum.zero(n, p))
 
 
@@ -279,3 +304,60 @@ def test_equality_across_contexts_raises_even_between_zeros(other):
         PhaseSum.zero(2, 2) == other
     with pytest.raises(ValueError):
         other == PhaseSum.zero(2, 2)
+
+
+# One eps class for the zero test: whole cosets c zeta^s (1 + zeta_p + ...
+# + zeta_p^{p-1}) at depth <= 3, which vanish, some with one term left
+# out, plus a few drawn terms (none, often).
+@st.composite
+def phase_classes(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = {}
+
+    def add(t, c):
+        t %= 1
+        terms[t] = terms.get(t, 0) + c
+
+    cosets = st.tuples(st.integers(1, 3), st.integers(0, 342), coeffs.filter(bool), st.booleans())
+    for depth, s, c, drop in draw(st.lists(cosets, max_size=3)):
+        for j in range(p - drop):
+            add(Fraction(s, p**depth) + Fraction(j, p), c)
+    for k, a, c in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 342), coeffs), max_size=3)):
+        add(Fraction(a, p**k), c)
+    return p, {t: c for t, c in terms.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_classes(), st.integers(0, 2))
+def test_sparse_zero_test_matches_the_dense_oracle(case, e):
+    p, terms = case
+    x = PhaseSum(3, p, {(e, t): c for t, c in terms.items()})
+    assert x.is_zero() == dense_class_is_zero(terms, p)
+    y = x + PhaseSum(3, p, {(e + 1, t): c for t, c in terms.items()})
+    assert y.is_zero() == dense_class_is_zero(terms, p)  # two eps classes, each the same sum
+
+
+def test_deep_phases_compare_within_a_small_budget():
+    """The zero test is sparse: two one-term sums at phases 1/p^2 and 2/p^2
+    compare in time and memory independent of p (a dense test needs p^2
+    slots, about 10^10 here)."""
+    p = 100003
+    tracemalloc.start()
+    try:
+        a = PhaseSum.monomial(2, p, 1, 0, Fraction(1, p * p))
+        b = PhaseSum.monomial(2, p, 1, 0, Fraction(2, p * p))
+        start = time.perf_counter()
+        equal = a == b
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not equal
+    assert elapsed < 0.05 and peak < 1 << 20, (elapsed, peak)
+
+
+def test_phase_keys_are_lowest_terms_integers():
+    x = mono(1, 0, Fraction(6, 8), n=2, p=2) + mono(2, 1, 3, n=2, p=2) + mono(3, 1, Fraction(-1, 4), n=2, p=2)
+    assert x._terms == {(0, (3, 4)): 1, (1, (0, 1)): 2, (1, (3, 4)): 3}
+    assert x.times_monomial(1, 0, Fraction(1, 4))._terms == {(0, (0, 1)): 1, (1, (1, 4)): 2, (1, (0, 1)): 3}
+    assert x.times_monomial(1, 0, Fraction(3, 4))._terms == {(0, (1, 2)): 1, (1, (3, 4)): 2, (1, (1, 2)): 3}

@@ -48,6 +48,8 @@ from steinwhit.whittaker import (
 )
 from oracles import eval_recursive
 from test_padic import _pass_with_psi, det, iwasawa_inputs, minors_pass_inputs
+from test_principal_series import _multi_term_function
+from test_values import assert_canonical_keys, is_phase_key
 
 ID2 = Permutation.identity(2)
 S1_2 = Permutation.simple(2, 1)
@@ -83,6 +85,45 @@ def test_zero_value_is_canonical():
         WhittakerValue(False, 2, 0, 0, Fraction(0))
     with pytest.raises(ValueError):
         WhittakerValue(False, 1, 0, 0, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WhittakerValue(False, 1, 0, 0, 0.5),
+    lambda: WhittakerValue(False, 1, 0, 0, "1/2"),
+    lambda: WhittakerValue(False, True, 0, 0, Fraction(0)),
+    lambda: WhittakerValue(False, 1, 0.0, 0, Fraction(0)),
+    lambda: WhittakerValue(False, 1, 0, False, Fraction(0)),
+    lambda: WhittakerValue.monomial(1, 0, 0, 0.25),
+    lambda: WhittakerValue.monomial(1.0, 0, 0),
+    lambda: WhittakerValue.monomial(1, True, 0),
+    lambda: WhittakerValue.monomial(1, 0, 2.0),
+])
+def test_value_refuses_wrong_types(build):
+    # a float psi used to be stored, and serialize then raised AttributeError
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_value_stores_an_int_psi_as_a_fraction():
+    v = WhittakerValue(False, 1, 0, 0, 0)
+    assert type(v.psi) is Fraction and v == WhittakerValue.monomial(1, 0, 0)
+    assert serialize(v)["psi_den"] == 1
+
+
+def test_library_values_are_built_unchecked(monkeypatch):
+    """``eval_cell`` and ``eval_matrix`` build their values through
+    ``WhittakerValue._of``, not the validating constructor."""
+    g = PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]])
+    want = [eval_cell((1, 0), ID2, 1), eval_matrix(g, 1)]
+
+    def refused(self):
+        raise AssertionError("validating constructor on a library path")
+
+    monkeypatch.setattr(WhittakerValue, "__post_init__", refused)
+    got = [eval_cell((1, 0), ID2, 1), eval_matrix(g, 1)]
+    monkeypatch.undo()
+    assert got == want and [repr(v) for v in got] == [repr(v) for v in want]
+    assert [type(v.psi) for v in got] == [Fraction, Fraction]
 
 
 def test_serialize_fields():
@@ -350,7 +391,7 @@ def test_coset_terms_from_columns_match_the_product_oracle(g):
         passes = _coset_passes(rows, n, p, gen)
         # the phase terms of g's cleared rows under a column form need not
         # be those of the product's canonical rows; psi formed from them is
-        assert [(kbar, w, _psi_of_terms(terms, p)) for kbar, w, terms in passes] == [
+        assert [(kbar, w, Fraction(*_psi_of_terms(terms, p))) for kbar, w, terms in passes] == [
             _pass_with_psi((g * rep).rows, p) for rep in reps
         ]
         assert [label[:2] for label in passes] == [cell_label(g * rep) for rep in reps]
@@ -515,8 +556,8 @@ def test_integer_psi_matches_the_fraction_oracle():
     seen = set()
     for n, p, (kbar, w, terms) in _random_passes(2000):
         psi = _psi_of_terms(terms, p)
-        assert type(psi) is Fraction and psi == _fraction_psi(terms, p), (terms, p)
-        seen.add(psi.denominator > 1)
+        assert is_phase_key(psi, p) and Fraction(*psi) == _fraction_psi(terms, p), (terms, p)
+        seen.add(psi[1] > 1)
     assert seen == {False, True}
 
 
@@ -529,7 +570,8 @@ def test_integer_psi_on_drawn_terms(case):
     or not."""
     p, drawn = case
     terms = [(num, (b if positive else -b) * p**u, u) for num, b, u, positive in drawn]
-    assert _psi_of_terms(terms, p) == _fraction_psi(terms, p)
+    psi = _psi_of_terms(terms, p)
+    assert is_phase_key(psi, p) and Fraction(*psi) == _fraction_psi(terms, p)
 
 
 def test_identity_engine_cells_equal_validated_values():
@@ -563,3 +605,23 @@ def test_verify_builds_one_validated_value_per_point(monkeypatch):
             assert all(r.passed for r in results)
             counts[n, p] = len(calls)
     assert len(set(counts.values())) == 1 and counts[2, 2] <= (samples + 1) + 2, counts
+
+
+def test_engine_values_have_canonical_keys():
+    """Every key of a value the engine builds unchecked (a coset term's
+    one-term ``PhaseSum``, a Hecke-operator value on a function with
+    multi-term coefficients, and those times a phase) is canonical."""
+    for n, p, label in _random_passes(200):
+        zero = PhaseSum.zero(n, p)
+        for e in range(n):
+            assert_canonical_keys(_pass_phase_sum(label, zero, e))
+    rng = random.Random("canonical-keys")
+    for n, p in ((2, 3), (3, 2), (3, 5)):
+        f = _multi_term_function(n, p, 1, rng)
+        for _ in range(3):
+            g = random_group_element(rng, n, p)
+            for gen in [*range(n), "rotation", "center"]:
+                value = apply_generator(f, gen, g)
+                assert_canonical_keys(value)
+                for (_, t), _c in value.terms():
+                    assert_canonical_keys(value.times_monomial(-1, 1, Fraction(1, p) - t))
