@@ -27,14 +27,21 @@ Whether s_i is a right ascent reads one pair term of it (``is_ascent``).
 in place on plain integer lists, always the smallest index first, so it
 returns the lexicographically least reduced word.
 
-Entries are validated at the boundary: the public constructors refuse
-any entry that is not an ``int`` (``bool`` included), while products,
-inverses, powers and ``normalize_central`` build their results from
-valid ones, unchecked.  The generators check their arguments (``int``
-n and index, ``bool`` refused; n >= 2 for a reflection, n >= 1 for a
-rotation) and then cost only their arithmetic: each s_i is built once
-per (n, i mod n) and shared, and r^k is built unchecked from its
-closed form.
+An element is a slotted frozen value, as its ``Permutation`` is: no
+instance ``__dict__``, a hash of (lam, window), and an ``==`` that
+compares both fields of two elements, each in one frame.  Entries are
+validated at the boundary: the public constructors refuse any entry
+that is not an ``int`` (``bool`` included), while products, inverses,
+powers and ``normalize_central`` build their results from valid ones,
+unchecked (``_of``, writing the slots through their descriptors).  A
+product is one frame: one size check, w.mu added in place (skipped when
+mu is zero, as for s_1, ..., s_{n-1}), and the windows composed inline.
+The public generators check their arguments (``int`` n and index,
+``bool`` refused; n >= 2 for a reflection, n >= 1 for a rotation) and
+then cost only their arithmetic: each s_i is built once per
+(n, i mod n) and shared, and r^k comes from one closed form
+(``_rotation``), which ``reduced_word`` calls unchecked, as its
+exponent is an ``int`` sum of entries.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import functools
 from dataclasses import dataclass
 
 from .padic import PAdicMatrix
-from .weyl import Permutation, Weight, _check_int
+from .weyl import Permutation, Weight, _check_int, _set_window
 
 __all__ = [
     "ExtAffineElement",
@@ -54,9 +61,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtAffineElement:
-    """Pair (lam, w) in Z^n semidirect S_n."""
+    """Pair (lam, w) in Z^n semidirect S_n.
+
+    A slotted frozen value: it hashes as (lam, w.window), and it equals
+    exactly the elements with the same lam and window (any other class
+    gets ``NotImplemented``).
+    """
 
     lam: tuple[int, ...]
     w: Permutation
@@ -75,13 +87,21 @@ class ExtAffineElement:
     def _of(cls, lam: tuple[int, ...], w: Permutation) -> "ExtAffineElement":
         """Wrap a pair built in this package from valid ones, unchecked."""
         x = object.__new__(cls)
-        object.__setattr__(x, "lam", lam)
-        object.__setattr__(x, "w", w)
+        _set_lam(x, lam)
+        _set_w(x, w)
         return x
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is ExtAffineElement:
+            return self.lam == other.lam and self.w.window == other.w.window
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.w.window))
 
     @property
     def n(self) -> int:
-        return self.w.n
+        return len(self.lam)
 
     @classmethod
     def identity(cls, n: int) -> "ExtAffineElement":
@@ -105,23 +125,30 @@ class ExtAffineElement:
 
     @classmethod
     def rotation(cls, n: int, k: int = 1) -> "ExtAffineElement":
-        """r^k, in closed form: lam_j = floor((k + j - 1) / n) and
-        w(j) = ((j - k - 1) mod n) + 1, so r^n is the translation by (1, ..., 1)."""
+        """r^k, from the closed form of ``_rotation``; n is an ``int`` >= 1
+        and k an ``int`` (``bool`` refused)."""
         _check_int("n", n, 1)
         _check_int("k", k)
-        lam = tuple([(k + j) // n for j in range(n)])
-        window = tuple([(j - k) % n + 1 for j in range(n)])
-        return cls._of(lam, Permutation._of(window))
+        return _rotation(n, k)
 
     def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
-        """(lam + w.mu, w v), adding mu_j into entry w(j) of lam in place."""
-        mu = other.lam
-        if len(self.lam) != len(mu):
+        """(lam + w.mu, w v) in one frame: mu_j is added into entry w(j) of
+        lam in place, unless mu is zero, and the windows are composed inline."""
+        lam, mu = self.lam, other.lam
+        win, right = self.w.window, other.w.window
+        if len(win) != len(right):
             raise ValueError("sizes differ")
-        lam = list(self.lam)
-        for k, c in zip(self.w.window, mu):
-            lam[k - 1] += c
-        return ExtAffineElement._of(tuple(lam), self.w * other.w)
+        if any(mu):
+            lam = list(lam)
+            for k, c in zip(win, mu):
+                lam[k - 1] += c
+            lam = tuple(lam)
+        w = object.__new__(Permutation)
+        _set_window(w, tuple([win[k - 1] for k in right]))
+        x = object.__new__(ExtAffineElement)
+        _set_lam(x, lam)
+        _set_w(x, w)
+        return x
 
     def inverse(self) -> "ExtAffineElement":
         winv = self.w.inverse()
@@ -159,6 +186,21 @@ class ExtAffineElement:
 
     def __repr__(self) -> str:
         return f"ExtAffineElement({self.lam}, {self.w.window})"
+
+
+# the slots' own setters, so that ``_of`` and ``__mul__`` bypass the
+# frozen ``__setattr__``
+_set_lam = ExtAffineElement.lam.__set__
+_set_w = ExtAffineElement.w.__set__
+
+
+def _rotation(n: int, k: int) -> ExtAffineElement:
+    """r^k for an ``int`` n >= 1 and ``int`` k, unchecked, in closed form:
+    lam_j = floor((k + j - 1) / n) and w(j) = ((j - k - 1) mod n) + 1, so
+    r^n is the translation by (1, ..., 1)."""
+    lam = tuple([(k + j) // n for j in range(n)])
+    window = tuple([(j - k) % n + 1 for j in range(n)])
+    return ExtAffineElement._of(lam, Permutation._of(window))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -249,7 +291,7 @@ def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
     """
     n = x.n
     m = x.rotation_exponent()
-    y = x * ExtAffineElement.rotation(n, -m)
+    y = x * _rotation(n, -m)
     lam, winv = list(y.lam), list(y.w.inverse().window)
     word: list[int] = []
     def first_descent() -> int | None:

@@ -33,9 +33,13 @@ standing in for the length parity.  ``character_of`` extends it linearly
 through the element's character table, its terms c T_x read once as
 (rotation exponent m of x, sgn(w), c) (``_character_table``): at an
 exponent e each coefficient is shifted by the one term sgn(w) eps^{m e}
-(``_character_at``), so ``verify_presentation`` reads one table per side
-of a relation and evaluates it at all n exponents.  A product and a
-character each accumulate their terms into one new dict
+(``_character_at``), so ``verify_presentation`` reads one table per
+relation whose sides are equal normal forms (one per side otherwise) and
+evaluates it at all n exponents.  It compares each side's value with the
+product of ``steinberg_character`` over the generator word that built
+that side (``_word_characters``): that is multiplicativity on every
+relation instance, which a wrong ``_character_at`` fails.  A product and
+a character each accumulate their terms into one new dict
 (``_TermMap._sum``, ``_merge``), not through a fold of ``+``.
 """
 
@@ -112,11 +116,9 @@ class HeckeScalar(_TermMap):
 
     def __mul__(self, other: "HeckeScalar") -> "HeckeScalar":
         self._check(other)
-        n, terms, pairs = self.n, {}, []
-        for (q1, e1), c1 in self._terms.items():
-            for (q2, e2), c2 in other._terms.items():
-                pairs.append(((q1 + q2, (e1 + e2) % n), c1 * c2))
-        _merge(terms, pairs)
+        n, terms, right = self.n, {}, other._terms.items()
+        _merge(terms, [((q1 + q2, (e1 + e2) % n), c1 * c2)
+                       for (q1, e1), c1 in self._terms.items() for (q2, e2), c2 in right])
         return self._wrap(terms)
 
     def __repr__(self) -> str:
@@ -297,6 +299,22 @@ def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
     return (i - j) % n in (1, n - 1)
 
 
+def _word_characters(steps: list, sides: set, chi: list) -> dict:
+    """The value under the Steinberg character of every relation side in
+    ``sides``, at one eps exponent, from ``chi``, the values of the letters.
+    A side is a tuple of words whose values add, and a word a sorted tuple
+    of letters (indices into ``chi``) whose values multiply.  ``steps``
+    lists each word of two letters or more, shortest first, as (word,
+    prefix, last letter): the values commute, so sorted words share their
+    prefixes, and each word is one product from its prefix."""
+    values = {(x,): value for x, value in enumerate(chi)}
+    for word, prefix, last in steps:
+        values[word] = values[prefix] * chi[last]
+    for side in sides:
+        values[side] = values[side[0]]._sum([values[w] for w in side[1:]]) if side[1:] else values[side[0]]
+    return values
+
+
 def verify_presentation(n: int) -> list[CheckResult]:
     """Re-derive the defining relations from the multiplication rules.
 
@@ -310,27 +328,42 @@ def verify_presentation(n: int) -> list[CheckResult]:
       * T_r^n equals the basis element of the central translation, and
         the identity modulo the center;
       * T_r^n commutes with every generator;
-      * the Steinberg character takes equal values on both sides of every
-        relation instance, for every eps exponent, and takes the same
-        value on all T_{s_i}.
+      * the Steinberg character is multiplicative on every relation
+        instance, for every eps exponent: each side was built as a product
+        of generators T_{x_1} ... T_{x_k} (the quadratic one as q + (q - 1)
+        T_{s_i}), and its ``character_of`` must equal the product of the
+        ``steinberg_character`` values over that word.  Two sides found
+        equal as normal forms have one character, so it is read once;
+      * the Steinberg character takes the same value on all T_{s_i}.
     """
     results = []
     unit = HeckeElement.unit(n)
     gens = [HeckeElement.generator(n, i) for i in range(n)]
     q = HeckeScalar.q(n)
     q1 = HeckeScalar.q_minus_one(n)
+    reflections = [ExtAffineElement.simple_reflection(n, i) for i in range(n)]
+    rotation = ExtAffineElement.rotation(n)
+    center = ExtAffineElement.translation((1,) * n)
+    # the letters of a word, indices into the values of ``_word_characters``:
+    # r, the central translation, q, q - 1, then s_i; a side is a tuple of
+    # words, each the sorted letters of a product of generators
+    r, z, q_, q1_ = range(4)
+    s = range(4, n + 4)
 
-    relation_pairs: list[tuple[str, HeckeElement, HeckeElement]] = []
+    # (name, lhs, its words, rhs, its words)
+    relations: list[tuple[str, HeckeElement, tuple, HeckeElement, tuple]] = []
 
     for i in range(n):
         lhs = mult_generator(gens[i], i)
         rhs = unit.scaled(q) + gens[i].scaled(q1)
-        relation_pairs.append((f"quadratic[{i}]", lhs, rhs))
+        relations.append((f"quadratic[{i}]", lhs, ((s[i], s[i]),), rhs, ((q_,), (q1_, s[i]))))
 
+    rotation_term = HeckeElement.rotation_term(n)
     for i in range(n):
+        j = (i + 1) % n
         lhs = mult_rotation(gens[i])
-        rhs = mult_generator(HeckeElement.rotation_term(n), (i + 1) % n)
-        relation_pairs.append((f"rotation-conjugation[{i}]", lhs, rhs))
+        rhs = mult_generator(rotation_term, j)
+        relations.append((f"rotation-conjugation[{i}]", lhs, ((r, s[i]),), rhs, ((r, s[j]),)))
 
     if n >= 3:
         for i in range(n):
@@ -338,28 +371,38 @@ def verify_presentation(n: int) -> list[CheckResult]:
                 if _cyclically_adjacent(i, j, n):
                     lhs = mult_generator(mult_generator(gens[i], j), i)
                     rhs = mult_generator(mult_generator(gens[j], i), j)
-                    relation_pairs.append((f"braid[{i},{j}]", lhs, rhs))
+                    relations.append((f"braid[{i},{j}]", lhs, ((s[i], s[i], s[j]),), rhs, ((s[i], s[j], s[j]),)))
                 else:
                     lhs = mult_generator(gens[i], j)
                     rhs = mult_generator(gens[j], i)
-                    relation_pairs.append((f"commuting[{i},{j}]", lhs, rhs))
+                    relations.append((f"commuting[{i},{j}]", lhs, ((s[i], s[j]),), rhs, ((s[i], s[j]),)))
 
     rot_power = unit
     for _ in range(n):
         rot_power = mult_rotation(rot_power)
-    central = HeckeElement.basis(ExtAffineElement.translation((1,) * n))
-    relation_pairs.append((f"rotation-power[{n}]", rot_power, central))
+    relations.append((f"rotation-power[{n}]", rot_power, ((r,) * n,), HeckeElement.basis(center), ((z,),)))
 
     for i in range(n):
         lhs = mult_generator(rot_power, i)
         rhs = multiply(gens[i], rot_power)
-        relation_pairs.append((f"rotation-power-central[{i}]", lhs, rhs))
+        side = ((r,) * n + (s[i],),)
+        relations.append((f"rotation-power-central[{i}]", lhs, side, rhs, side))
 
-    for name, lhs, rhs in relation_pairs:
-        results.append(CheckResult(f"relation:{name}", lhs == rhs))
-        lhs_table, rhs_table = _character_table(lhs), _character_table(rhs)
+    chis = [[steinberg_character(rotation, e), steinberg_character(center, e), q, q1,
+             *(steinberg_character(x, e) for x in reflections)] for e in range(n)]
+    sides = {side for relation in relations for side in relation[2::2]}
+    words = sorted({w[:k] for side in sides for w in side for k in range(2, len(w) + 1)}, key=len)
+    steps = [(w, w[:-1], w[-1]) for w in words]
+    expected = [_word_characters(steps, sides, chi) for chi in chis]
+    for name, lhs, lhs_words, rhs, rhs_words in relations:
+        same = lhs == rhs
+        results.append(CheckResult(f"relation:{name}", same))
+        lhs_table = _character_table(lhs)
+        rhs_table = lhs_table if same else _character_table(rhs)
         for e in range(n):
-            ok = _character_at(n, lhs_table, e) == _character_at(n, rhs_table, e)
+            left = _character_at(n, lhs_table, e)
+            right = left if same else _character_at(n, rhs_table, e)
+            ok = left == expected[e][lhs_words] and right == expected[e][rhs_words]
             results.append(CheckResult(f"character:{name}:eps={e}", ok))
 
     results.append(
@@ -370,7 +413,7 @@ def verify_presentation(n: int) -> list[CheckResult]:
     )
 
     for e in range(n):
-        values = [steinberg_character(ExtAffineElement.simple_reflection(n, i), e) for i in range(n)]
+        values = chis[e][4:]
         ok = all(v == values[0] for v in values) and values[0] == HeckeScalar.monomial(n, -1)
         results.append(CheckResult(f"character-reflections-constant:eps={e}", ok))
 

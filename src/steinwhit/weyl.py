@@ -18,6 +18,12 @@ threshold 0 (simple root pulled back to a positive root by ``w**-1``) or
 definition of the cone: ``dominance_shift(w)``, the suffix sums of the
 thresholds, is its vertex, and translating the cone by it moves it onto
 the ordinary dominant cone.
+
+``Permutation`` is a slotted frozen value: no instance ``__dict__``, a
+hash of the window alone and an ``==`` that compares the windows of two
+permutations, each in one frame.  Its constructor validates the window;
+the products and inverses of this package build theirs unchecked
+(``_of``), writing the slot through its descriptor.
 """
 
 from __future__ import annotations
@@ -37,9 +43,13 @@ __all__ = [
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation.
+
+    A slotted frozen value: it hashes as its window, and it equals exactly
+    the permutations with the same window (any other class gets
+    ``NotImplemented``, so a tuple compares unequal).
 
     >>> w = Permutation((2, 3, 1))
     >>> w(1), w(2), w(3)
@@ -65,8 +75,16 @@ class Permutation:
     def _of(cls, window: tuple[int, ...]) -> "Permutation":
         """Wrap a window built in this package from valid ones, unchecked."""
         w = object.__new__(cls)
-        object.__setattr__(w, "window", window)
+        _set_window(w, window)
         return w
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Permutation:
+            return self.window == other.window
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.window)
 
     @property
     def n(self) -> int:
@@ -163,6 +181,10 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.window})"
+
+
+# the slot's own setter, so that ``_of`` bypasses the frozen ``__setattr__``
+_set_window = Permutation.window.__set__
 
 
 def _check_int(name: str, value: int, least: int | None = None) -> None:

@@ -72,9 +72,10 @@ __all__ = [
 class WhittakerValue:
     """One exact monomial value, or the canonical zero.
 
-    The sign and the exponents must be ``int`` and psi an ``int`` or a
-    ``Fraction`` (stored as a ``Fraction``); types compare exactly, so
-    ``bool`` is refused, as is a float, with TypeError.
+    ``zero`` must be a ``bool``, the sign and the exponents ``int`` and psi
+    an ``int`` or a ``Fraction`` (stored as a ``Fraction``); types compare
+    exactly, so a ``bool`` sign or exponent is refused, as are a float and
+    an ``int`` zero flag, with TypeError.
     """
 
     zero: bool
@@ -84,9 +85,9 @@ class WhittakerValue:
     psi: Fraction
 
     def __post_init__(self) -> None:
-        if not (type(self.sign) is type(self.eps_exp) is type(self.q_exp) is int
+        if not (type(self.zero) is bool and type(self.sign) is type(self.eps_exp) is type(self.q_exp) is int
                 and type(self.psi) in (int, Fraction)):
-            raise TypeError(f"need int sign and exponents and an int or Fraction psi: "
+            raise TypeError(f"need a bool zero, int sign and exponents and an int or Fraction psi: {self.zero!r}, "
                             f"{self.sign!r}, {self.eps_exp!r}, {self.q_exp!r}, {self.psi!r}")
         if type(self.psi) is int:
             object.__setattr__(self, "psi", Fraction(self.psi))

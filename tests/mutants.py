@@ -111,6 +111,19 @@ MUTANTS = [
         ("tests/test_hecke.py::test_character_of_is_the_fold_of_scalar_products",),
     ),
     Mutant(
+        "character-at-without-sign-and-with-a-shifted-eps", "hecke.py",
+        "((qe, (ee + k) % n), v * s)",
+        "((qe, (ee + 2 * k + 1) % n), v)",
+        ("tests/test_hecke.py::test_presentation_suite_passes",),
+    ),
+    Mutant(
+        "hecke-step-skips-the-generator-checks", "hecke.py",
+        "    s = ExtAffineElement.simple_reflection(h.n, i)\n",
+        "    from .affine_weyl import _simple_reflection\n"
+        "    s = _simple_reflection(h.n, i % h.n)\n",
+        ("tests/test_affine_weyl.py::test_generators_check_their_arguments",),
+    ),
+    Mutant(
         "character-table-without-the-rotation-shift", "hecke.py",
         "(x.rotation_exponent(), x.w.sign(), c)",
         "(0, x.w.sign(), c)",
@@ -151,6 +164,18 @@ MUTANTS = [
         "return next((j for j in range(n) if",
         "return next((j for j in reversed(range(n)) if",
         ("tests/test_affine_weyl.py::test_length_matches_closed_formula",),
+    ),
+    Mutant(
+        "ext-affine-eq-ignores-lam", "affine_weyl.py",
+        "            return self.lam == other.lam and self.w.window == other.w.window\n",
+        "            return self.w.window == other.w.window\n",
+        ("tests/test_affine_weyl.py::test_value_types_compare_and_hash_by_their_fields",),
+    ),
+    Mutant(
+        "affine-product-skips-translation", "affine_weyl.py",
+        "        if any(mu):\n",
+        "        if mu[0]:\n",
+        ("tests/test_affine_weyl.py::test_product_is_the_oracle_product",),
     ),
     Mutant(
         "dominance-threshold-zero-at-a-descent", "weyl.py",

@@ -9,6 +9,10 @@ lemma; both live here, as oracles, and not in ``src/``.
 sparse coset test; ``dense_class_is_zero`` is the dense test it
 replaced, which rewrites every exponent through the minimal polynomial.
 
+``affine_product`` forms (lam + w.mu, w v) from ``act_weight`` and the
+permutations' values, through the validating constructors: the library's
+product adds w.mu in place and composes windows inline, in one frame.
+
 ``eval_recursive`` keeps its own descent-suffix computation and never
 calls ``weyl.dominance_shift``, which shares the dominance thresholds
 with the closed form: a fault in those thresholds then shows up as a
@@ -21,8 +25,19 @@ import helpers from ``test_padic``.
 from fractions import Fraction
 
 from steinwhit import weyl
+from steinwhit.affine_weyl import ExtAffineElement
 from steinwhit.weyl import Permutation, Weight
 from steinwhit.whittaker import WhittakerValue
+
+
+def affine_product(x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
+    """(lam, w) (mu, v) = (lam + w.mu, w v), with w.mu from ``act_weight``
+    and (w v)(i) = w(v(i)); ValueError when the sizes differ."""
+    w, v = x.w, y.w
+    if w.n != v.n:
+        raise ValueError("sizes differ")
+    lam = tuple(a + b for a, b in zip(x.lam, w.act_weight(y.lam)))
+    return ExtAffineElement(lam, Permutation(tuple(w(v(i)) for i in range(1, w.n + 1))))
 
 
 def descent_suffix_counts(w: Permutation) -> Weight:

@@ -12,9 +12,10 @@ from steinwhit.affine_weyl import (
     realize,
     reduced_word,
 )
-from steinwhit.hecke import HeckeScalar, steinberg_character
+from steinwhit.hecke import HeckeElement, HeckeScalar, mult_generator, mult_rotation, steinberg_character
 from steinwhit.padic import PAdicMatrix
 from steinwhit.weyl import Permutation
+from oracles import affine_product
 
 ROTATION_3 = ExtAffineElement.rotation(3)
 
@@ -247,9 +248,16 @@ def test_constructors_refuse_non_int_entries(build):
     (lambda: ExtAffineElement.simple_reflection(3, True), TypeError, "i must be an int"),
     (lambda: ExtAffineElement.rotation(True, 1), TypeError, "n must be an int"),
     (lambda: ExtAffineElement.rotation(2, True), TypeError, "k must be an int"),
+    (lambda: mult_generator(HeckeElement.generator(3, 1), True), TypeError, "i must be an int"),
+    (lambda: mult_generator(HeckeElement.generator(3, 1), 1.0), TypeError, "i must be an int"),
+    (lambda: mult_rotation(HeckeElement.generator(3, 1), True), TypeError, "k must be an int"),
+    (lambda: mult_generator(HeckeElement.unit(1), 0), ValueError, "n must be >= 2"),
 ], ids=["reflection-n0", "reflection-n1", "reflection-float-index", "reflection-bool-index",
-        "rotation-bool-n", "rotation-bool-k"])
+        "rotation-bool-n", "rotation-bool-k", "hecke-step-bool-index", "hecke-step-float-index",
+        "hecke-rotation-bool-power", "hecke-step-n1"])
 def test_generators_check_their_arguments(build, error, match):
+    """The public generators, and the Hecke steps that call them once per
+    step, refuse what they refused when the steps were written."""
     with pytest.raises(error, match=match):
         build()
 
@@ -322,3 +330,65 @@ def test_rotation_exponent_additive():
     s = ExtAffineElement.simple_reflection(3, 1)
     assert (u * s * u * s).rotation_exponent() == 2
     assert s.rotation_exponent() == 0
+
+
+# ---------------------------------------------------------------- value types
+
+
+@st.composite
+def _field_pairs(draw):
+    """Fields (lam, window) of two elements of one size, drawn from a small
+    space so that equal and nearly equal pairs both occur often."""
+    n = draw(st.integers(1, 4))
+    fields = st.tuples(st.tuples(*[st.integers(-1, 1)] * n), st.permutations(range(1, n + 1)).map(tuple))
+    first = draw(fields)
+    second = draw(st.one_of(st.just(first), fields))
+    return first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_pairs())
+def test_value_types_compare_and_hash_by_their_fields(pair):
+    """``Permutation`` and ``ExtAffineElement`` are slotted frozen values:
+    == holds exactly when the fields are equal, equal values hash equally,
+    an unchecked ``_of`` value equals and hashes like its validated copy,
+    another type compares unequal, every field refuses assignment, and no
+    instance has a ``__dict__``."""
+    (lam, window), (mu, other_window) = pair
+    u, v = Permutation(window), Permutation(other_window)
+    x, y = ExtAffineElement(lam, u), ExtAffineElement(mu, v)
+    assert (u == v) == (window == other_window) and (u != v) == (window != other_window)
+    assert (x == y) == (lam == mu and window == other_window) and (x != y) == (not x == y)
+    for a, b in ((u, v), (x, y)):
+        if a == b:
+            assert hash(a) == hash(b)
+    built = [Permutation._of(window), ExtAffineElement._of(lam, Permutation._of(window))]
+    for value, copy in zip(built, (u, x)):
+        assert value == copy and copy == value and hash(value) == hash(copy) and repr(value) == repr(copy)
+    for value in (u, x, *built):
+        for other in (window, (lam, window), None):
+            assert value != other and not value == other
+        for field in ("window",) if type(value) is Permutation else ("lam", "w"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, getattr(value, field))
+        assert not hasattr(value, "__dict__")
+
+
+@settings(deadline=None)
+@given(_elements(), st.data())
+def test_product_is_the_oracle_product(x, data):
+    """The one-frame product equals (lam + w.mu, w v) formed from
+    ``act_weight`` and the permutations' values, also for a right factor
+    with a zero translation part; a size mismatch raises ValueError."""
+    n = x.n
+    lam = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    window = tuple(data.draw(st.permutations(range(1, n + 1))))
+    for y in (ExtAffineElement(lam, Permutation(window)), ExtAffineElement((0,) * n, Permutation(window))):
+        assert x * y == affine_product(x, y)
+        assert (x * y).lam == affine_product(x, y).lam and type((x * y).lam) is tuple
+    smaller = ExtAffineElement.identity(n - 1) if n > 1 else ExtAffineElement.identity(2)
+    for a, b in ((x, smaller), (smaller, x)):
+        with pytest.raises(ValueError):
+            a * b
+        with pytest.raises(ValueError):
+            affine_product(a, b)

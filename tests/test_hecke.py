@@ -409,9 +409,10 @@ def _same_scalar(got, want):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_character_table_is_the_fold_on_every_relation_side(monkeypatch, n):
-    """``verify_presentation`` reads one character table per side of each
-    relation and evaluates it at every eps exponent: at every e (also
-    outside 0..n-1) the table's value is the fold of c * steinberg_character(x, e)."""
+    """``verify_presentation`` reads one character table per relation whose
+    two sides are equal normal forms (every relation here) and evaluates it
+    at every eps exponent: at every e (also outside 0..n-1) the table's
+    value is the fold of c * steinberg_character(x, e)."""
     sides, table_of = [], hecke._character_table
 
     def recorded(h):
@@ -422,7 +423,7 @@ def test_character_table_is_the_fold_on_every_relation_side(monkeypatch, n):
     results = verify_presentation(n)
     monkeypatch.undo()
     assert all(r.passed for r in results)
-    assert len(sides) == 2 * sum(r.name.startswith("relation:") for r in results)
+    assert len(sides) == sum(r.name.startswith("relation:") for r in results)
     assert any(any(x.rotation_exponent() % n for x, _ in h.terms()) for h in sides)
     for h in sides:
         table = table_of(h)
@@ -447,3 +448,48 @@ def test_character_of_refuses_an_exponent_that_is_not_an_int(bad):
             hecke._character_at(N, hecke._character_table(h), bad)
     with pytest.raises(TypeError):
         steinberg_character(x, bad)
+
+
+def _wrong_character_at(n, table, eps_exp):
+    """The mutant of ``_character_at`` that ``verify hecke`` once passed:
+    the sign dropped and the eps shift m e moved to 2 m e + 1."""
+    terms = {}
+    for m, _, c in table:
+        k = m * eps_exp
+        hecke._merge(terms, (((qe, (ee + 2 * k + 1) % n), v) for (qe, ee), v in c._terms.items()))
+    return HeckeScalar._of(n, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_character_checks_compare_each_side_with_its_generator_word(monkeypatch, n):
+    """Each ``character:*`` check compares ``character_of`` of a relation
+    side with the product of ``steinberg_character`` over the generator
+    word that built it, so a wrong character fails it; comparing the two
+    sides' characters with each other, as the checks once did, could not
+    fail on sides that are equal normal forms."""
+    monkeypatch.setattr(hecke, "_character_at", _wrong_character_at)
+    results = verify_presentation(n)
+    failed = {r.name.split(":")[0] for r in results if not r.passed}
+    assert failed == {"character"}
+    assert all(r.passed for r in results if r.name.startswith("relation:"))
+    assert all(not r.passed for r in results if r.name.startswith("character:quadratic"))
+
+
+def test_character_checks_read_both_sides_of_an_unequal_relation(monkeypatch):
+    """When a relation's sides differ, each side's character is read from
+    its own table and compared with its own generator word."""
+    n, sides, table_of = 3, [], hecke._character_table
+
+    def recorded(h):
+        sides.append(h)
+        return table_of(h)
+
+    monkeypatch.setattr(hecke, "_character_table", recorded)
+    monkeypatch.setattr(hecke, "multiply", lambda a, b: a)  # T_{s_i} T_r^n becomes T_{s_i}
+    results = {r.name: r.passed for r in verify_presentation(n)}
+    unequal = [f"rotation-power-central[{i}]" for i in range(n)]
+    assert not any(results[f"relation:{name}"] for name in unequal)
+    relations = sum(name.startswith("relation:") for name in results)
+    assert len(sides) == relations + len(unequal)
+    # chi(T_{s_i}) = -1 = chi(T_{s_i}) chi(T_r)^n: the character checks still hold
+    assert all(results[f"character:{name}:eps={e}"] for name in unequal for e in range(n))

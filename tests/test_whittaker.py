@@ -97,9 +97,12 @@ def test_zero_value_is_canonical():
     lambda: WhittakerValue.monomial(1.0, 0, 0),
     lambda: WhittakerValue.monomial(1, True, 0),
     lambda: WhittakerValue.monomial(1, 0, 2.0),
+    lambda: WhittakerValue(1, 1, 0, 0, 0),
+    lambda: WhittakerValue("yes", 1, 0, 0, 0),
 ])
 def test_value_refuses_wrong_types(build):
-    # a float psi used to be stored, and serialize then raised AttributeError
+    # a float psi used to be stored, and serialize then raised AttributeError;
+    # an int zero flag was stored too, and serialize printed "zero": 1
     with pytest.raises(TypeError):
         build()
 
