@@ -79,9 +79,9 @@ _EVAL_MAX_N = 18
 # 2.3 s at n = 58 and, median of 10, 2.6 s at n = 60 and 3.8 s at n = 64.
 _DECOMPOSE_MAX_N = 56
 # The presentation check of the hecke suite: a fresh process runs
-# ``verify hecke --n 24 --p 2`` in 0.33 s (median of 5; 0.96 s when each
-# length comparison took two O(n^2) lengths; 2-vCPU Xeon VM, Python 3.11).
-# The bound stays at 24, so that no exit code moves.
+# ``verify hecke --n 24 --p 2`` in 0.096 s, interpreter start and import
+# included (median of 9; 2-vCPU AMD EPYC VM, Python 3.11.7).  The bound
+# stays at 24, so that no exit code moves.
 _HECKE_MAX_N = 24
 
 # Measured cost of the principal and whittaker suites together, in units

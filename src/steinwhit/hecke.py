@@ -35,9 +35,11 @@ through the element's character table, its terms c T_x read once as
 exponent e each coefficient is shifted by the one term sgn(w) eps^{m e}
 (``_character_at``), so ``verify_presentation`` reads one table per
 relation whose sides are equal normal forms (one per side otherwise) and
-evaluates it at all n exponents.  It compares each side's value with the
-product of ``steinberg_character`` over the generator word that built
-that side (``_word_characters``): that is multiplicativity on every
+evaluates it at all n exponents.  The relations are declared once
+(``_relations``), as functions of the unit, the generators and the
+product, and built twice: in the algebra, and in the scalars with each
+generator replaced by its ``steinberg_character`` value.  Each side's
+character must equal its scalar build: that is multiplicativity on every
 relation instance, which a wrong ``_character_at`` fails.  A product and
 a character each accumulate their terms into one new dict
 (``_TermMap._sum``, ``_merge``), not through a fold of ``+``.
@@ -45,6 +47,7 @@ a character each accumulate their terms into one new dict
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 from .affine_weyl import ExtAffineElement, is_ascent, reduced_word
@@ -295,24 +298,36 @@ def equal_mod_center(a: HeckeElement, b: HeckeElement) -> bool:
     return reduce(a) == reduce(b)
 
 
-def _cyclically_adjacent(i: int, j: int, n: int) -> bool:
-    return (i - j) % n in (1, n - 1)
+def _relations(n: int, q, q1, one, s: list, r, z, step, rotate, mul, scale) -> tuple[list, object]:
+    """Every defining relation as (name, lhs, rhs), and T_r^n, built from
+    the unit ``one``, the generators ``s[i]`` = T_{s_i}, ``r`` = T_r and
+    ``z``, the basis element of the central translation, with ``step(h,
+    i)`` = h T_{s_i}, ``rotate(h)`` = h T_r, ``mul`` the product and
+    ``scale(h, c)`` = c h for the scalars ``q`` and ``q1`` = q - 1.
 
-
-def _word_characters(steps: list, sides: set, chi: list) -> dict:
-    """The value under the Steinberg character of every relation side in
-    ``sides``, at one eps exponent, from ``chi``, the values of the letters.
-    A side is a tuple of words whose values add, and a word a sorted tuple
-    of letters (indices into ``chi``) whose values multiply.  ``steps``
-    lists each word of two letters or more, shortest first, as (word,
-    prefix, last letter): the values commute, so sorted words share their
-    prefixes, and each word is one product from its prefix."""
-    values = {(x,): value for x, value in enumerate(chi)}
-    for word, prefix, last in steps:
-        values[word] = values[prefix] * chi[last]
-    for side in sides:
-        values[side] = values[side[0]]._sum([values[w] for w in side[1:]]) if side[1:] else values[side[0]]
-    return values
+    Called once in the algebra, and once per eps exponent with the values
+    of the Steinberg character in place of the generators, so that each
+    side is declared once and its expected character is its own build.
+    """
+    relations = []
+    for i in range(n):
+        relations.append((f"quadratic[{i}]", step(s[i], i), scale(one, q) + scale(s[i], q1)))
+    for i in range(n):
+        relations.append((f"rotation-conjugation[{i}]", rotate(s[i]), step(r, (i + 1) % n)))
+    if n >= 3:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i - j) % n in (1, n - 1):
+                    relations.append((f"braid[{i},{j}]", step(step(s[i], j), i), step(step(s[j], i), j)))
+                else:
+                    relations.append((f"commuting[{i},{j}]", step(s[i], j), step(s[j], i)))
+    rot_power = one
+    for _ in range(n):
+        rot_power = rotate(rot_power)
+    relations.append((f"rotation-power[{n}]", rot_power, z))
+    for i in range(n):
+        relations.append((f"rotation-power-central[{i}]", step(rot_power, i), mul(s[i], rot_power)))
+    return relations, rot_power
 
 
 def verify_presentation(n: int) -> list[CheckResult]:
@@ -329,92 +344,57 @@ def verify_presentation(n: int) -> list[CheckResult]:
         the identity modulo the center;
       * T_r^n commutes with every generator;
       * the Steinberg character is multiplicative on every relation
-        instance, for every eps exponent: each side was built as a product
-        of generators T_{x_1} ... T_{x_k} (the quadratic one as q + (q - 1)
-        T_{s_i}), and its ``character_of`` must equal the product of the
-        ``steinberg_character`` values over that word.  Two sides found
-        equal as normal forms have one character, so it is read once;
+        instance, for every eps exponent: ``_relations`` builds each side
+        once in the algebra and once more from the ``steinberg_character``
+        values of the generators (the quadratic one as q + (q - 1)
+        chi(T_{s_i})), and the side's ``character_of`` must equal that
+        scalar build.  Two sides found equal as normal forms have one
+        character, so it is read once;
       * the Steinberg character takes the same value on all T_{s_i}.
+
+    A failed check names n (and e), and both values it compared.
     """
     results = []
+    q, q1 = HeckeScalar.q(n), HeckeScalar.q_minus_one(n)
     unit = HeckeElement.unit(n)
-    gens = [HeckeElement.generator(n, i) for i in range(n)]
-    q = HeckeScalar.q(n)
-    q1 = HeckeScalar.q_minus_one(n)
     reflections = [ExtAffineElement.simple_reflection(n, i) for i in range(n)]
     rotation = ExtAffineElement.rotation(n)
     center = ExtAffineElement.translation((1,) * n)
-    # the letters of a word, indices into the values of ``_word_characters``:
-    # r, the central translation, q, q - 1, then s_i; a side is a tuple of
-    # words, each the sorted letters of a product of generators
-    r, z, q_, q1_ = range(4)
-    s = range(4, n + 4)
+    relations, rot_power = _relations(
+        n, q, q1, unit, [HeckeElement.basis(x) for x in reflections], HeckeElement.basis(rotation),
+        HeckeElement.basis(center), mult_generator, mult_rotation, multiply, HeckeElement.scaled)
+    one, chis, expected = HeckeScalar.one(n), [], []
+    for e in range(n):
+        chi, chi_r = [steinberg_character(x, e) for x in reflections], steinberg_character(rotation, e)
+        chis.append(chi)
+        expected.append(_relations(
+            n, q, q1, one, chi, chi_r, steinberg_character(center, e),
+            lambda v, i: v * chi[i], lambda v: v * chi_r, operator.mul, operator.mul)[0])
 
-    # (name, lhs, its words, rhs, its words)
-    relations: list[tuple[str, HeckeElement, tuple, HeckeElement, tuple]] = []
-
-    for i in range(n):
-        lhs = mult_generator(gens[i], i)
-        rhs = unit.scaled(q) + gens[i].scaled(q1)
-        relations.append((f"quadratic[{i}]", lhs, ((s[i], s[i]),), rhs, ((q_,), (q1_, s[i]))))
-
-    rotation_term = HeckeElement.rotation_term(n)
-    for i in range(n):
-        j = (i + 1) % n
-        lhs = mult_rotation(gens[i])
-        rhs = mult_generator(rotation_term, j)
-        relations.append((f"rotation-conjugation[{i}]", lhs, ((r, s[i]),), rhs, ((r, s[j]),)))
-
-    if n >= 3:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _cyclically_adjacent(i, j, n):
-                    lhs = mult_generator(mult_generator(gens[i], j), i)
-                    rhs = mult_generator(mult_generator(gens[j], i), j)
-                    relations.append((f"braid[{i},{j}]", lhs, ((s[i], s[i], s[j]),), rhs, ((s[i], s[j], s[j]),)))
-                else:
-                    lhs = mult_generator(gens[i], j)
-                    rhs = mult_generator(gens[j], i)
-                    relations.append((f"commuting[{i},{j}]", lhs, ((s[i], s[j]),), rhs, ((s[i], s[j]),)))
-
-    rot_power = unit
-    for _ in range(n):
-        rot_power = mult_rotation(rot_power)
-    relations.append((f"rotation-power[{n}]", rot_power, ((r,) * n,), HeckeElement.basis(center), ((z,),)))
-
-    for i in range(n):
-        lhs = mult_generator(rot_power, i)
-        rhs = multiply(gens[i], rot_power)
-        side = ((r,) * n + (s[i],),)
-        relations.append((f"rotation-power-central[{i}]", lhs, side, rhs, side))
-
-    chis = [[steinberg_character(rotation, e), steinberg_character(center, e), q, q1,
-             *(steinberg_character(x, e) for x in reflections)] for e in range(n)]
-    sides = {side for relation in relations for side in relation[2::2]}
-    words = sorted({w[:k] for side in sides for w in side for k in range(2, len(w) + 1)}, key=len)
-    steps = [(w, w[:-1], w[-1]) for w in words]
-    expected = [_word_characters(steps, sides, chi) for chi in chis]
-    for name, lhs, lhs_words, rhs, rhs_words in relations:
+    for k, (name, lhs, rhs) in enumerate(relations):
         same = lhs == rhs
-        results.append(CheckResult(f"relation:{name}", same))
+        detail = "" if same else f"n={n}: lhs {lhs!r} != rhs {rhs!r}"
+        results.append(CheckResult(f"relation:{name}", same, detail))
         lhs_table = _character_table(lhs)
         rhs_table = lhs_table if same else _character_table(rhs)
         for e in range(n):
             left = _character_at(n, lhs_table, e)
             right = left if same else _character_at(n, rhs_table, e)
-            ok = left == expected[e][lhs_words] and right == expected[e][rhs_words]
-            results.append(CheckResult(f"character:{name}:eps={e}", ok))
+            _, want_left, want_right = expected[e][k]
+            ok = left == want_left and right == want_right
+            detail = "" if ok else "; ".join(
+                f"n={n} eps={e} {side}: character_of {got!r} != scalar build {want!r}"
+                for side, got, want in (("lhs", left, want_left), ("rhs", right, want_right)) if got != want)
+            results.append(CheckResult(f"character:{name}:eps={e}", ok, detail))
 
-    results.append(
-        CheckResult(
-            "rotation-power-mod-center",
-            equal_mod_center(rot_power, unit),
-        )
-    )
+    ok = equal_mod_center(rot_power, unit)
+    detail = "" if ok else f"n={n}: T_r^n {rot_power!r} != unit {unit!r} modulo the center"
+    results.append(CheckResult("rotation-power-mod-center", ok, detail))
 
-    for e in range(n):
-        values = chis[e][4:]
-        ok = all(v == values[0] for v in values) and values[0] == HeckeScalar.monomial(n, -1)
-        results.append(CheckResult(f"character-reflections-constant:eps={e}", ok))
+    minus_one = HeckeScalar.monomial(n, -1)
+    for e, values in enumerate(chis):
+        ok = all(v == minus_one for v in values)
+        detail = "" if ok else f"n={n} eps={e}: chi(T_s_i) {values!r} != {minus_one!r} for each i"
+        results.append(CheckResult(f"character-reflections-constant:eps={e}", ok, detail))
 
     return results

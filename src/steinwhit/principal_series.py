@@ -48,7 +48,7 @@ from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
-from .weyl import Permutation, all_permutations
+from .weyl import Permutation, _torus_character, all_permutations
 
 __all__ = [
     "InducedFunction",
@@ -123,8 +123,8 @@ class InducedFunction:
         if coeff is None:
             return self._zero
         n, p = self.n, self.p
-        e = self.eps_exp * sum(kbar)
-        q_exp = -sum((n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1))
+        ksum, q_exp = _torus_character(kbar)
+        e = self.eps_exp * ksum
         if q_exp >= 0:
             up = p**q_exp
             return coeff._wrap({((ee + e) % n, t): c * up for (ee, t), c in coeff._terms.items()})

@@ -57,14 +57,15 @@ def _random_unit(rng: random.Random, p: int) -> tuple[int, int]:
     return sign * a, b
 
 
-def random_upper_unipotent(rng: random.Random, n: int, p: int, depth: int = 2) -> PAdicMatrix:
-    """Upper unitriangular matrix whose entries may have p-power denominators."""
+def random_upper_unipotent(rng: random.Random, n: int, p: int) -> PAdicMatrix:
+    """Upper unitriangular matrix whose entries above the diagonal are
+    a / p^k, with |a| <= p^2 and 0 <= k <= 2."""
     rows = []
     for i in range(n):
         pairs = [(int(i == j), 1) for j in range(i + 1)]
         for _ in range(i + 1, n):
-            den = p ** rng.randint(0, depth)
-            pairs.append((rng.randint(-(p**depth), p**depth), den))
+            den = p ** rng.randint(0, 2)
+            pairs.append((rng.randint(-(p**2), p**2), den))
         rows.append(_row_of(pairs))
     return PAdicMatrix._of_rows(p, tuple(rows))
 
@@ -117,5 +118,5 @@ def random_cell_product(
     return g, kbar, w
 
 
-def random_group_element(rng: random.Random, n: int, p: int, weight_range: int = 2) -> PAdicMatrix:
-    return random_cell_product(rng, n, p, weight_range)[0]
+def random_group_element(rng: random.Random, n: int, p: int) -> PAdicMatrix:
+    return random_cell_product(rng, n, p)[0]

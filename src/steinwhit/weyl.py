@@ -29,6 +29,7 @@ the products and inverses of this package build theirs unchecked
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -219,6 +220,18 @@ def is_dominant(kbar: Weight, w: Permutation) -> bool:
     if len(kbar) != w.n:
         raise ValueError("weight length mismatch")
     return all(kbar[i] - kbar[i + 1] >= t for i, t in enumerate(_dominance_thresholds(w)))
+
+
+def _torus_character(kbar: Weight) -> tuple[int, int]:
+    """(sum of k_i, -sum of (n + 1 - 2i) k_i): the eps exponent, per unit
+    of e, and the q exponent of the unramified character at p^kbar,
+    eps^{e sum k} q^{-sum (n + 1 - 2i) k_i}.
+
+    >>> _torus_character((2, 0, -1))
+    (1, -6)
+    """
+    n = len(kbar)
+    return sum(kbar), sum(map(operator.mul, range(1 - n, n + 1, 2), kbar))
 
 
 def _dominance_thresholds(w: Permutation) -> tuple[int, ...]:

@@ -55,7 +55,7 @@ from .padic import PAdicMatrix, _minors_pass, _p_power
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum, _reduced_phase
-from .weyl import Permutation, Weight, _dominance_thresholds, dominance_shift
+from .weyl import Permutation, Weight, _dominance_thresholds, _torus_character, dominance_shift
 
 __all__ = [
     "WhittakerValue",
@@ -154,10 +154,9 @@ def _closed_form(kbar: Weight, w: Permutation, eps_exp: int) -> tuple[int, int, 
     ell, thresholds = _cell_constants(w)
     if any(kbar[i] - kbar[i + 1] < t for i, t in enumerate(thresholds)):
         return None
-    ksum = sum(kbar)
+    ksum, q_exp = _torus_character(kbar)
     sign = -1 if ((n - 1) * ksum + ell) % 2 else 1
-    q_exp = -sum((n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1)) - ell
-    return sign, (eps_exp * ksum) % n, q_exp
+    return sign, (eps_exp * ksum) % n, q_exp - ell
 
 
 def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:

@@ -117,6 +117,12 @@ MUTANTS = [
         ("tests/test_hecke.py::test_presentation_suite_passes",),
     ),
     Mutant(
+        "relation-scalars-rotate-by-a-reflection", "hecke.py",
+        "lambda v: v * chi_r,",
+        "lambda v: v * chi[0],",
+        ("tests/test_hecke.py::test_presentation_suite_passes",),
+    ),
+    Mutant(
         "hecke-step-skips-the-generator-checks", "hecke.py",
         "    s = ExtAffineElement.simple_reflection(h.n, i)\n",
         "    from .affine_weyl import _simple_reflection\n"

@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -164,6 +165,22 @@ def test_presentation_suite_passes(n):
     results = verify_presentation(n)
     failures = [r.name for r in results if not r.passed]
     assert failures == []
+
+
+# SHA-256 of the name, verdict and detail of every check of
+# ``verify_presentation(n)`` for n = 2..12, computed before the relations
+# and their expected characters were built from one declaration.
+FROZEN_PRESENTATION_SHA256 = "078477d11f9219a29541302b2467b1e38f8f40aab09d58a197766b391ed8bbfe"
+
+
+def test_presentation_checks_are_frozen():
+    """Beyond the acceptance configs of the frozen ``verify`` digest, which
+    stop at n = 4: ``commuting[*]`` first appears at n = 4."""
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for r in verify_presentation(n):
+            digest.update(f"{n}\t{r.name}\t{r.passed}\t{r.detail}\n".encode())
+    assert digest.hexdigest() == FROZEN_PRESENTATION_SHA256
 
 
 # repr of multiply(T_x, T_y) per (x.lam, x.w, y.lam, y.w), recorded before the
@@ -463,8 +480,8 @@ def _wrong_character_at(n, table, eps_exp):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_character_checks_compare_each_side_with_its_generator_word(monkeypatch, n):
     """Each ``character:*`` check compares ``character_of`` of a relation
-    side with the product of ``steinberg_character`` over the generator
-    word that built it, so a wrong character fails it; comparing the two
+    side with the same side built from the ``steinberg_character`` values
+    of the generators, so a wrong character fails it; comparing the two
     sides' characters with each other, as the checks once did, could not
     fail on sides that are equal normal forms."""
     monkeypatch.setattr(hecke, "_character_at", _wrong_character_at)
@@ -477,7 +494,7 @@ def test_character_checks_compare_each_side_with_its_generator_word(monkeypatch,
 
 def test_character_checks_read_both_sides_of_an_unequal_relation(monkeypatch):
     """When a relation's sides differ, each side's character is read from
-    its own table and compared with its own generator word."""
+    its own table and compared with its own build from the generator values."""
     n, sides, table_of = 3, [], hecke._character_table
 
     def recorded(h):
@@ -493,3 +510,52 @@ def test_character_checks_read_both_sides_of_an_unequal_relation(monkeypatch):
     assert len(sides) == relations + len(unequal)
     # chi(T_{s_i}) = -1 = chi(T_{s_i}) chi(T_r)^n: the character checks still hold
     assert all(results[f"character:{name}:eps={e}"] for name in unequal for e in range(n))
+
+
+def _failures(results):
+    failed = [r for r in results if not r.passed]
+    assert failed and all(r.detail for r in failed)
+    assert all(r.detail == "" for r in results if r.passed)
+    return failed
+
+
+def test_failed_character_checks_name_both_values(monkeypatch):
+    """A failed ``character:*`` check names n, e, the side, its
+    ``character_of`` value and the value built from the generators."""
+    n = 3
+    monkeypatch.setattr(hecke, "_character_at", _wrong_character_at)
+    failed = {r.name: r.detail for r in _failures(verify_presentation(n))}
+    for name, detail in failed.items():
+        e = name.rsplit("=", 1)[1]
+        for part in detail.split("; "):
+            assert part.startswith((f"n={n} eps={e} lhs: ", f"n={n} eps={e} rhs: "))
+            assert part.count("HeckeScalar(") == 2, part
+    # both sides of the quadratic relation are T_{s_0}^2, and each is built
+    # from the generators as chi(T_{s_0})^2 = q + (q - 1) chi(T_{s_0}) = 1
+    got = _wrong_character_at(n, hecke._character_table(mult_generator(HeckeElement.generator(n, 0), 0)), 0)
+    assert failed["character:quadratic[0]:eps=0"] == "; ".join(
+        f"n={n} eps=0 {side}: character_of {got!r} != scalar build {HeckeScalar.one(n)!r}" for side in ("lhs", "rhs"))
+
+
+def test_failed_relation_checks_name_both_sides(monkeypatch):
+    n = 3
+    monkeypatch.setattr(hecke, "multiply", lambda a, b: a)  # T_{s_i} T_r^n becomes T_{s_i}
+    rot_power = mult_rotation(HeckeElement.unit(n), n)
+    failed = _failures(verify_presentation(n))
+    assert [r.name for r in failed] == [f"relation:rotation-power-central[{i}]" for i in range(n)]
+    for i, r in enumerate(failed):
+        lhs, rhs = mult_generator(rot_power, i), HeckeElement.generator(n, i)
+        assert r.detail == f"n={n}: lhs {lhs!r} != rhs {rhs!r}"
+
+
+def test_failed_center_and_reflection_checks_name_both_values(monkeypatch):
+    n, chi = 2, hecke.steinberg_character
+    monkeypatch.setattr(hecke, "equal_mod_center", lambda a, b: False)
+    monkeypatch.setattr(hecke, "steinberg_character", lambda x, e: chi(x, e) * chi(x, e))
+    failed = {r.name: r.detail for r in _failures(verify_presentation(n))}
+    rot_power = mult_rotation(HeckeElement.unit(n), n)
+    assert f"n={n}: T_r^n {rot_power!r} != unit {HeckeElement.unit(n)!r}" in failed["rotation-power-mod-center"]
+    for e in range(n):
+        detail = failed[f"character-reflections-constant:eps={e}"]
+        assert detail.startswith(f"n={n} eps={e}: ")
+        assert "[HeckeScalar(1), HeckeScalar(1)]" in detail and "HeckeScalar(-1)" in detail

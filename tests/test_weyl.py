@@ -5,6 +5,7 @@ import pytest
 
 from steinwhit.weyl import (
     Permutation,
+    _torus_character,
     all_permutations,
     dominance_shift,
     is_dominant,
@@ -21,6 +22,12 @@ perm_pairs = st.integers(min_value=2, max_value=5).flatmap(
         st.permutations(list(range(1, n + 1))),
     )
 ).map(lambda pair: (Permutation(tuple(pair[0])), Permutation(tuple(pair[1]))))
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8).map(tuple))
+def test_torus_character_is_the_weighted_sum(kbar):
+    n = len(kbar)
+    assert _torus_character(kbar) == (sum(kbar), -sum((n + 1 - 2 * i) * k for i, k in enumerate(kbar, start=1)))
 
 
 def test_identity_and_simple_windows():
