@@ -204,6 +204,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_field(x):
+    """A JSON field as a CSV field: a list as its items joined by spaces, a
+    ``bool`` as 0 or 1."""
+    if isinstance(x, list):
+        return " ".join(map(str, x))
+    return int(x) if isinstance(x, bool) else x
+
+
+def _print_documents(fmt: str, docs: list[dict], columns: tuple[str, ...]) -> None:
+    """Print ``docs`` as one JSON array, or as CSV: a header of ``columns``,
+    then those fields of each document."""
+    if fmt == "json":
+        print(json.dumps(docs, sort_keys=True))
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for doc in docs:
+        writer.writerow([_csv_field(doc[c]) for c in columns])
+    sys.stdout.write(buf.getvalue())
+
+
 def _table_rows(n: int, eps_exp: int, bound: int, include_zeros: bool, sign: int, q_shift: int):
     for tail in itertools.product(range(-bound, bound + 1), repeat=n - 1):
         kbar = tail + (0,)
@@ -222,29 +244,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.range > _TABLE_MAX_RANGE or args.n > _TABLE_MAX_N:
         raise GuardError(f"table guard: need range <= {_TABLE_MAX_RANGE} and n <= {_TABLE_MAX_N}")
     rows = _table_rows(args.n, eps_exp, args.range, args.include_zeros, sign, q_shift)
-    if args.format == "json":
-        out = []
-        for kbar, w, value in rows:
-            doc = {"kbar": list(kbar), "w": list(w.window)}
-            doc.update(serialize(value))
-            out.append(doc)
-        print(json.dumps(out, sort_keys=True))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["kbar", "w", "zero", "sign", "eps_exp", "q_exp"])
-        for kbar, w, value in rows:
-            writer.writerow(
-                [
-                    " ".join(str(k) for k in kbar),
-                    " ".join(str(x) for x in w.window),
-                    int(value.zero),
-                    value.sign,
-                    value.eps_exp,
-                    value.q_exp,
-                ]
-            )
-        sys.stdout.write(buf.getvalue())
+    docs = [{"kbar": list(kbar), "w": list(w.window), **serialize(value)} for kbar, w, value in rows]
+    _print_documents(args.format, docs, ("kbar", "w", "zero", "sign", "eps_exp", "q_exp"))
     return EXIT_OK
 
 
@@ -283,15 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         {"suite": suite, "name": r.name, "passed": r.passed, "detail": r.detail}
         for suite, r in named
     ]
-    if args.format == "json":
-        print(json.dumps(docs, sort_keys=True))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "name", "passed"])
-        for doc in docs:
-            writer.writerow([doc["suite"], doc["name"], int(doc["passed"])])
-        sys.stdout.write(buf.getvalue())
+    _print_documents(args.format, docs, ("suite", "name", "passed"))
     failures = [failure_line(suite, r) for suite, r in named if not r.passed]
     for line in failures:
         print(line, file=sys.stderr)
@@ -349,10 +342,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MatrixFormatError as exc:
+    except (UsageError, MatrixFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SingularMatrixError as exc:

@@ -161,10 +161,6 @@ class HeckeElement(_TermMap):
         self.n, self.p, self._terms = n, None, {x: c for x, c in terms.items() if c._terms}
 
     @classmethod
-    def zero(cls, n: int) -> "HeckeElement":
-        return cls(n)
-
-    @classmethod
     def unit(cls, n: int) -> "HeckeElement":
         return cls.basis(ExtAffineElement.identity(n))
 

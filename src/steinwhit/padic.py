@@ -11,20 +11,25 @@ exactly when their primes and rows are.  Every kernel here reads and
 writes that form, with no ``Fraction`` in between: ``iwasawa``
 eliminates on integer columns, the minors pass reads the rows as they
 are, ``iwahori_cell`` builds and checks its witnesses on rows, and
-``matrix_to_json`` writes each entry from its row with one gcd.  The
-public constructors check p and clear their input once; ``entries``, the
-``Fraction`` view, is built on access, for the readers that want
-rationals.
+``matrix_to_json``, ``repr`` and ``decompose`` write each entry from its
+row with one gcd (``_entry_strings``).  Entries come in by one rule,
+``_entry_pair``, as integer pairs: an ``int`` (not a ``bool``), a
+``Fraction``, or a string "a" or "a/b" in lowest terms, the grammar of
+the JSON documents; the public constructors and the document reader both
+read through it, and check p once.  ``entries``, the ``Fraction`` view,
+is built on access, for the readers that want rationals.
 
 Two kernels multiply matrices, one per kind of right factor.  A factor
 used again and again, by ``__mul__`` or as a coset representative of
 ``principal_series``, goes through ``_times``: it gives the unreduced rows
 of g . m from g's rows and the column form of m, which m builds the first
-time it is a right factor and keeps (``PAdicMatrix._column_form``).  Each
-column keeps its own factor to the common denominator, so dense entries
-stay small (scaled in, ``iwahori_cell`` at n = 56 took 3.7 s, not 1.8 s).
-``__mul__`` reduces each row; the coset terms go to the minors pass as
-they are.  A factor used once, in the n witness b . n2 and in
+time it is a right factor and keeps (``PAdicMatrix._column_form``).  A
+column is of one of two kinds: one-entry, read as one product, or dense,
+read as a dot product with the whole row.  Each column keeps its own
+factor to the common denominator, so dense entries stay small (scaled
+in, ``iwahori_cell`` at n = 56 took 3.7 s, not 1.8 s).  ``__mul__``
+reduces each row; the coset terms go to the minors pass as they are.  A
+factor used once, in the n witness b . n2 and in
 ``Cell.reconstruct``, goes through ``_combined``: each row of the product
 is a combination of the factor's rows, with each coefficient (never the
 entries) scaled to the common denominator and the zero coefficients
@@ -220,6 +225,39 @@ def _reduced(a, d: int) -> _Row:
     return tuple(x // e for x in a), d // e
 
 
+# An integer, or a/b with b > 0: the entry strings of the document grammar
+# (lowest terms is tested apart), and what matrix_to_json writes.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _entry_pair(e) -> tuple[int, int]:
+    """The entry e as an integer pair (a, b), a/b in lowest terms with
+    b > 0: the one rule by which entries enter a ``PAdicMatrix``.
+
+    e is an ``int`` (``bool`` refused), a ``Fraction``, or a string "a" or
+    "a/b" in lowest terms; any other type raises TypeError, and any other
+    string MatrixFormatError (a ValueError).
+    """
+    if type(e) is int:
+        return e, 1
+    if isinstance(e, Fraction):
+        return e.numerator, e.denominator
+    if not isinstance(e, str):
+        raise TypeError(f"bad rational entry {e!r}")
+    m = _RATIONAL_RE.fullmatch(e)
+    if m is None:
+        raise MatrixFormatError(f"bad rational entry {e!r}: expected an integer or a/b in lowest terms")
+    try:
+        a, b = int(m[1]), 1 if m[2] is None else int(m[2])
+    except ValueError as exc:  # over the int-string digit limit
+        raise MatrixFormatError(f"bad rational entry {e!r}") from exc
+    if not b:
+        raise MatrixFormatError(f"bad rational entry {e!r}")
+    if math.gcd(a, b) != 1:
+        raise MatrixFormatError(f"rational entry {e!r} is not in lowest terms")
+    return a, b
+
+
 def _row_of(pairs) -> _Row:
     """The canonical row of the entries x / y, given as integer pairs (x, y), y != 0."""
     reduced = []
@@ -254,13 +292,10 @@ def _times(rows, m: "PAdicMatrix") -> list[tuple[list[int], int]]:
     """The rows of g . m, unreduced, from the rows (a_r, d_r) of g: with
     column j of m as b_j / e_j and L the lcm of the e_j, row r is the
     integers (a_r . b_j) L / e_j over d_r L.  A one-entry column is read
-    without a sum, and a column with no zero entry against all of a_r."""
+    without a sum, and any other column against all of a_r."""
     cols, big = m._column_form
     mul = operator.mul
-    return [
-        ([a[at] * x if s is None else sum(map(mul, a if at is None else at(a), x)) * s for at, x, s in cols], d * big)
-        for a, d in rows
-    ]
+    return [([a[k] * x if s is None else sum(map(mul, a, x)) * s for k, x, s in cols], d * big) for a, d in rows]
 
 
 def _combined(rows, right) -> tuple[_Row, ...]:
@@ -296,7 +331,9 @@ class PAdicMatrix:
     (``PAdicMatrix(p, entries)``, ``from_rows`` and the named ones) check
     and clear their input once: p must be an ``int`` (``bool`` refused,
     TypeError) and prime (``is_prime``, else ValueError), and the entries
-    a square array of rationals.  ``entries``, the matrix as a tuple of
+    a square array read by ``_entry_pair``, the rule of the JSON reader:
+    ``int`` (not ``bool``), ``Fraction``, or a string "a" or "a/b" in
+    lowest terms.  ``entries``, the matrix as a tuple of
     tuples of ``Fraction``s, is computed on each access for the readers
     that want rationals.
     """
@@ -312,10 +349,10 @@ class PAdicMatrix:
         n = len(entries)
         rows = []
         for row in entries:
-            xs = [e if isinstance(e, Fraction) else Fraction(e) for e in row]
-            if len(xs) != n:
+            a, d = _row_of(map(_entry_pair, row))
+            if len(a) != n:
                 raise ValueError("matrix must be square")
-            rows.append(_row_of((x.numerator, x.denominator) for x in xs))
+            rows.append((a, d))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rows", tuple(rows))
 
@@ -339,21 +376,18 @@ class PAdicMatrix:
     def _column_form(self) -> tuple[tuple[tuple, ...], int]:
         """The matrix as a right factor (``_times``), built on first use and
         kept; not a field, so equality, hashing and repr read (p, rows) only.
-        Per column b_j / e_j of ``_columns``: (k, b_j[k] L / e_j, None) if
-        b_j has one nonzero entry (or none: k = 0), (None, b_j, L / e_j) if
-        it has no zero entry, else (a getter of the rows of its nonzero
-        entries, those entries, L / e_j); and L."""
+        Two column kinds, per column b_j / e_j of ``_columns``: one-entry,
+        (k, b_j[k] L / e_j, None) if b_j has one nonzero entry (or none:
+        k = 0), read without a sum; else dense, (None, b_j, L / e_j), a dot
+        product with the whole row (summing only a sparse column's nonzero
+        entries measured no faster).  And L."""
         cols = _columns(self.rows)
-        n = len(cols)
         big = math.lcm(*[e for _, e in cols])
         form = []
         for b, e in cols:
             ks = [k for k, x in enumerate(b) if x]
-            if len(ks) == n > 1:
+            if len(ks) > 1:
                 form.append((None, b, big // e))
-            elif len(ks) > 1:
-                get = operator.itemgetter(*ks)
-                form.append((get, get(b), big // e))
             else:
                 k = ks[0] if ks else 0
                 form.append((k, b[k] * (big // e), None))
@@ -394,8 +428,8 @@ class PAdicMatrix:
         """I + t e_{i,j} for i != j (1-indexed)."""
         if i == j:
             raise ValueError("off-diagonal position required")
-        rows = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-        rows[i - 1][j - 1] = Fraction(t)
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i - 1][j - 1] = t
         return cls.from_rows(p, rows)
 
     def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
@@ -437,14 +471,8 @@ class PAdicMatrix:
         return all(a[i] == d and not any(a[:i]) for i, (a, d) in enumerate(self.rows))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(e) for e in row) for row in self.entries
-        )
+        body = "; ".join(map(" ".join, _entry_strings(self)))
         return f"PAdicMatrix(p={self.p}, [{body}])"
-
-
-# An integer, or a/b with b > 0 and gcd(a, b) = 1: what matrix_to_json writes.
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _entry_strings(m: PAdicMatrix) -> list[list[str]]:
@@ -495,30 +523,20 @@ def _matrix_document(doc) -> tuple[int, list]:
 
 
 def _matrix_of_entries(p: int, entries: list) -> PAdicMatrix:
-    """The matrix of the rows of a document whose top level
+    """The matrix of the rows of a document whose top level, p included,
     ``_matrix_document`` has checked: a square array of integers or
-    strings "a" or "a/b" in lowest terms."""
+    strings "a" or "a/b" in lowest terms, each read by ``_entry_pair``;
+    any other row or entry raises MatrixFormatError, at the first one."""
     n = len(entries)
     rows = []
     for row in entries:
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError("'entries' must be a square array of rationals")
-        parsed = []
-        for e in row:
-            if isinstance(e, bool) or not isinstance(e, (str, int)):
-                raise MatrixFormatError(f"bad rational entry {e!r}")
-            m = _RATIONAL_RE.fullmatch(e) if isinstance(e, str) else None
-            if isinstance(e, str) and m is None:
-                raise MatrixFormatError(f"bad rational entry {e!r}: expected an integer or a/b in lowest terms")
-            try:
-                x = Fraction(e)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MatrixFormatError(f"bad rational entry {e!r}") from exc
-            if m is not None and m[2] is not None and x.denominator != int(m[2]):
-                raise MatrixFormatError(f"rational entry {e!r} is not in lowest terms")
-            parsed.append(x)
-        rows.append(parsed)
-    return PAdicMatrix.from_rows(p, rows)
+        try:
+            rows.append(_row_of(map(_entry_pair, row)))
+        except TypeError as exc:  # a JSON value that is neither a number nor a string
+            raise MatrixFormatError(str(exc)) from None
+    return PAdicMatrix._of_rows(p, tuple(rows))
 
 
 def matrix_from_json(doc) -> PAdicMatrix:

@@ -202,6 +202,21 @@ MUTANTS = [
         ("tests/test_padic.py::test_single_use_kernel_equals_the_fraction_product",),
     ),
     Mutant(
+        "entry-pair-accepts-bool", "padic.py",
+        "    if type(e) is int:\n",
+        "    if isinstance(e, int):\n",
+        ("tests/test_padic.py::test_public_constructors_read_entries_by_the_document_grammar",
+         "tests/test_padic.py::test_document_reader_matches_the_fraction_oracle"),
+    ),
+    Mutant(
+        "reader-skips-lowest-terms", "padic.py",
+        "    if math.gcd(a, b) != 1:\n"
+        "        raise MatrixFormatError(f\"rational entry {e!r} is not in lowest terms\")\n",
+        "",
+        ("tests/test_padic.py::test_matrix_parse_errors",
+         "tests/test_padic.py::test_document_reader_matches_the_fraction_oracle"),
+    ),
+    Mutant(
         "n-witness-without-the-down-factor", "padic.py",
         "scale = [den // e * down for e, (_, down) in zip(dens, up_down)]",
         "scale = [den // e for e in dens]",

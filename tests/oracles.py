@@ -18,6 +18,11 @@ calls ``weyl.dominance_shift``, which shares the dominance thresholds
 with the closed form: a fault in those thresholds then shows up as a
 disagreement instead of being checked against itself.
 
+``matrix_of_entries`` and ``matrix_repr`` are the document reader and
+the ``repr`` that went through ``Fraction``: each entry is parsed by
+``Fraction(e)`` and printed by ``str(Fraction)``, while the library
+reads every entry as an integer pair and prints from the stored rows.
+
 Pytest does not collect this file; tests import it by name, as they
 import helpers from ``test_padic``.
 """
@@ -26,6 +31,7 @@ from fractions import Fraction
 
 from steinwhit import weyl
 from steinwhit.affine_weyl import ExtAffineElement
+from steinwhit.padic import _RATIONAL_RE, MatrixFormatError, PAdicMatrix
 from steinwhit.weyl import Permutation, Weight
 from steinwhit.whittaker import WhittakerValue
 
@@ -159,3 +165,37 @@ def dense_class_is_zero(terms: dict, p: int) -> bool:
             for i in range(p - 1):
                 coeffs[t - threshold + i * step] -= c
     return all(c == 0 for c in coeffs)
+
+
+def matrix_of_entries(p: int, entries: list) -> PAdicMatrix:
+    """The matrix of the rows of a document whose p and list of rows
+    ``padic._matrix_document`` has checked, read through ``Fraction``: a
+    square array of integers or strings "a" or "a/b" in lowest terms, else
+    MatrixFormatError naming the first bad row or entry."""
+    n = len(entries)
+    rows = []
+    for row in entries:
+        if not isinstance(row, list) or len(row) != n:
+            raise MatrixFormatError("'entries' must be a square array of rationals")
+        parsed = []
+        for e in row:
+            if isinstance(e, bool) or not isinstance(e, (str, int)):
+                raise MatrixFormatError(f"bad rational entry {e!r}")
+            m = _RATIONAL_RE.fullmatch(e) if isinstance(e, str) else None
+            if isinstance(e, str) and m is None:
+                raise MatrixFormatError(f"bad rational entry {e!r}: expected an integer or a/b in lowest terms")
+            try:
+                x = Fraction(e)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MatrixFormatError(f"bad rational entry {e!r}") from exc
+            if m is not None and m[2] is not None and x.denominator != int(m[2]):
+                raise MatrixFormatError(f"rational entry {e!r} is not in lowest terms")
+            parsed.append(x)
+        rows.append(parsed)
+    return PAdicMatrix.from_rows(p, rows)
+
+
+def matrix_repr(m: PAdicMatrix) -> str:
+    """``repr(m)``, written from the ``Fraction`` view."""
+    body = "; ".join(" ".join(str(e) for e in row) for row in m.entries)
+    return f"PAdicMatrix(p={m.p}, [{body}])"

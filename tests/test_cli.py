@@ -685,3 +685,74 @@ def test_verify_output_is_frozen_at_the_acceptance_configs(capsys, monkeypatch):
             code, out, err = run(capsys, monkeypatch, argv)
             digest.update(f"{code}\n{out}{err}\n".encode())
     assert digest.hexdigest() == FROZEN_VERIFY_SHA256
+
+
+def _frozen_edge_commands() -> list[tuple[list[str], str | None]]:
+    """The commands whose bytes the library's edges write: ``table`` at
+    n = 2..4 and --range 0..2 in both formats, plain and with each of
+    --include-zeros, --scale -q^2 and --eps-exp 1; ``verify`` in CSV;
+    and ``eval`` (plain and with --scale q^3 --eps-exp 2) and
+    ``decompose`` (plain and with --mod-center) on seeded documents and
+    on malformed ones, each refused at its first bad entry."""
+    from steinwhit.padic import matrix_to_json
+    from steinwhit.sampling import random_cell_product
+
+    commands: list[tuple[list[str], str | None]] = []
+    for n in (2, 3, 4):
+        for bound in (0, 1, 2):
+            for fmt in ("json", "csv"):
+                base = ["table", "--n", str(n), "--range", str(bound), "--format", fmt]
+                for extra in ([], ["--include-zeros"], ["--scale=-q^2"], ["--eps-exp", "1"]):
+                    commands.append((base + extra, None))
+    for argv in (["hecke", "--n", "3", "--p", "2"], ["all", "--n", "2", "--p", "3", "--samples", "2"]):
+        commands.append((["verify", *argv, "--format", "csv"], None))
+    rng = random.Random("edge-frozen")
+    docs = []
+    for k in range(12):
+        n, p = 2 + k % 4, (2, 3, 5)[k % 3]
+        if k % 2:
+            docs.append(matrix_to_json(random_cell_product(rng, n, p)[0]))
+        else:
+            dens = [1, 1, p, p * p, 7, 10]
+            entries = [[str(Fraction(rng.randint(-9, 9), rng.choice(dens))) for _ in range(n)] for _ in range(n)]
+            docs.append(json.dumps({"p": p, "entries": entries}))
+    bad_entries = ["1/0", "2/4", True, 1.5, "1.5", "0/5", "03/04", "-0", "7" * 5000, None, [1], "x"]
+    for entry in bad_entries:
+        docs.append(json.dumps({"p": 3, "entries": [["1", entry], ["0", "1"]]}))
+    docs += [
+        json.dumps({"p": 4, "entries": [["1", "0"], ["0", "1"]]}),
+        json.dumps({"p": 3, "entries": [["1", "2"], ["2", "4"]]}),
+        json.dumps({"p": 3, "entries": [["1", "0"], ["0"]]}),
+        json.dumps({"p": 3, "entries": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]}),
+        json.dumps({"p": 3, "entries": [["1.5", "2/4"], ["0", "1"]]}),
+        json.dumps({"p": 3, "entries": [[True, "1/0"], ["0", "1"]]}),
+        json.dumps({"p": 3, "entries": [["2/4", 1.5], ["0", "1"]]}),
+        json.dumps({"p": 3, "entries": [["1", "0", "0"], ["0", "x", "0"], ["0"]]}),
+        json.dumps({"p": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "x"]]}),
+        json.dumps({"p": True, "entries": [["1", "0"], ["0", "1"]]}),
+        json.dumps({"p": 3, "entries": [["1", "0"], "01"]}),
+        '{"p": 3, "entries": [["1", "0"], ["0", "1"]',
+        "not json at all",
+    ]
+    for doc in docs:
+        for argv in (["eval", "-"], ["eval", "-", "--scale", "q^3", "--eps-exp", "2"],
+                     ["decompose", "-"], ["decompose", "-", "--mod-center"]):
+            commands.append((argv, doc))
+    return commands
+
+
+# SHA-256 of the argv, stdin, exit codes and outputs of
+# ``_frozen_edge_commands``, computed before the entry reader, the repr and
+# the table and verify writers went through one routine each.
+FROZEN_EDGE_SHA256 = "b0e3e92d49924b996dd5f7488312e0d384c29f62cf13845440bd5e595b392b53"
+
+
+def test_edge_output_is_frozen_on_a_fixed_corpus(capsys, monkeypatch):
+    """Every byte that ``table``, ``verify --format csv``, ``eval`` and
+    ``decompose`` print, and every refusal of a malformed document, on a
+    fixed corpus: a rewrite of the readers and writers must keep them."""
+    digest = hashlib.sha256()
+    for argv, stdin in _frozen_edge_commands():
+        code, out, err = run(capsys, monkeypatch, argv, stdin)
+        digest.update(f"{argv}\n{stdin}\n{code}\n{out}{err}\n".encode())
+    assert digest.hexdigest() == FROZEN_EDGE_SHA256

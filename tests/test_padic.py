@@ -10,9 +10,10 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_of_entries, matrix_repr
 from steinwhit.padic import (
     PRIME_BOUND,
     Cell,
@@ -20,6 +21,7 @@ from steinwhit.padic import (
     PAdicMatrix,
     SingularMatrixError,
     _combined,
+    _matrix_of_entries,
     _minors_pass,
     cell_label,
     frac_psi_phase,
@@ -301,7 +303,7 @@ def test_internal_matrices_equal_their_public_construction(g):
 
 
 def test_stored_rows_are_the_lcm_of_denominators_form():
-    m = PAdicMatrix.from_rows(3, [["1/2", "-1/3", 0], [0, 0, 0], ["6/4", 9, "-2/6"]])
+    m = PAdicMatrix.from_rows(3, [["1/2", "-1/3", 0], [0, 0, 0], [Fraction(6, 4), 9, Fraction(-2, 6)]])
     assert m.rows == (((3, -2, 0), 6), ((0, 0, 0), 1), ((9, 54, -2), 6))
     assert m.entries[2] == (Fraction(3, 2), Fraction(9), Fraction(-1, 3))
     assert m == PAdicMatrix(3, m.entries) and m != PAdicMatrix(5, m.entries)
@@ -838,3 +840,113 @@ def test_single_use_kernel_equals_the_fraction_product(pair):
     assert _has_canonical_rows(product)
     assert product == _naive_product(a, b) == a * b
     assert _combined(a.rows, [([6 * x for x in row], 6 * d) for row, d in b.rows]) == rows
+
+
+# Entries outside the rule of ``_entry_pair``: other types are a TypeError,
+# strings outside the document grammar a MatrixFormatError.
+BAD_ENTRIES = [(0.5, TypeError), (2.0, TypeError), (True, TypeError), (None, TypeError),
+               ("1.5", MatrixFormatError), (" 3", MatrixFormatError), ("1/0", MatrixFormatError),
+               ("2/4", MatrixFormatError)]
+
+
+@pytest.mark.parametrize("entry, error", BAD_ENTRIES, ids=[repr(e) for e, _ in BAD_ENTRIES])
+def test_public_constructors_read_entries_by_the_document_grammar(entry, error):
+    """The constructors read entries through ``Fraction(e)``, so
+    ``PAdicMatrix(2, [[0.5, True], ["3/4", 1]])`` built a matrix from a
+    float and a ``bool``; now they take what a JSON document may hold, by
+    the same rule."""
+    builds = [
+        lambda: PAdicMatrix(3, [[1, entry], [0, 1]]),
+        lambda: PAdicMatrix.from_rows(3, [[entry, 0], [0, 1]]),
+        lambda: PAdicMatrix.diagonal(3, [1, entry]),
+    ]
+    for build in builds:
+        with pytest.raises(error):
+            build()
+
+
+def test_named_constructors_refuse_float_parameters():
+    assert issubclass(MatrixFormatError, ValueError)
+    with pytest.raises(TypeError):
+        PAdicMatrix(2, [[0.5, True], ["3/4", 1]])
+    with pytest.raises(TypeError):
+        PAdicMatrix.one_param(3, 2, 1, 2, 0.5)
+    with pytest.raises(TypeError):
+        PAdicMatrix.one_param(3, 2, 1, 2, 1.0)
+    with pytest.raises(TypeError):
+        PAdicMatrix.weight_matrix(3, (0, 1.0))
+    assert PAdicMatrix.one_param(3, 2, 1, 2, Fraction(1, 3)) == PAdicMatrix.from_rows(3, [[1, "1/3"], [0, 1]])
+    assert PAdicMatrix.weight_matrix(3, (-1, 2)) == PAdicMatrix.diagonal(3, ["1/3", 9])
+    # a Fraction is an exact rational, whatever it was built from
+    m = PAdicMatrix.from_rows(3, [[Fraction(6, 4), 0], [0, "-0"]])
+    assert m.entries == ((Fraction(3, 2), 0), (0, 0))
+
+
+grammar_entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(lambda a, b: str(Fraction(a, b)), st.integers(-99, 99), st.integers(1, 99)),
+)
+document_entries = st.one_of(
+    grammar_entries,
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    # strings with a common factor, a zero denominator or leading zeros
+    st.builds(lambda a, b, c: f"{a * c}/{b * c}", st.integers(-99, 99), st.integers(1, 99), st.integers(2, 9)),
+    st.builds(lambda a: f"{a}/0", st.integers(-9, 9)),
+    st.builds(lambda a, b, z: f"{'0' * z}{a}/{'0' * z}{b}", st.integers(0, 99), st.integers(1, 99), st.integers(0, 2)),
+    st.sampled_from(["-0", "0/1", "-0/7", "1" * 4301, "1/" + "3" * 4301, "+1", "1.5", " 3", "1e3", "\u0663"]),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def entry_documents(draw):
+    """The rows of a document whose p is checked: n = 2..4, each entry
+    drawn from ``document_entries`` one time in eight and else from the
+    grammar, with now and then a ragged row or a row that is not a list."""
+    n = draw(st.integers(2, 4))
+    entry = st.integers(0, 7).flatmap(lambda k: grammar_entries if k else document_entries)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.integers(0, 5)) == 0:
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from([[], ["1"] * (n + 1), "12", None]))
+    return draw(st.sampled_from([2, 3, 5])), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_documents())
+def test_document_reader_matches_the_fraction_oracle(doc):
+    """``_matrix_of_entries`` reads each entry as an integer pair; the
+    reader through ``Fraction`` that it replaced must give the same rows,
+    or refuse the document with the same message."""
+    p, entries = doc
+    try:
+        expected = matrix_of_entries(p, entries)
+    except MatrixFormatError as exc:
+        event("refused")
+        with pytest.raises(MatrixFormatError) as got:
+            _matrix_of_entries(p, entries)
+        assert str(got.value) == str(exc)
+        return
+    event("read")
+    m = _matrix_of_entries(p, entries)
+    assert m.rows == expected.rows and m.p == p
+    assert _has_canonical_rows(m)
+
+
+def test_repr_matches_the_fraction_oracle():
+    rng = random.Random(24)
+    seen = 0
+    for k in range(300):
+        n, p = 2 + k % 5, (2, 3, 5)[k % 3]
+        if k % 3 == 0:
+            m = random_group_element(rng, n, p)
+        elif k % 3 == 1:
+            m = random_cell_product(rng, n, p)[0]
+        else:
+            m = PAdicMatrix.from_rows(p, [[Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, p, 12]))
+                                          for _ in range(n)] for _ in range(n)])
+        assert repr(m) == matrix_repr(m)
+        seen += "/" in repr(m) and "-" in repr(m) and " 0" in repr(m)
+    assert seen
