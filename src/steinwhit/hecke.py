@@ -172,10 +172,6 @@ class HeckeElement(_TermMap):
     def generator(cls, n: int, i: int) -> "HeckeElement":
         return cls.basis(ExtAffineElement.simple_reflection(n, i))
 
-    @classmethod
-    def rotation_term(cls, n: int) -> "HeckeElement":
-        return cls.basis(ExtAffineElement.rotation(n))
-
     def terms(self) -> list[tuple[ExtAffineElement, HeckeScalar]]:
         return list(self._terms.items())
 
@@ -247,13 +243,11 @@ def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
     is congruent mod 2 to sum over i < j of (lam_i + lam_j) plus the
     inversions of w^{-1}, that is to (n - 1) m + inv(w).  So
     (n - 1) m + len(x) is congruent to inv(w), and no length is needed.
-    The eps exponent m * e must be an ``int`` (else TypeError).
+    eps_exp must be an ``int`` (``bool`` refused, TypeError).
     """
+    _check_int("eps_exp", eps_exp)
     n = x.n
-    e = x.rotation_exponent() * eps_exp
-    if type(e) is not int:
-        raise TypeError(f"the eps exponent must be an int, not {e!r}")
-    return HeckeScalar._of(n, {(0, e % n): x.w.sign()})
+    return HeckeScalar._of(n, {(0, x.rotation_exponent() * eps_exp % n): x.w.sign()})
 
 
 def _character_table(h: HeckeElement) -> list[tuple[int, int, HeckeScalar]]:

@@ -80,7 +80,9 @@ and each has its own consumers:
 A broken invariant of a decomposition raises ``DecompositionError``, which
 ``python -O`` does not switch off.  Lifts from F_p to Z always use the
 representatives {0, ..., p-1}.  Primes are decided by ``is_prime``
-(deterministic Miller-Rabin) below ``PRIME_BOUND``.
+(deterministic Miller-Rabin) below ``PRIME_BOUND``, and a p from a
+library caller passes one rule, ``_check_prime``, which ``values``
+shares.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import Permutation
+from .weyl import Permutation, _check_int
 
 __all__ = [
     "Cell",
@@ -163,6 +165,14 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_prime(p) -> None:
+    """The one rule for p: TypeError unless p is an ``int`` (``bool``
+    refused), ValueError unless it is prime (``is_prime``)."""
+    _check_int("p", p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _int_valuation(a: int, p: int) -> int:
@@ -342,10 +352,7 @@ class PAdicMatrix:
     rows: tuple[_Row, ...]
 
     def __init__(self, p: int, entries) -> None:
-        if type(p) is not int:
-            raise TypeError(f"p must be an int, got {p!r}")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        _check_prime(p)
         n = len(entries)
         rows = []
         for row in entries:
@@ -412,8 +419,12 @@ class PAdicMatrix:
 
     @classmethod
     def weight_matrix(cls, p: int, kbar) -> "PAdicMatrix":
-        """diag(p^{k_1}, ..., p^{k_n})."""
-        return cls.diagonal(p, [Fraction(p) ** k for k in kbar])
+        """diag(p^{k_1}, ..., p^{k_n}), p checked first and each k an ``int``
+        (``bool`` refused)."""
+        _check_prime(p)
+        for k in kbar:
+            _check_int("k", k)
+        return cls.diagonal(p, [Fraction(*_p_power(p, k)) for k in kbar])
 
     @classmethod
     def permutation(cls, p: int, w: Permutation) -> "PAdicMatrix":
@@ -425,9 +436,12 @@ class PAdicMatrix:
 
     @classmethod
     def one_param(cls, p: int, n: int, i: int, j: int, t) -> "PAdicMatrix":
-        """I + t e_{i,j} for i != j (1-indexed)."""
-        if i == j:
-            raise ValueError("off-diagonal position required")
+        """I + t e_{i,j} for i != j, positions ``int``s in 1..n (else
+        TypeError, ValueError)."""
+        _check_int("i", i)
+        _check_int("j", j)
+        if i == j or min(i, j) < 1 or max(i, j) > n:
+            raise ValueError(f"need distinct positions in 1..{n}, got ({i}, {j})")
         rows = [[int(a == b) for b in range(n)] for a in range(n)]
         rows[i - 1][j - 1] = t
         return cls.from_rows(p, rows)

@@ -48,7 +48,7 @@ from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
-from .weyl import Permutation, _torus_character, all_permutations
+from .weyl import Permutation, _check_int, _torus_character, all_permutations
 
 __all__ = [
     "InducedFunction",
@@ -72,8 +72,7 @@ class InducedFunction:
 
     def __init__(self, n: int, p: int, eps_exp: int, coeffs: dict[Permutation, PhaseSum]):
         zero = PhaseSum.zero(n, p)  # checks n and p; the value off the support, shared
-        if type(eps_exp) is not int:
-            raise TypeError(f"the eps exponent must be an int, not {eps_exp!r}")
+        _check_int("eps_exp", eps_exp)
         coeffs = dict(coeffs)
         for w, c in coeffs.items():
             if not isinstance(w, Permutation) or type(c) is not PhaseSum:
@@ -132,32 +131,33 @@ class InducedFunction:
         return coeff._wrap({((ee + e) % n, t): c / down for (ee, t), c in coeff._terms.items()})
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
     """Right coset representatives of J gen J modulo J.
 
-    gen is 1..n-1 for the finite reflections (p representatives
-    x_{i,i+1}(t) s_i, t = 0..p-1), 0 for the affine reflection
-    (p representatives x_{n,1}(p t) s_0), the string "rotation"
-    (a single coset, the double coset being one-sided), or the string
-    "center" (the single coset of the central scalar p . I).
+    gen is the string "rotation" (a single coset, the double coset being
+    one-sided), the string "center" (the single coset of the central
+    scalar p . I), or a reflection index 0..n-1, an ``int`` (``bool``
+    refused, TypeError; out of range, ValueError).  Every reflection has
+    p representatives x(step t) s_i, t = 0..p-1, built by one rule: s_i is
+    ``realize``d from the affine Weyl group, and x is the root element at
+    (i, i + 1) with step 1 for a finite s_i, at (n, 1) with step p for the
+    affine s_0.
 
-    The result is cached per (n, p, gen) and immutable: a tuple of frozen
-    matrices, shared by every caller, each keeping its column form as a
-    right factor once built.
+    The result is cached per (n, p, gen), types included (``typed=True``),
+    and immutable: a tuple of frozen matrices, shared by every caller,
+    each keeping its column form as a right factor once built.
     """
     if gen == "rotation":
         return (realize(ExtAffineElement.rotation(n), p),)
     if gen == "center":
         return (PAdicMatrix.diagonal(p, [p] * n),)
-    i = int(gen)
-    if not 0 <= i < n:
-        raise ValueError(f"generator index out of range: {i}")
-    if i == 0:
-        s0 = realize(ExtAffineElement.simple_reflection(n, 0), p)
-        return tuple(PAdicMatrix.one_param(p, n, n, 1, p * t) * s0 for t in range(p))
-    si = PAdicMatrix.permutation(p, Permutation.simple(n, i))
-    return tuple(PAdicMatrix.one_param(p, n, i, i + 1, t) * si for t in range(p))
+    _check_int("gen", gen)
+    if not 0 <= gen < n:
+        raise ValueError(f"generator index out of range: {gen}")
+    si = realize(ExtAffineElement.simple_reflection(n, gen), p)
+    (i, j), step = ((n, 1), p) if gen == 0 else ((gen, gen + 1), 1)
+    return tuple(PAdicMatrix.one_param(p, n, i, j, step * t) * si for t in range(p))
 
 
 def _coset_passes(rows, n: int, p: int, gen) -> list[tuple]:
@@ -169,13 +169,13 @@ def _coset_passes(rows, n: int, p: int, gen) -> list[tuple]:
 def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
     """Affine-reflection representatives via rotation conjugation.
 
-    Conjugating the finite representatives x_{1,2}(t) s_1 by the
-    rotation matrix must land exactly on the direct list.
+    Conjugating the finite representatives x_{1,2}(t) s_1 of
+    ``generator_cosets(n, p, 1)`` by the rotation matrix must land exactly
+    on the direct list.
     """
     rotation = ExtAffineElement.rotation(n)
     u, u_inv = realize(rotation, p), realize(rotation.inverse(), p)
-    s1 = PAdicMatrix.permutation(p, Permutation.simple(n, 1))
-    return [u * PAdicMatrix.one_param(p, n, 1, 2, t) * s1 * u_inv for t in range(p)]
+    return [u * rep * u_inv for rep in generator_cosets(n, p, 1)]
 
 
 def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
@@ -193,6 +193,7 @@ def _check_identities(
     of a generator, given as (check name, f on the cell of a minors pass,
     gen, (c, e), text of each side), at the identity matrix and at
     ``samples`` points drawn from ``seed``: one ``CheckResult`` each.
+    ``samples`` is an ``int`` >= 0 (else TypeError, ValueError).
 
     Each coset term is one minors pass on the point's stored rows, shared
     by every identity on its generator.  ``value_at(g)`` maps an
@@ -200,6 +201,7 @@ def _check_identities(
     records in its detail the first point where it failed (point 0 is the
     identity) as CLI JSON, and both sides of the identity there.
     """
+    _check_int("samples", samples, 0)
     rng = random.Random(seed)
     points = [PAdicMatrix.identity(n, p)] + [random_group_element(rng, n, p) for _ in range(samples)]
     zero = PhaseSum.zero(n, p)

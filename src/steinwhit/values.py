@@ -14,7 +14,8 @@ as ``Fraction``; a product of phases is added in integers over the
 larger p-power and reduced to lowest terms again.  Coefficients are
 exact rationals; powers of q enter numerically as powers of p.
 
-Zero testing is exact and sparse.  Within each eps class let p^M be the
+Zero testing is exact and sparse, for p prime (the constructors refuse
+any other p).  Within each eps class let p^M be the
 largest phase denominator and zeta = exp(2 pi i / p^M).  For M >= 1 the
 powers zeta^r, 0 <= r < p^{M-1}, are a basis of Q(zeta) over Q(zeta_p),
 and the only Q-relation among 1, zeta_p, ..., zeta_p^{p-1} is that their
@@ -42,18 +43,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .padic import _check_prime, _int_valuation
+from .weyl import _check_int
+
 __all__ = ["PhaseSum"]
 
 Rational = Union[int, Fraction]
 _RATIONAL = (int, Fraction)
 _NO_PHASE = Fraction(0)
-
-
-def _phase_ok(phase: Fraction, p: int) -> bool:
-    den = phase.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
 
 
 def _reduced_phase(a: int, d: int, p: int) -> tuple[int, int]:
@@ -162,15 +159,19 @@ class PhaseSum(_TermMap):
     of a sum are not unique: equality compares the terms, and where they
     differ it is ``is_zero`` of the difference, the sparse coset test of
     the module docstring.
+
+    n is an ``int`` >= 1 and p a prime ``int``, each checked by the rule of
+    the package (``weyl._check_int``, ``padic._check_prime``; ``bool``
+    refused, TypeError for a type and ValueError for a value): the coset
+    test is exact only for a prime p, whose p-th roots of unity have one
+    relation, their vanishing sum.
     """
 
     __slots__ = ()
 
     def __init__(self, n: int, p: int, terms: Mapping[tuple[int, Rational], Rational] | None = None):
-        if type(n) is not int or type(p) is not int:
-            raise TypeError(f"n and p must be int: {n!r}, {p!r}")
-        if n < 1 or p < 2:
-            raise ValueError(f"need n >= 1 and p >= 2, got n = {n}, p = {p}")
+        _check_int("n", n, 1)
+        _check_prime(p)
         self.n, self.p, self._terms = n, p, {}
         if terms:
             for (e, t), c in terms.items():
@@ -185,9 +186,9 @@ class PhaseSum(_TermMap):
     def _phase(self, phase: Rational) -> tuple[int, int]:
         """The canonical key (a, d) of a phase given as an ``int`` or a
         ``Fraction``, checked to be a p-power root of unity."""
-        phase = Fraction(phase) % 1
-        if not _phase_ok(phase, self.p):
-            raise ValueError(f"phase {phase} is not a p-power root of unity at p={self.p}")
+        phase, p = Fraction(phase) % 1, self.p
+        if p ** _int_valuation(phase.denominator, p) != phase.denominator:
+            raise ValueError(f"phase {phase} is not a p-power root of unity at p={p}")
         return phase.numerator, phase.denominator
 
     @classmethod

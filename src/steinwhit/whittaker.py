@@ -55,7 +55,7 @@ from .padic import PAdicMatrix, _minors_pass, _p_power
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum, _reduced_phase
-from .weyl import Permutation, Weight, _dominance_thresholds, _torus_character, dominance_shift
+from .weyl import Permutation, Weight, _check_int, _dominance_thresholds, _torus_character, dominance_shift
 
 __all__ = [
     "WhittakerValue",
@@ -160,9 +160,13 @@ def _closed_form(kbar: Weight, w: Permutation, eps_exp: int) -> tuple[int, int, 
 
 
 def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
-    """Closed-form value on the cell (kbar, w)."""
+    """Closed-form value on the cell (kbar, w); each entry of kbar and
+    eps_exp an ``int`` (``bool`` refused, TypeError)."""
     if len(kbar) != w.n:
         raise ValueError("weight length must match the permutation size")
+    for k in kbar:
+        _check_int("kbar entry", k)
+    _check_int("eps_exp", eps_exp)
     form = _closed_form(kbar, w, eps_exp)
     return _ZERO_VALUE if form is None else WhittakerValue._of(False, *form, _ZERO)
 
@@ -175,6 +179,7 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     from one fraction-free elimination over the minors on the bottom rows
     of g (``_minors_pass`` in ``padic``, where the phase formula is
     proved), and psi is formed only on the support; no witness is built.
+    eps_exp is an ``int`` (``bool`` refused, TypeError).
 
     >>> eval_matrix(PAdicMatrix.from_rows(2, [[1, "3/4"], [0, 1]]))
     WhittakerValue(zero=False, sign=1, eps_exp=0, q_exp=0, psi=Fraction(3, 4))
@@ -185,6 +190,7 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     >>> eval_matrix(PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]]))
     WhittakerValue(zero=False, sign=-1, eps_exp=0, q_exp=-1, psi=Fraction(3, 4))
     """
+    _check_int("eps_exp", eps_exp)
     return _pass_value(_minors_pass(g.rows, g.p), g.p, eps_exp)
 
 

@@ -222,6 +222,32 @@ MUTANTS = [
         "scale = [den // e for e in dens]",
         ("tests/test_padic.py::test_cell_witnesses_live_in_their_groups",),
     ),
+    Mutant(
+        "phase-sum-takes-any-p-from-2", "values.py",
+        "        _check_prime(p)\n",
+        "        _check_int(\"p\", p, 2)\n",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[phase-sum-i-minus-i-at-4]",),
+    ),
+    Mutant(
+        "generator-index-through-int", "principal_series.py",
+        "    _check_int(\"gen\", gen)\n",
+        "    gen = int(gen)\n",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[cosets-float-index]",
+         "tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[apply-str-index]"),
+    ),
+    Mutant(
+        "generator-cosets-cache-untyped", "principal_series.py",
+        "@functools.lru_cache(maxsize=128, typed=True)\n",
+        "@functools.lru_cache(maxsize=128)\n",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[cosets-bool-index]",
+         "tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[apply-bool-index]"),
+    ),
+    Mutant(
+        "one-param-wraps-position-0", "padic.py",
+        "if i == j or min(i, j) < 1 or max(i, j) > n:",
+        "if i == j or max(i, j) > n:",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[one-param-row-0]",),
+    ),
 ]
 
 

@@ -29,7 +29,7 @@ def test_scalar_arithmetic():
     one = HeckeScalar.one(2)
     assert q * q == HeckeScalar.monomial(2, 1, 2, 0)
     assert (q - q)._terms == {} and repr(q - q) == "HeckeScalar(0)"
-    h = HeckeElement.generator(2, 1).scaled(q) + HeckeElement.rotation_term(2)
+    h = HeckeElement.generator(2, 1).scaled(q) + HeckeElement.basis(ExtAffineElement.rotation(2))
     assert (h - h).terms() == [] and repr(h - h) == "HeckeElement(0)"
     assert q + one - q == one
     eps = HeckeScalar.monomial(3, 1, 0, 1)
@@ -75,7 +75,7 @@ def test_multiply_is_associative_on_samples():
         HeckeElement.generator(n, 0),
         HeckeElement.generator(n, 1),
         HeckeElement.generator(n, 2),
-        HeckeElement.rotation_term(n),
+        HeckeElement.basis(ExtAffineElement.rotation(n)),
         HeckeElement.basis(ExtAffineElement.translation((1, 0, 0))),
     ]
     for a in atoms:
@@ -305,7 +305,7 @@ def test_scaling_by_a_zero_divisor_drops_the_term():
 
 
 def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
-    a = HeckeElement.generator(N, 1) + HeckeElement.rotation_term(N).scaled(HeckeScalar.q_minus_one(N))
+    a = HeckeElement.generator(N, 1) + HeckeElement.basis(ExtAffineElement.rotation(N)).scaled(HeckeScalar.q_minus_one(N))
     b = mult_generator(a, 2)
     c = HeckeScalar.monomial(N, 2, 1, 1)
     x = _KEYS[-1] * ExtAffineElement.translation((2, -1, 0))
@@ -458,7 +458,7 @@ def test_character_of_is_the_fold_on_drawn_elements(h, e):
 @pytest.mark.parametrize("bad", [1.0, 0.5, Fraction(1), "1", None])
 def test_character_of_refuses_an_exponent_that_is_not_an_int(bad):
     x = ExtAffineElement.translation((1, 0, 0))
-    for h in (HeckeElement.basis(x), HeckeElement.generator(N, 1), HeckeElement.rotation_term(N) + HeckeElement.unit(N)):
+    for h in (HeckeElement.basis(x), HeckeElement.generator(N, 1), HeckeElement.basis(ExtAffineElement.rotation(N)) + HeckeElement.unit(N)):
         with pytest.raises(TypeError):
             character_of(h, bad)
         with pytest.raises(TypeError):

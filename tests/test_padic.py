@@ -776,13 +776,15 @@ NOT_PRIME_INTS = [4, 1, 0, -3, 9, 3215031751, PRIME_BOUND, PRIME_BOUND + 2]
 NOT_INTS = [True, False, 3.0, "3", Fraction(3), None]
 
 
-@pytest.mark.parametrize("p", NOT_PRIME_INTS + NOT_INTS, ids=repr)
+@pytest.mark.parametrize("p", NOT_PRIME_INTS + NOT_INTS + ["x"], ids=repr)
 def test_public_constructors_refuse_a_p_that_is_not_a_prime_int(p):
     """Every public constructor goes through ``__init__``, which refused
     nothing: ``PAdicMatrix(4, I)`` built, and ``iwahori_cell`` and
     ``cell_label`` answered for the "prime" 4.  Now a p that is not an
     ``int`` (``bool`` included) is a TypeError and an ``int`` that is not
-    prime a ValueError."""
+    prime a ValueError, from ``weight_matrix`` too before any arithmetic:
+    there the p "x" raised ValueError from ``Fraction`` and a negative
+    exponent at p = 0 ZeroDivisionError."""
     error = ValueError if p in NOT_PRIME_INTS and type(p) is int else TypeError
     builds = [
         lambda: PAdicMatrix(p, [[1, 0], [0, 1]]),
@@ -790,6 +792,7 @@ def test_public_constructors_refuse_a_p_that_is_not_a_prime_int(p):
         lambda: PAdicMatrix.identity(2, p),
         lambda: PAdicMatrix.diagonal(p, [1, 2]),
         lambda: PAdicMatrix.weight_matrix(p, (0, 1)),
+        lambda: PAdicMatrix.weight_matrix(p, (-1, 0)),
         lambda: PAdicMatrix.permutation(p, Permutation.simple(2, 1)),
         lambda: PAdicMatrix.one_param(p, 2, 1, 2, 1),
     ]

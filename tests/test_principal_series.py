@@ -7,6 +7,7 @@ import pytest
 
 from steinwhit import padic, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
+from steinwhit.hecke import steinberg_character
 from steinwhit.padic import PAdicMatrix, cell_label, matrix_from_json
 from steinwhit.principal_series import (
     InducedFunction,
@@ -17,7 +18,7 @@ from steinwhit.principal_series import (
 from steinwhit.sampling import random_group_element, random_iwahori
 from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations
-from steinwhit.whittaker import verify_functional_equations
+from steinwhit.whittaker import eval_cell, eval_matrix, verify_functional_equations
 
 
 def test_casselman_value_at_identity():
@@ -355,3 +356,60 @@ def test_label_values_equal_the_times_monomial_path(monkeypatch, n, p, radius):
             assert value == want and repr(value) == repr(want), (label, value, want)
             assert list(value._terms.items()) == list(want._terms.items())
             assert all(type(c) is Fraction for c in value._terms.values())
+
+
+_MINUS = InducedFunction.eigenvector(2, 3, 0, "minus")
+_ONE = PAdicMatrix.identity(2, 3)
+_ID2 = Permutation.identity(2)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    # p: the coset zero test is exact only for a prime p; at p = 4,
+    # i + (-i) = 0 was neither zero nor equal to zero
+    (lambda: PhaseSum(1, 4, {(0, Fraction(1, 4)): 1, (0, Fraction(3, 4)): 1}), ValueError, "p must be prime"),
+    (lambda: PhaseSum.zero(1, 4), ValueError, "p must be prime"),
+    (lambda: PhaseSum.monomial(2, 9, 1), ValueError, "p must be prime"),
+    (lambda: PhaseSum(2, True), TypeError, "p must be an int"),
+    (lambda: PhaseSum(True, 3), TypeError, "n must be an int"),
+    # a generator index went through int(): 1.9, "1" and True applied s_1
+    (lambda: generator_cosets(3, 2, 1.9), TypeError, "gen must be an int"),
+    (lambda: generator_cosets(3, 2, "1"), TypeError, "gen must be an int"),
+    (lambda: generator_cosets(3, 2, True), TypeError, "gen must be an int"),
+    (lambda: apply_generator(_MINUS, 1.9, _ONE), TypeError, "gen must be an int"),
+    (lambda: apply_generator(_MINUS, "1", _ONE), TypeError, "gen must be an int"),
+    (lambda: apply_generator(_MINUS, True, _ONE), TypeError, "gen must be an int"),
+    # the product m * e was checked, so True passed as 1
+    (lambda: steinberg_character(ExtAffineElement.rotation(3), True), TypeError, "eps_exp must be an int"),
+    # position 0 wrapped to row n, position n + 1 was an IndexError
+    (lambda: PAdicMatrix.one_param(2, 3, 0, 1, 5), ValueError, "positions in 1..3"),
+    (lambda: PAdicMatrix.one_param(2, 3, 1, 0, 5), ValueError, "positions in 1..3"),
+    (lambda: PAdicMatrix.one_param(2, 3, 4, 1, 5), ValueError, "positions in 1..3"),
+    (lambda: PAdicMatrix.one_param(2, 3, 1, 4, 5), ValueError, "positions in 1..3"),
+    (lambda: PAdicMatrix.one_param(2, 3, 1.0, 2, 5), TypeError, "i must be an int"),
+    (lambda: PAdicMatrix.one_param(2, 3, 1, 2.0, 5), TypeError, "j must be an int"),
+    (lambda: PAdicMatrix.weight_matrix(3, (True, 0)), TypeError, "k must be an int"),
+    # floats and bools reached a WhittakerValue unchecked
+    (lambda: eval_cell((1, 0), _ID2, 0.5), TypeError, "eps_exp must be an int"),
+    (lambda: eval_cell((1, 0), _ID2, True), TypeError, "eps_exp must be an int"),
+    (lambda: eval_cell((1.0, 0), _ID2, 1), TypeError, "kbar entry must be an int"),
+    (lambda: eval_cell((True, 0), _ID2, 1), TypeError, "kbar entry must be an int"),
+    (lambda: eval_matrix(_ONE, 0.5), TypeError, "eps_exp must be an int"),
+    (lambda: eval_matrix(_ONE, True), TypeError, "eps_exp must be an int"),
+    # a negative sample count checked the identity alone, and passed
+    (lambda: verify_functional_equations(2, 3, 0, samples=-1), ValueError, "samples must be >= 0"),
+    (lambda: run_eigen_checks(2, 3, 0, samples=-1), ValueError, "samples must be >= 0"),
+], ids=["phase-sum-i-minus-i-at-4", "phase-sum-zero-at-4", "phase-sum-monomial-at-9", "phase-sum-bool-p",
+        "phase-sum-bool-n", "cosets-float-index", "cosets-str-index", "cosets-bool-index", "apply-float-index",
+        "apply-str-index", "apply-bool-index", "steinberg-bool-eps", "one-param-row-0", "one-param-column-0",
+        "one-param-row-n-plus-1", "one-param-column-n-plus-1", "one-param-float-row", "one-param-float-column",
+        "weight-bool-exponent", "eval-cell-float-eps", "eval-cell-bool-eps", "eval-cell-float-weight",
+        "eval-cell-bool-weight", "eval-matrix-float-eps", "eval-matrix-bool-eps", "whittaker-negative-samples",
+        "eigen-negative-samples"])
+def test_each_argument_is_checked_by_its_one_rule(build, error, match):
+    """p by ``padic._check_prime``, integer arguments by
+    ``weyl._check_int``, at every entry point; each row was accepted or
+    failed otherwise before.  The cosets of s_1 are cached first, so that a
+    cache keyed without types would answer the index True from them."""
+    generator_cosets(3, 2, 1), generator_cosets(2, 3, 1)
+    with pytest.raises(error, match=match):
+        build()
