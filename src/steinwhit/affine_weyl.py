@@ -50,7 +50,7 @@ import functools
 from dataclasses import dataclass
 
 from .padic import PAdicMatrix
-from .weyl import Permutation, Weight, _check_int, _set_window
+from .weyl import Permutation, Weight, _check_int, _check_type, _set_window
 
 __all__ = [
     "ExtAffineElement",
@@ -214,6 +214,7 @@ def _simple_reflection(n: int, i: int) -> ExtAffineElement:
 
 def realize(x: ExtAffineElement, p: int) -> PAdicMatrix:
     """The matrix diag(p^lam) P_w."""
+    _check_type("x", x, ExtAffineElement)
     return PAdicMatrix.weight_matrix(p, x.lam) * PAdicMatrix.permutation(p, x.w)
 
 
@@ -225,6 +226,7 @@ def length_ext(x: ExtAffineElement) -> int:
     Right multiplication by the rotation leaves the sum unchanged, so the
     rotation part contributes nothing.
     """
+    _check_type("x", x, ExtAffineElement)
     lam = x.lam
     winv = x.w.inverse().window
     total = 0
@@ -289,6 +291,7 @@ def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
     >>> reduced_word(ExtAffineElement.translation((1, 0, 0)))
     ((1, 2), 1)
     """
+    _check_type("x", x, ExtAffineElement)
     n = x.n
     m = x.rotation_exponent()
     y = x * _rotation(n, -m)

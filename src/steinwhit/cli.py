@@ -66,29 +66,24 @@ EXIT_GUARD = 4
 
 _TABLE_MAX_RANGE = 6
 _TABLE_MAX_N = 4
-# The minors pass behind eval is an O(n^3) elimination: on a dense matrix
-# (entries in [-9, 9], p = 3) a fresh process takes 0.14 s at n = 12 and
-# 0.13 s at n = 18 (medians of 10), nearly all of it interpreter start-up,
-# and the pass itself 0.8 ms at n = 18 (2-vCPU Xeon VM, Python 3.11).  The
-# bound stays at 18, where the exponential pass before it had put it, so
-# that no exit code moves.
+# The minors pass behind eval is an O(n^3) elimination, cheap at n = 18.
+# The bound stays at 18, where the exponential pass before it had put it,
+# so that no exit code moves.
 _EVAL_MAX_N = 18
 # The elimination behind decompose grows about like n^5 on dense input, as
-# its integers grow with n: with entries in [-9, 9] and p = 3, in a fresh
-# process (same VM, median of 6 runs), 1.2 s at n = 52, 1.8 s at n = 56,
-# 2.3 s at n = 58 and, median of 10, 2.6 s at n = 60 and 3.8 s at n = 64.
+# its integers grow with n: a fresh process takes 0.67 s at n = 56 (entries
+# in [-9, 9], p = 3, median of 5; 2-vCPU AMD EPYC VM, Python 3.11.7).  The
+# bound stays at 56, so that no exit code moves.
 _DECOMPOSE_MAX_N = 56
-# The presentation check of the hecke suite: a fresh process runs
-# ``verify hecke --n 24 --p 2`` in 0.096 s, interpreter start and import
-# included (median of 9; 2-vCPU AMD EPYC VM, Python 3.11.7).  The bound
+# The presentation check of the hecke suite is cheap at n = 24.  The bound
 # stays at 24, so that no exit code moves.
 _HECKE_MAX_N = 24
 
-# Measured cost of the principal and whittaker suites together, in units
-# of 0.1 ms (2-vCPU Xeon VM, Python 3.11): per coset of the checks that
-# loop over all n! permutations once, and per coset of each sampled point,
-# which sums p cosets per generator and evaluates about 2 more.  A larger
-# n is refused.
+# Cost of the principal and whittaker suites together, in units of 0.1 ms,
+# as measured on an earlier minors pass: per coset of the checks that loop
+# over all n! permutations once, and per coset of each sampled point, which
+# sums p cosets per generator and evaluates about 2 more.  A larger n is
+# refused.
 _VERIFY_COSTS = {2: (2, 6), 3: (11, 13), 4: (84, 27), 5: (900, 40), 6: (8300, 90)}
 
 
@@ -99,8 +94,8 @@ def _verify_cost(n: int, p: int, samples: int) -> int:
 
 # The cost at n = 5, p = 31 and the default 20 samples: it keeps every
 # acceptance config and n = 6 with p <= 5.  The costs were fitted to the
-# Laplace-era minors pass (about 6 s there); a fresh process now takes
-# 1.1 s (median of 5, same VM).  Kept, so that no exit code moves.
+# Laplace-era minors pass, which today's pass beats many times over; they
+# are kept, so that no exit code moves.
 _VERIFY_MAX_COST = _verify_cost(5, 31, 20)
 
 # ASCII digits only: ``\d`` and ``int`` also take other scripts' digits.

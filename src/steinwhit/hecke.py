@@ -18,13 +18,11 @@ being the central translation) are re-derived from these rules by
 ``verify_presentation``.
 
 ``HeckeScalar`` and ``HeckeElement`` are term maps on the core of
-``values`` (one add-and-cancel rule, one ``+``, ``-``, context check and
-hash refusal): their constructors check n (an ``int`` >= 1, ``bool``
-refused) and every term (``int`` exponents and coefficients;
-``ExtAffineElement`` keys and coefficients of the same n), and products
-and the Steinberg character build their results unchecked.  A product
-step takes its generator s_i from the shared instance of
-``ExtAffineElement.simple_reflection``, built once per (n, i).
+``values`` (``_TermMap``): their constructors check n and every term,
+and products and the Steinberg character build their results
+unchecked.  A product step takes its generator s_i from the shared
+instance of ``ExtAffineElement.simple_reflection``, built once per
+(n, i).
 
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
@@ -40,9 +38,7 @@ evaluates it at all n exponents.  The relations are declared once
 product, and built twice: in the algebra, and in the scalars with each
 generator replaced by its ``steinberg_character`` value.  Each side's
 character must equal its scalar build: that is multiplicativity on every
-relation instance, which a wrong ``_character_at`` fails.  A product and
-a character each accumulate their terms into one new dict
-(``_TermMap._sum``, ``_merge``), not through a fold of ``+``.
+relation instance, which a wrong ``_character_at`` fails.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from typing import Mapping
 from .affine_weyl import ExtAffineElement, is_ascent, reduced_word
 from .reporting import CheckResult
 from .values import _merge, _TermMap
-from .weyl import _check_int
+from .weyl import _check_int, _check_type
 
 __all__ = [
     "HeckeElement",
@@ -245,6 +241,7 @@ def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
     (n - 1) m + len(x) is congruent to inv(w), and no length is needed.
     eps_exp must be an ``int`` (``bool`` refused, TypeError).
     """
+    _check_type("x", x, ExtAffineElement)
     _check_int("eps_exp", eps_exp)
     n = x.n
     return HeckeScalar._of(n, {(0, x.rotation_exponent() * eps_exp % n): x.w.sign()})

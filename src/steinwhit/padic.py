@@ -96,7 +96,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import Permutation, _check_int
+from .weyl import Permutation, _check_int, _check_type
 
 __all__ = [
     "Cell",
@@ -406,6 +406,7 @@ class PAdicMatrix:
 
     @classmethod
     def identity(cls, n: int, p: int) -> "PAdicMatrix":
+        _check_int("n", n, 1)
         return cls.from_rows(
             p, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
@@ -503,6 +504,7 @@ def _entry_strings(m: PAdicMatrix) -> list[list[str]]:
 
 
 def matrix_to_json(m: PAdicMatrix) -> str:
+    _check_type("m", m, PAdicMatrix)
     return json.dumps({"p": m.p, "entries": _entry_strings(m)}, sort_keys=True)
 
 
@@ -577,6 +579,7 @@ def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
     working matrix at step i over p^v, with its columns put back in their
     original order.
     """
+    _check_type("g", g, PAdicMatrix)
     n, p = g.n, g.p
     cols = _columns(g.rows)
     order = list(range(n))  # working column j is column order[j] of g
@@ -716,8 +719,8 @@ def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
     verified to lie in J and the cell to reconstruct g entry for entry,
     once each.  A failure raises DecompositionError.
     """
+    b, k = iwasawa(g)  # checks g's class
     n, p = g.n, g.p
-    b, k = iwasawa(g)
     kbar = tuple(_int_valuation(a[i], p) - _int_valuation(d, p) for i, (a, d) in enumerate(b.rows))
     k_rows = k.rows
     if any(d % p == 0 for _, d in k_rows):

@@ -17,24 +17,14 @@ single w is ``casselman``; the two distinguished combinations are
 
 Convolution operators act by right translation over explicit coset
 representatives, listed by ``generator_cosets`` (the centre is the one
-coset p . I).  A coset term g . rep is one minors pass (the O(n^3)
-fraction-free elimination ``padic._minors_pass``) on the unreduced rows
-of g . rep from ``padic._times``, the product kernel for reused right
-factors (the other, ``padic._combined``, serves the witness products used
-once), which reads g's stored integer rows (``PAdicMatrix.rows``) under
-the representative's integer column form, built once per cached
-representative: ``_coset_passes``, the one source of coset terms, behind
-``apply_generator`` and ``_check_identities``, the identity engine of
-``run_eigen_checks`` and ``whittaker.verify_functional_equations``.
-The functions here read only each pass's label; the whittaker suite
-forms psi from its phase terms, and only on the support.  A coset sum is
-one accumulation of its terms' values into one new term map
-(``PhaseSum._sum``), not a fold of ``+``.  ``InducedFunction`` checks its
-coefficients' types and context once, when it is built; the value on a
-cell is then coeff(w) with its eps exponents shifted and its coefficients
-scaled by the integer p^q (or divided by p^-q), wrapped unchecked like
-the whittaker suite's one-term values, with no ``Fraction`` power and no
-``times_monomial`` per coset term.
+coset p . I).  Each coset term g . rep is one ``padic._minors_pass`` on
+the rows that ``padic._times`` gives for g . rep: ``_coset_passes`` is
+the one source of coset terms, behind ``apply_generator`` and
+``_check_identities``, the identity engine of ``run_eigen_checks`` and
+``whittaker.verify_functional_equations``.  The functions here read only
+each pass's label.  A coset sum is one ``PhaseSum._sum`` of its terms'
+values, each built unchecked from the coefficients that ``InducedFunction``
+checked once (``_label_value``).
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum
-from .weyl import Permutation, _check_int, _torus_character, all_permutations
+from .weyl import Permutation, _check_int, _check_type, _torus_character, all_permutations
 
 __all__ = [
     "InducedFunction",
@@ -148,6 +138,7 @@ def generator_cosets(n: int, p: int, gen) -> tuple[PAdicMatrix, ...]:
     and immutable: a tuple of frozen matrices, shared by every caller,
     each keeping its column form as a right factor once built.
     """
+    _check_int("n", n, 1)
     if gen == "rotation":
         return (realize(ExtAffineElement.rotation(n), p),)
     if gen == "center":
@@ -180,6 +171,8 @@ def _affine_cosets_by_conjugation(n: int, p: int) -> list[PAdicMatrix]:
 
 def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     """Value of the convolution operator for gen on func, at g."""
+    _check_type("func", func, InducedFunction)
+    _check_type("g", g, PAdicMatrix)
     if (g.n, g.p) != (func.n, func.p):
         raise ValueError("matrix context mismatch")
     passes = _coset_passes(g.rows, g.n, g.p, gen)

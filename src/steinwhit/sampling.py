@@ -9,9 +9,9 @@ group elements are built as structured products
 which keeps the true cell label (kbar, w) known by construction.  The
 factors are built from integer pairs straight into the canonical rows of
 ``PAdicMatrix`` (``padic._row_of``), with no ``Fraction`` in between.
-Each product is one ``padic._combined``, the kernel for factors used
-once: the verification suites draw a fresh point per sample in every
-call, so the samplers run on the ``verify`` path.
+Each product is one ``padic._combined``.  The verification suites draw a
+fresh point per sample in every call, so the samplers run on the
+``verify`` path.
 """
 
 from __future__ import annotations

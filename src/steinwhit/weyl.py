@@ -197,6 +197,13 @@ def _check_int(name: str, value: int, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """TypeError unless ``value`` is an instance of ``cls``: the one class
+    rule for an object argument, a single ``isinstance`` test."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be an instance of {cls.__name__}, not {value!r}")
+
+
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic window order (deterministic)."""
     for window in itertools.permutations(range(1, n + 1)):
@@ -217,6 +224,7 @@ def is_dominant(kbar: Weight, w: Permutation) -> bool:
     >>> is_dominant((-2, 0), Permutation.simple(2, 1))
     False
     """
+    _check_type("w", w, Permutation)
     if len(kbar) != w.n:
         raise ValueError("weight length mismatch")
     return all(kbar[i] - kbar[i + 1] >= t for i, t in enumerate(_dominance_thresholds(w)))
@@ -253,6 +261,7 @@ def dominance_shift(w: Permutation) -> Weight:
     >>> dominance_shift(Permutation.longest(4))
     (-3, -2, -1, 0)
     """
+    _check_type("w", w, Permutation)
     return tuple(itertools.accumulate(reversed(_dominance_thresholds(w)), initial=0))[::-1]
 
 

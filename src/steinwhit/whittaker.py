@@ -22,26 +22,13 @@ which the closed form is derived, live in the tests as its oracle.
 
 At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
 is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
-phase terms of psi(n) off one integer pass over the minors on the bottom
-rows of g, a fraction-free column elimination of O(n^3) integer
-operations (``padic._minors_pass``), the pass that also gives the
-principal series its cell labels; it builds no witness
-(``padic.iwahori_cell`` does, for ``decompose``).  psi(n) is formed
-from the terms only on the support, in integers over one p-power
-denominator, as the lowest-terms pair (a, p^u) that is also the phase
-key of ``PhaseSum`` (``_psi_of_terms``, the one psi routine);
-``_pass_value`` makes it the ``Fraction`` a/p^u of ``WhittakerValue.psi``.
-``verify_functional_equations`` is a table of identities for the engine
-of ``principal_series``, which runs the same pass on every coset term
-g . rep (the central term being g . pI), with no matrix product; each
-term's value goes straight from the closed form and the psi pair into a
-one-term ``PhaseSum``, while ``phase_sum`` validates a ``WhittakerValue``
-from outside.
-
-``WhittakerValue`` checks its fields when built from outside (sign and
-exponents ``int``, ``bool`` refused, psi an ``int`` or ``Fraction``,
-else TypeError); the values of ``eval_cell`` and ``eval_matrix`` are
-built unchecked (``WhittakerValue._of``).
+phase terms of psi(n) off ``padic._minors_pass`` and builds no witness.
+psi(n) is formed only on the support, as the lowest-terms pair (a, p^u)
+that is also the phase key of ``PhaseSum`` (``_psi_of_terms``, the one
+psi routine).  ``verify_functional_equations`` is a table of identities
+for ``principal_series._check_identities``; each coset term's value goes
+from the closed form and the psi pair straight into a one-term
+``PhaseSum`` (``_pass_phase_sum``).
 """
 
 from __future__ import annotations
@@ -55,7 +42,7 @@ from .padic import PAdicMatrix, _minors_pass, _p_power
 from .principal_series import _check_identities
 from .reporting import CheckResult
 from .values import PhaseSum, _reduced_phase
-from .weyl import Permutation, Weight, _check_int, _dominance_thresholds, _torus_character, dominance_shift
+from .weyl import Permutation, Weight, _check_int, _check_type, _dominance_thresholds, _torus_character, dominance_shift
 
 __all__ = [
     "WhittakerValue",
@@ -123,6 +110,7 @@ _ZERO_VALUE = WhittakerValue.zero_value()
 
 
 def serialize(value: WhittakerValue) -> dict:
+    _check_type("value", value, WhittakerValue)
     return {
         "zero": value.zero,
         "sign": value.sign,
@@ -162,6 +150,7 @@ def _closed_form(kbar: Weight, w: Permutation, eps_exp: int) -> tuple[int, int, 
 def eval_cell(kbar: Weight, w: Permutation, eps_exp: int = 0) -> WhittakerValue:
     """Closed-form value on the cell (kbar, w); each entry of kbar and
     eps_exp an ``int`` (``bool`` refused, TypeError)."""
+    _check_type("w", w, Permutation)
     if len(kbar) != w.n:
         raise ValueError("weight length must match the permutation size")
     for k in kbar:
@@ -190,6 +179,7 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     >>> eval_matrix(PAdicMatrix.from_rows(2, [["7/4", "3/4"], [1, 1]]))
     WhittakerValue(zero=False, sign=-1, eps_exp=0, q_exp=-1, psi=Fraction(3, 4))
     """
+    _check_type("g", g, PAdicMatrix)
     _check_int("eps_exp", eps_exp)
     return _pass_value(_minors_pass(g.rows, g.p), g.p, eps_exp)
 

@@ -248,6 +248,22 @@ MUTANTS = [
         "if i == j or max(i, j) > n:",
         ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[one-param-row-0]",),
     ),
+    Mutant(
+        "identity-takes-any-n", "padic.py",
+        "    def identity(cls, n: int, p: int) -> \"PAdicMatrix\":\n"
+        "        _check_int(\"n\", n, 1)\n",
+        "    def identity(cls, n: int, p: int) -> \"PAdicMatrix\":\n",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[identity-bool-n]",
+         "tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[identity-n-0]",
+         "tests/test_readme.py::test_every_refused_call_raises_the_exception_of_its_row"),
+    ),
+    Mutant(
+        "eval-matrix-takes-any-class", "whittaker.py",
+        "    _check_type(\"g\", g, PAdicMatrix)\n"
+        "    _check_int(\"eps_exp\", eps_exp)\n",
+        "    _check_int(\"eps_exp\", eps_exp)\n",
+        ("tests/test_readme.py::test_every_refused_call_raises_the_exception_of_its_row",),
+    ),
 ]
 
 

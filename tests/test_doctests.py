@@ -21,4 +21,4 @@ def test_module_doctests(name):
 
 def test_doctests_exist():
     attempted = sum(doctest.testmod(importlib.import_module(name)).attempted for name in MODULES)
-    assert attempted >= 25
+    assert attempted >= 29

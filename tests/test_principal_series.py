@@ -398,13 +398,18 @@ _ID2 = Permutation.identity(2)
     # a negative sample count checked the identity alone, and passed
     (lambda: verify_functional_equations(2, 3, 0, samples=-1), ValueError, "samples must be >= 0"),
     (lambda: run_eigen_checks(2, 3, 0, samples=-1), ValueError, "samples must be >= 0"),
+    # n was never checked: True built a 1 x 1 matrix, 0 a 0 x 0 one, and the
+    # cosets of the centre were cached under the key (True, 2, "center")
+    (lambda: PAdicMatrix.identity(True, 2), TypeError, "n must be an int"),
+    (lambda: PAdicMatrix.identity(0, 2), ValueError, "n must be >= 1"),
+    (lambda: generator_cosets(True, 2, "center"), TypeError, "n must be an int"),
 ], ids=["phase-sum-i-minus-i-at-4", "phase-sum-zero-at-4", "phase-sum-monomial-at-9", "phase-sum-bool-p",
         "phase-sum-bool-n", "cosets-float-index", "cosets-str-index", "cosets-bool-index", "apply-float-index",
         "apply-str-index", "apply-bool-index", "steinberg-bool-eps", "one-param-row-0", "one-param-column-0",
         "one-param-row-n-plus-1", "one-param-column-n-plus-1", "one-param-float-row", "one-param-float-column",
         "weight-bool-exponent", "eval-cell-float-eps", "eval-cell-bool-eps", "eval-cell-float-weight",
         "eval-cell-bool-weight", "eval-matrix-float-eps", "eval-matrix-bool-eps", "whittaker-negative-samples",
-        "eigen-negative-samples"])
+        "eigen-negative-samples", "identity-bool-n", "identity-n-0", "cosets-bool-n"])
 def test_each_argument_is_checked_by_its_one_rule(build, error, match):
     """p by ``padic._check_prime``, integer arguments by
     ``weyl._check_int``, at every entry point; each row was accepted or
