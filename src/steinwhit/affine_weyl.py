@@ -23,9 +23,11 @@ True
 Length is the Iwahori–Matsumoto closed form (see ``length_ext``), which
 needs O(n^2) steps and ignores right multiplication by the rotation.
 Whether s_i is a right ascent reads one pair term of it (``is_ascent``).
-``reduced_word`` strips the rotation power and then peels left descents
-in place on plain integer lists, always the smallest index first, so it
-returns the lexicographically least reduced word.
+``reduced_word`` strips the rotation power by reading the closed form of
+r^{-m} inline (no product, no inverse object) and then peels left
+descents in place on plain integer lists in one loop, always the
+smallest index first, so it returns the lexicographically least reduced
+word.
 
 An element is a slotted frozen value, as its ``Permutation`` is: no
 instance ``__dict__``, a hash of (lam, window), and an ``==`` that
@@ -34,14 +36,14 @@ validated at the boundary: the public constructors refuse any entry
 that is not an ``int`` (``bool`` included), while products, inverses,
 powers and ``normalize_central`` build their results from valid ones,
 unchecked (``_of``, writing the slots through their descriptors).  A
-product is one frame: one size check, w.mu added in place (skipped when
+product is one frame: one class test (another class gets
+``NotImplemented``), one size check, w.mu added in place (skipped when
 mu is zero, as for s_1, ..., s_{n-1}), and the windows composed inline.
 The public generators check their arguments (``int`` n and index,
 ``bool`` refused; n >= 2 for a reflection, n >= 1 for a rotation) and
 then cost only their arithmetic: each s_i is built once per
 (n, i mod n) and shared, and r^k comes from one closed form
-(``_rotation``), which ``reduced_word`` calls unchecked, as its
-exponent is an ``int`` sum of entries.
+(``_rotation``), which ``hecke.multiply`` calls unchecked.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ class ExtAffineElement:
     def __mul__(self, other: "ExtAffineElement") -> "ExtAffineElement":
         """(lam + w.mu, w v) in one frame: mu_j is added into entry w(j) of
         lam in place, unless mu is zero, and the windows are composed inline."""
+        if type(other) is not ExtAffineElement:
+            return NotImplemented
         lam, mu = self.lam, other.lam
         win, right = self.w.window, other.w.window
         if len(win) != len(right):
@@ -280,27 +284,38 @@ def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
     As s_0 = r^{-1} s_{n-1} r, s_0 is one when the same d, read on rows
     n and 1, exceeds 1.
 
-    The descents are peeled in place on the lists lam and w^{-1} of y:
-    s_i * y for i >= 1 swaps entries i and i + 1 of both, and s_0 * y
-    swaps the two ends of w^{-1} and sets (lam_1, lam_n) to
+    With m the coordinate sum of x = (lam, w), r^{-m} has translation
+    part mu_j = floor((j - 1 - m) / n) and window v(j) = ((j + m - 1) mod
+    n) + 1 (``_rotation``), so y = (lam + w.mu, w v): mu_j is added into
+    entry w(j) of lam, and w_y^{-1}(w(v(j))) = j.  Both lists are read off
+    that form directly.
+
+    The descents are peeled in place on the lists lam and w^{-1} of y,
+    in one loop: s_i * y for i >= 1 swaps entries i and i + 1 of both,
+    and s_0 * y swaps the two ends of w^{-1} and sets (lam_1, lam_n) to
     (lam_n - 1, lam_1 + 1).  Each step lowers the length by one, and y
     has coordinate sum 0, so it lies in the affine Weyl group, a Coxeter
     group, where only the identity has no left descent: the peeling ends
-    there, after exactly length_ext(x) steps.
+    there, after exactly length_ext(x) steps.  A peel changes only the
+    pair terms of the rows it moves, so the scan for the next descent
+    resumes at i - 1, or at 0 when row 1 or row n moved.
 
     >>> reduced_word(ExtAffineElement.translation((1, 0, 0)))
     ((1, 2), 1)
     """
     _check_type("x", x, ExtAffineElement)
-    n = x.n
-    m = x.rotation_exponent()
-    y = x * _rotation(n, -m)
-    lam, winv = list(y.lam), list(y.w.inverse().window)
+    lam, win = list(x.lam), x.w.window
+    n, m = len(win), sum(lam)
+    winv = [0] * n
+    for j in range(n):
+        lam[win[j] - 1] += (j - m) // n
+        winv[win[(j + m) % n] - 1] = j + 1
     word: list[int] = []
-    def first_descent() -> int | None:
-        return next((j for j in range(n) if lam[j - 1] - lam[j] + (winv[j - 1] > winv[j]) > (j == 0)), None)
-
-    while (i := first_descent()) is not None:
+    i = 0
+    while i < n:
+        if lam[i - 1] - lam[i] + (winv[i - 1] > winv[i]) <= (i == 0):
+            i += 1
+            continue
         word.append(i)
         if i:
             lam[i - 1], lam[i] = lam[i], lam[i - 1]
@@ -308,4 +323,5 @@ def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
         else:
             lam[0], lam[-1] = lam[-1] - 1, lam[0] + 1
             winv[0], winv[-1] = winv[-1], winv[0]
+        i = i - 1 if 1 < i < n - 1 else 0
     return tuple(word), m

@@ -19,10 +19,15 @@ being the central translation) are re-derived from these rules by
 
 ``HeckeScalar`` and ``HeckeElement`` are term maps on the core of
 ``values`` (``_TermMap``): their constructors check n and every term,
-and products and the Steinberg character build their results
-unchecked.  A product step takes its generator s_i from the shared
-instance of ``ExtAffineElement.simple_reflection``, built once per
-(n, i).
+and products, ``HeckeElement.basis`` and the Steinberg character build
+their results unchecked.  One step kernel, ``_step``, right-multiplies a
+plain term dict by T_{s_i}, with s_i the shared instance built once per
+(n, i); ``mult_generator`` checks its arguments and calls it, and
+``multiply`` walks the left factor's dict through it along each reduced
+word, relabels by the rotation power and merges every term of the right
+factor into one output dict.  A scalar product with a one-term factor is
+a key shift and a scaling, with no merge.  The public functions refuse
+an argument of another class with TypeError (``weyl._check_type``).
 
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
@@ -46,7 +51,7 @@ from __future__ import annotations
 import operator
 from typing import Mapping
 
-from .affine_weyl import ExtAffineElement, is_ascent, reduced_word
+from .affine_weyl import ExtAffineElement, _rotation, _simple_reflection, is_ascent, reduced_word
 from .reporting import CheckResult
 from .values import _merge, _TermMap
 from .weyl import _check_int, _check_type
@@ -62,6 +67,8 @@ __all__ = [
     "steinberg_character",
     "verify_presentation",
 ]
+
+_ONE = {(0, 0): 1}  # the terms of the unit scalar
 
 
 class HeckeScalar(_TermMap):
@@ -114,10 +121,18 @@ class HeckeScalar(_TermMap):
         return cls(n, {(1, 0): 1, (0, 0): -1})
 
     def __mul__(self, other: "HeckeScalar") -> "HeckeScalar":
+        """The product; with a one-term factor, a key shift of the other's
+        terms (a bijection, so no two merge) and a scaling, in their order."""
         self._check(other)
-        n, terms, right = self.n, {}, other._terms.items()
+        n, left, right = self.n, self._terms, other._terms
+        if len(left) == 1:
+            left, right = right, left
+        if len(right) == 1:
+            ((q, e), c), = right.items()
+            return self._wrap({(qe + q, (ee + e) % n): v * c for (qe, ee), v in left.items()})
+        terms = {}
         _merge(terms, [((q1 + q2, (e1 + e2) % n), c1 * c2)
-                       for (q1, e1), c1 in self._terms.items() for (q2, e2), c2 in right])
+                       for (q1, e1), c1 in left.items() for (q2, e2), c2 in right.items()])
         return self._wrap(terms)
 
     def __repr__(self) -> str:
@@ -162,7 +177,13 @@ class HeckeElement(_TermMap):
 
     @classmethod
     def basis(cls, x: ExtAffineElement) -> "HeckeElement":
-        return cls(x.n, {x: HeckeScalar.one(x.n)})
+        """T_x; x is an ``ExtAffineElement`` (else TypeError), so its one
+        term is built unchecked."""
+        _check_type("x", x, ExtAffineElement)
+        n = x.n
+        out = object.__new__(cls)
+        out.n, out.p, out._terms = n, None, {x: HeckeScalar._of(n, {(0, 0): 1})}
+        return out
 
     @classmethod
     def generator(cls, n: int, i: int) -> "HeckeElement":
@@ -182,23 +203,43 @@ class HeckeElement(_TermMap):
         return " + ".join(bits)
 
 
-def mult_generator(h: HeckeElement, i: int) -> HeckeElement:
-    """Right-multiply by T_{s_i} (i taken mod n, 0 is the affine one).
+def _step(terms: dict, n: int, i: int) -> dict:
+    """The terms of h T_{s_i}, from the terms of h, for 0 <= i < n, unchecked.
 
-    A descent x gives q c T_{x s_i} + (q - 1) c T_x, with q c a shift of
-    the q exponents of c and (q - 1) c = q c - c.
+    An ascent x gives c T_{x s_i}; a descent gives q c T_{x s_i} +
+    (q - 1) c T_x, with q c a shift of the q exponents of c, and
+    (q - 1) c = q c - c built as one dict, in the key order of ``qc - c``.
     """
-    s = ExtAffineElement.simple_reflection(h.n, i)
+    s = _simple_reflection(n, i)
     pairs = []
-    for x, c in h._terms.items():
+    for x, c in terms.items():
         if is_ascent(x, i):
             pairs.append((x * s, c))
-        else:
-            qc = c._wrap({(qe + 1, ee): v for (qe, ee), v in c._terms.items()})
-            pairs += ((x * s, qc), (x, qc - c))
-    terms = {}
-    _merge(terms, pairs)
-    return h._wrap(terms)
+            continue
+        qc = {(qe + 1, ee): v for (qe, ee), v in c._terms.items()}
+        q1c = dict(qc)
+        for key, v in c._terms.items():
+            old = q1c.get(key)
+            if old is None:
+                q1c[key] = -v
+            elif old == v:
+                del q1c[key]
+            else:
+                q1c[key] = old - v
+        pairs += ((x * s, HeckeScalar._of(n, qc)), (x, HeckeScalar._of(n, q1c)))
+    out = {}
+    _merge(out, pairs)
+    return out
+
+
+def mult_generator(h: HeckeElement, i: int) -> HeckeElement:
+    """Right-multiply by T_{s_i} (i taken mod n, 0 is the affine one):
+    n and i are checked as ``ExtAffineElement.simple_reflection`` checks
+    them, then ``_step`` builds the terms."""
+    _check_type("h", h, HeckeElement)
+    n = h.n
+    ExtAffineElement.simple_reflection(n, i)
+    return h._wrap(_step(h._terms, n, i % n))
 
 
 def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
@@ -208,26 +249,36 @@ def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
     A pure relabeling of indices by r^m, a bijection: no q-corrections
     occur and no two terms merge.
     """
+    _check_type("h", h, HeckeElement)
     r = ExtAffineElement.rotation(h.n, m)
     return h._wrap({x * r: c for x, c in h._terms.items()})
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the algebra, via reduced words for the right factor: the
-    sum over the terms c T_y of b of (a T_y) c, in one accumulation."""
+    sum over the terms c T_y of b of (a T_y) c, merged into one dict.
+
+    For y = s_{i_1} ... s_{i_k} r^m, a's terms walk ``_step`` along the
+    word, are relabeled by r^m (a bijection) and, unless c is 1, scaled
+    by c; the key order is that of the fold of ``mult_generator``,
+    ``mult_rotation`` and ``scaled``.
+    """
+    _check_type("a", a, HeckeElement)
     a._check(b)
-
-    def products():
-        for y, c in b._terms.items():
-            word, m = reduced_word(y)
-            acc = a
-            for i in word:
-                acc = mult_generator(acc, i)
-            if m:
-                acc = mult_rotation(acc, m)
-            yield acc.scaled(c)
-
-    return a._wrap({})._sum(products())
+    n, out = a.n, {}
+    for y, c in b._terms.items():
+        word, m = reduced_word(y)
+        terms = a._terms
+        for i in word:
+            terms = _step(terms, n, i)
+        if m:
+            r = _rotation(n, m)
+            terms = {x * r: v for x, v in terms.items()}
+        if c._terms != _ONE:
+            products = ((x, c * v) for x, v in terms.items())
+            terms = {x: cv for x, cv in products if cv._terms}
+        _merge(out, terms.items())
+    return a._wrap(out)
 
 
 def steinberg_character(x: ExtAffineElement, eps_exp: int) -> HeckeScalar:
@@ -272,11 +323,15 @@ def _character_at(n: int, table: list, eps_exp: int) -> HeckeScalar:
 def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
     """The Steinberg character extended linearly: the sum of c chi(T_x)
     over the terms c T_x of h, from its character table at one exponent."""
+    _check_type("h", h, HeckeElement)
     return _character_at(h.n, _character_table(h), eps_exp)
 
 
 def equal_mod_center(a: HeckeElement, b: HeckeElement) -> bool:
     """Equality after collapsing basis indices by central translations."""
+    _check_type("a", a, HeckeElement)
+    a._check(b)
+
     def reduce(h: HeckeElement) -> HeckeElement:
         terms = {}
         _merge(terms, ((x.normalize_central()[0], c) for x, c in h._terms.items()))

@@ -354,6 +354,7 @@ class PAdicMatrix:
     def __init__(self, p: int, entries) -> None:
         _check_prime(p)
         n = len(entries)
+        _check_int("n", n, 1)
         rows = []
         for row in entries:
             a, d = _row_of(map(_entry_pair, row))
@@ -429,7 +430,8 @@ class PAdicMatrix:
 
     @classmethod
     def permutation(cls, p: int, w: Permutation) -> "PAdicMatrix":
-        """Column j carries a 1 in row w(j)."""
+        """Column j carries a 1 in row w(j); w is a ``Permutation``."""
+        _check_type("w", w, Permutation)
         n = w.n
         return cls.from_rows(
             p, [[1 if i == w(j) else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -448,6 +450,8 @@ class PAdicMatrix:
         return cls.from_rows(p, rows)
 
     def __mul__(self, other: "PAdicMatrix") -> "PAdicMatrix":
+        if type(other) is not PAdicMatrix:
+            return NotImplemented
         if self.p != other.p or self.n != other.n:
             raise ValueError("matrix context mismatch")
         return PAdicMatrix._of_rows(self.p, tuple(_reduced(a, d) for a, d in _times(self.rows, other)))
@@ -684,8 +688,12 @@ class Cell:
         Row r of diag(p^kbar) . t0 . P_w . j is p^{k_r} t0_r times row
         w^{-1}(r) of j, so g is n times j with its rows permuted and scaled.
         ValueError unless kbar, w and the three matrices have one size, the
-        matrices one prime, and t0 is diagonal.
+        matrices one prime, and t0 is diagonal; TypeError unless w is a
+        ``Permutation`` and the three witnesses ``PAdicMatrix``es.
         """
+        for name, cls in (("w", Permutation), ("n_factor", PAdicMatrix), ("t0_factor", PAdicMatrix),
+                          ("j_factor", PAdicMatrix)):
+            _check_type(name, getattr(self, name), cls)
         n_factor, t0, j = self.n_factor, self.t0_factor, self.j_factor
         n, p = n_factor.n, n_factor.p
         if len(self.kbar) != n or self.w.n != n or (t0.n, t0.p) != (n, p) or (j.n, j.p) != (n, p):

@@ -77,7 +77,9 @@ class InducedFunction:
 
     @classmethod
     def casselman(cls, w: Permutation, p: int, eps_exp: int) -> "InducedFunction":
-        """The basis function supported on the cells of a single w."""
+        """The basis function supported on the cells of a single w, a
+        ``Permutation``."""
+        _check_type("w", w, Permutation)
         n = w.n
         return cls(n, p, eps_exp, {w: PhaseSum.monomial(n, p, 1)})
 
@@ -96,6 +98,7 @@ class InducedFunction:
         return cls(n, p, eps_exp, coeffs)
 
     def eval(self, g: PAdicMatrix) -> PhaseSum:
+        _check_type("g", g, PAdicMatrix)
         return self._label_value(cell_label(g))
 
     def _label_value(self, label: tuple) -> PhaseSum:

@@ -68,6 +68,7 @@ class Permutation:
         if any(type(v) is not int for v in window):
             raise TypeError(f"permutation entries must be int: {self.window!r}")
         n = len(window)
+        _check_int("n", n, 1)
         if sorted(window) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {window}")
         object.__setattr__(self, "window", window)
@@ -125,6 +126,8 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition with ``other`` acting first: (self * other)(i) == self(other(i))."""
+        if type(other) is not Permutation:
+            return NotImplemented
         win, right = self.window, other.window
         if len(win) != len(right):
             raise ValueError("size mismatch")
@@ -205,9 +208,10 @@ def _check_type(name: str, value, cls: type) -> None:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations in lexicographic window order (deterministic)."""
-    for window in itertools.permutations(range(1, n + 1)):
-        yield Permutation(window)
+    """All n! permutations in lexicographic window order (deterministic);
+    n is an ``int`` >= 1, checked at the call."""
+    _check_int("n", n, 1)
+    return map(Permutation._of, itertools.permutations(range(1, n + 1)))
 
 
 def is_dominant(kbar: Weight, w: Permutation) -> bool:

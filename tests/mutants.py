@@ -124,10 +124,24 @@ MUTANTS = [
     ),
     Mutant(
         "hecke-step-skips-the-generator-checks", "hecke.py",
-        "    s = ExtAffineElement.simple_reflection(h.n, i)\n",
-        "    from .affine_weyl import _simple_reflection\n"
-        "    s = _simple_reflection(h.n, i % h.n)\n",
+        "    ExtAffineElement.simple_reflection(n, i)\n"
+        "    return h._wrap(_step(h._terms, n, i % n))\n",
+        "    return h._wrap(_step(h._terms, n, i % n))\n",
         ("tests/test_affine_weyl.py::test_generators_check_their_arguments",),
+    ),
+    Mutant(
+        "multiply-treats-every-coefficient-as-one", "hecke.py",
+        "        if c._terms != _ONE:\n",
+        "        if False:\n",
+        ("tests/test_hecke.py::test_multiply_is_the_fold_of_generator_steps",
+         "tests/test_hecke.py::test_multiply_is_the_fold_on_the_oracle_balls"),
+    ),
+    Mutant(
+        "one-term-scalar-product-skips-mod-n", "hecke.py",
+        "(qe + q, (ee + e) % n)",
+        "(qe + q, ee + e)",
+        ("tests/test_hecke.py::test_one_term_product_is_the_merge_product",
+         "tests/test_hecke.py::test_scalar_arithmetic"),
     ),
     Mutant(
         "character-table-without-the-rotation-shift", "hecke.py",
@@ -161,15 +175,23 @@ MUTANTS = [
     ),
     Mutant(
         "reduced-word-s0-threshold-off-by-one", "affine_weyl.py",
-        "+ (winv[j - 1] > winv[j]) > (j == 0)), None)",
-        "+ (winv[j - 1] > winv[j]) > 2 * (j == 0)), None)",
+        "+ (winv[i - 1] > winv[i]) <= (i == 0):",
+        "+ (winv[i - 1] > winv[i]) <= 2 * (i == 0):",
         ("tests/test_affine_weyl.py::test_length_matches_closed_formula",),
     ),
     Mutant(
         "reduced-word-takes-the-largest-descent", "affine_weyl.py",
-        "return next((j for j in range(n) if",
-        "return next((j for j in reversed(range(n)) if",
+        "        word.append(i)\n",
+        "        i = max(j for j in range(n) if lam[j - 1] - lam[j] + (winv[j - 1] > winv[j]) > (j == 0))\n"
+        "        word.append(i)\n",
         ("tests/test_affine_weyl.py::test_length_matches_closed_formula",),
+    ),
+    Mutant(
+        "reduced-word-rotation-shift-with-the-wrong-sign", "affine_weyl.py",
+        "(j - m) // n",
+        "(j + m) // n",
+        ("tests/test_affine_weyl.py::test_reduced_word_is_the_oracle_word",
+         "tests/test_affine_weyl.py::test_length_matches_closed_formula"),
     ),
     Mutant(
         "ext-affine-eq-ignores-lam", "affine_weyl.py",

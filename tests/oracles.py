@@ -13,6 +13,16 @@ replaced, which rewrites every exponent through the minimal polynomial.
 permutations' values, through the validating constructors: the library's
 product adds w.mu in place and composes windows inline, in one frame.
 
+``reduced_word`` forms y = x r^{-m} as a product with ``_rotation(n, -m)``
+and reads w_y^{-1} from ``Permutation.inverse``, then finds each descent
+by a fresh scan from index 0; the library reads both lists off the
+closed form of r^{-m} and resumes its scan where a peel cannot have
+made a new descent.  ``multiply`` is the fold of ``mult_generator``,
+``mult_rotation`` and ``scaled`` over the right factor's terms, and
+``scalar_product`` the merge of every pair of terms, where the library
+walks one term dict through its step kernel and shifts the keys of a
+one-term scalar factor.
+
 ``eval_recursive`` keeps its own descent-suffix computation and never
 calls ``weyl.dominance_shift``, which shares the dominance thresholds
 with the closed form: a fault in those thresholds then shows up as a
@@ -30,8 +40,10 @@ import helpers from ``test_padic``.
 from fractions import Fraction
 
 from steinwhit import weyl
-from steinwhit.affine_weyl import ExtAffineElement
+from steinwhit.affine_weyl import ExtAffineElement, _rotation
+from steinwhit.hecke import HeckeElement, HeckeScalar, mult_generator, mult_rotation
 from steinwhit.padic import _RATIONAL_RE, MatrixFormatError, PAdicMatrix
+from steinwhit.values import _merge
 from steinwhit.weyl import Permutation, Weight
 from steinwhit.whittaker import WhittakerValue
 
@@ -44,6 +56,56 @@ def affine_product(x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement
         raise ValueError("sizes differ")
     lam = tuple(a + b for a, b in zip(x.lam, w.act_weight(y.lam)))
     return ExtAffineElement(lam, Permutation(tuple(w(v(i)) for i in range(1, w.n + 1))))
+
+
+def reduced_word(x: ExtAffineElement) -> tuple[tuple[int, ...], int]:
+    """The lexicographically least reduced word of x and its rotation
+    power m, peeled from the product y = x * r^{-m}."""
+    n = x.n
+    m = x.rotation_exponent()
+    y = x * _rotation(n, -m)
+    lam, winv = list(y.lam), list(y.w.inverse().window)
+    word: list[int] = []
+
+    def first_descent() -> int | None:
+        return next((j for j in range(n) if lam[j - 1] - lam[j] + (winv[j - 1] > winv[j]) > (j == 0)), None)
+
+    while (i := first_descent()) is not None:
+        word.append(i)
+        if i:
+            lam[i - 1], lam[i] = lam[i], lam[i - 1]
+            winv[i - 1], winv[i] = winv[i], winv[i - 1]
+        else:
+            lam[0], lam[-1] = lam[-1] - 1, lam[0] + 1
+            winv[0], winv[-1] = winv[-1], winv[0]
+    return tuple(word), m
+
+
+def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """The sum over the terms c T_y of b of (a T_y) c, each a fold of
+    ``mult_generator`` along the word of y, ``mult_rotation`` and
+    ``scaled``, accumulated in one ``_sum``."""
+    a._check(b)
+
+    def products():
+        for y, c in b._terms.items():
+            word, m = reduced_word(y)
+            acc = a
+            for i in word:
+                acc = mult_generator(acc, i)
+            if m:
+                acc = mult_rotation(acc, m)
+            yield acc.scaled(c)
+
+    return a._wrap({})._sum(products())
+
+
+def scalar_product(a: HeckeScalar, b: HeckeScalar) -> HeckeScalar:
+    """Every pair of terms of a and b, multiplied and merged in order."""
+    n, terms = a.n, {}
+    _merge(terms, [((q1 + q2, (e1 + e2) % n), c1 * c2)
+                   for (q1, e1), c1 in a._terms.items() for (q2, e2), c2 in b._terms.items()])
+    return HeckeScalar._of(n, terms)
 
 
 def descent_suffix_counts(w: Permutation) -> Weight:

@@ -15,6 +15,7 @@ from steinwhit.affine_weyl import (
 from steinwhit.hecke import HeckeElement, HeckeScalar, mult_generator, mult_rotation, steinberg_character
 from steinwhit.padic import PAdicMatrix
 from steinwhit.weyl import Permutation
+import oracles
 from oracles import affine_product
 
 ROTATION_3 = ExtAffineElement.rotation(3)
@@ -203,6 +204,22 @@ def test_length_and_reduced_word_properties(x):
         assert word[0] == min(descents)
 
 
+@st.composite
+def _small_elements(draw) -> ExtAffineElement:
+    n = draw(st.integers(2, 6))
+    lam = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    window = draw(st.permutations(range(1, n + 1)))
+    return ExtAffineElement(tuple(lam), Permutation(tuple(window)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_elements())
+def test_reduced_word_is_the_oracle_word(x):
+    """The word read off the closed form of r^{-m}, peeled in one loop,
+    equals the word peeled from the product x * r^{-m} by fresh scans."""
+    assert reduced_word(x) == oracles.reduced_word(x)
+
+
 def test_ascent_is_the_length_comparison():
     for x, length in _ball_elements():
         for i in range(x.n):
@@ -316,6 +333,17 @@ def test_power_is_the_repeated_product(n):
             for k in range(3 * n + 1):
                 assert x ** (k if step is x else -k) == product
                 product = product * step
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ExtAffineElement((), Permutation(())), ValueError),
+    (lambda: ExtAffineElement.identity(2) * None, TypeError),
+    (lambda: ExtAffineElement.identity(2) * Permutation.identity(2), TypeError),
+    (lambda: ExtAffineElement.identity(2) * (0, 0), TypeError),
+], ids=["size-0", "times-none", "times-permutation", "times-tuple"])
+def test_size_zero_and_products_with_another_class_are_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_normalize_central():

@@ -21,6 +21,7 @@ from steinwhit.hecke import (
     verify_presentation,
 )
 from steinwhit.weyl import Permutation
+import oracles
 from test_affine_weyl import ORACLE_BALLS, _ball_elements, _bfs_ball
 
 
@@ -296,6 +297,55 @@ def test_internal_arithmetic_equals_validated_copies(a, b, c, d, i):
     assert (c - c)._terms == {} and (a - a).terms() == []
 
 
+def _same_element(got, want):
+    assert repr(got) == repr(want) and got == want
+    assert list(got._terms.items()) == list(want._terms.items())
+
+
+# right factors of at least two terms, each coefficient nonzero
+multi_term_elements = st.dictionaries(
+    st.sampled_from(_KEYS), hecke_scalars.filter(bool), min_size=2, max_size=5
+).map(lambda terms: HeckeElement(N, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hecke_elements, st.one_of(hecke_elements, multi_term_elements))
+def test_multiply_is_the_fold_of_generator_steps(a, b):
+    """One term dict walked through ``_step`` equals the fold of
+    ``mult_generator``, ``mult_rotation`` and ``scaled``: one value, one
+    repr and one key order, for multi-term right factors and non-unit
+    coefficients."""
+    _same_element(multiply(a, b), oracles.multiply(a, b))
+
+
+def test_multiply_is_the_fold_on_the_oracle_balls():
+    """Longer words, at n = 2..5: ball elements times rotation powers,
+    with right factors of three terms and coefficients other than 1."""
+    rng = random.Random("multiply-fold")
+    for n, radius in ORACLE_BALLS:
+        ball = list(_bfs_ball(n, radius))
+        for _ in range(12):
+            a = HeckeElement.basis(rng.choice(ball) * ExtAffineElement.rotation(n, rng.randint(-n, n)))
+            a = a + HeckeElement.basis(rng.choice(ball)).scaled(HeckeScalar.q_minus_one(n))
+            b = HeckeElement(n, {
+                rng.choice(ball) * ExtAffineElement.rotation(n, rng.randint(-n, n)):
+                    HeckeScalar(n, {(rng.randint(-1, 1), rng.randrange(n)): rng.choice([-2, 1, 3])})
+                for _ in range(3)})
+            _same_element(multiply(a, b), oracles.multiply(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hecke_scalars, st.integers(-2, 2), st.integers(-4, 4), st.sampled_from([-2, -1, 1, 3]))
+def test_one_term_product_is_the_merge_product(c, q_exp, eps_exp, coeff):
+    """A one-term factor, on either side, shifts the other's keys: the
+    product equals the merge of every pair of terms, key order included."""
+    t = HeckeScalar.monomial(N, coeff, q_exp, eps_exp)
+    for left, right in ((c, t), (t, c), (t, t)):
+        got, want = left * right, oracles.scalar_product(left, right)
+        assert got == want and repr(got) == repr(want)
+        assert list(got._terms.items()) == list(want._terms.items())
+
+
 def test_scaling_by_a_zero_divisor_drops_the_term():
     # (1 - eps)(1 + eps + eps^2) = 1 - eps^3 = 0 in Z[eps]/(eps^3 - 1)
     norm = HeckeScalar(N, {(0, 0): 1, (0, 1): 1, (0, 2): 1})
@@ -314,7 +364,7 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
         lambda: [c + c, c - c, -c, a + b, a - b, -a, a.scaled(c)],
         lambda: [mult_generator(a, i) for i in range(-N, 2 * N)] + [mult_generator(b, 2)],
         lambda: [mult_rotation(a, m) for m in range(-N, N + 1)],
-        lambda: [multiply(a, b), character_of(b, 1), reduced_word(x)],
+        lambda: [multiply(a, b), character_of(b, 1), reduced_word(x), HeckeElement.basis(x)],
         lambda: [steinberg_character(x, e) for e in range(N)],
         lambda: [ExtAffineElement.rotation(N, k) for k in range(-N, N + 1)],
         lambda: [x**k for k in range(-5, 6)],
@@ -361,6 +411,23 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
 ])
 def test_public_constructors_check_their_terms(build, error):
     with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HeckeElement.basis(None),
+    lambda: HeckeElement.basis(Permutation.identity(2)),
+    lambda: mult_generator(None, 1),
+    lambda: mult_rotation(None, 1),
+    lambda: multiply(None, HeckeElement.unit(2)),
+    lambda: multiply(HeckeElement.unit(2), None),
+    lambda: character_of(None, 0),
+    lambda: equal_mod_center(None, None),
+    lambda: equal_mod_center(HeckeElement.unit(2), None),
+], ids=["basis-none", "basis-permutation", "step-none", "rotation-none", "multiply-left-none",
+        "multiply-right-none", "character-none", "center-none", "center-right-none"])
+def test_arguments_of_another_class_raise_type_error(build):
+    with pytest.raises(TypeError):
         build()
 
 

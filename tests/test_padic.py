@@ -772,6 +772,29 @@ def test_reconstruct_refuses_witnesses_that_do_not_fit():
             cell.reconstruct()
 
 
+def test_size_zero_and_arguments_of_another_class_are_refused():
+    """A matrix of size 0 is a ValueError; a permutation, a witness or a
+    right factor of another class a TypeError, not an AttributeError."""
+    p, one = 3, PAdicMatrix.identity(2, 3)
+    for build in (lambda: PAdicMatrix(2, []), lambda: PAdicMatrix.diagonal(2, []),
+                  lambda: PAdicMatrix.from_rows(2, [])):
+        with pytest.raises(ValueError):
+            build()
+    w = Permutation.identity(2)
+    wrong = [
+        lambda: PAdicMatrix.permutation(p, (2, 1)),
+        lambda: one * None,
+        lambda: one * [[1, 0], [0, 1]],
+        lambda: Cell((0, 0), (1, 2), one, one, one).reconstruct(),
+        lambda: Cell((0, 0), w, None, one, one).reconstruct(),
+        lambda: Cell((0, 0), w, one, [[1, 0], [0, 1]], one).reconstruct(),
+        lambda: Cell((0, 0), w, one, one, None).reconstruct(),
+    ]
+    for build in wrong:
+        with pytest.raises(TypeError):
+            build()
+
+
 NOT_PRIME_INTS = [4, 1, 0, -3, 9, 3215031751, PRIME_BOUND, PRIME_BOUND + 2]
 NOT_INTS = [True, False, 3.0, "3", Fraction(3), None]
 

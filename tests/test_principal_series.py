@@ -53,6 +53,14 @@ def test_phi_values_at_identity():
         assert InducedFunction.eigenvector(3, 2, 0, kind).eval(one) == PhaseSum.monomial(3, 2, 1)
 
 
+def test_arguments_of_another_class_are_refused():
+    f = InducedFunction.eigenvector(2, 3, 0, "minus")
+    for build in (lambda: f.eval([[1]]), lambda: f.eval(None),
+                  lambda: InducedFunction.casselman((1, 2), 3, 0)):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_eigenvector_kind_is_validated():
     with pytest.raises(ValueError):
         InducedFunction.eigenvector(2, 3, 0, "spherical")

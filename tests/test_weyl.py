@@ -86,7 +86,23 @@ def test_sign_is_the_length_parity(n):
         assert w.sign() == (-1) ** w.length(), w
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Permutation(()), ValueError),
+    (lambda: Permutation.identity(2) * None, TypeError),
+    (lambda: Permutation.identity(2) * (1, 2), TypeError),
+    (lambda: all_permutations(True), TypeError),
+    (lambda: all_permutations("3"), TypeError),
+    (lambda: all_permutations(3.0), TypeError),
+    (lambda: all_permutations(0), ValueError),
+], ids=["size-0", "times-none", "times-tuple", "all-bool", "all-str", "all-float", "all-0"])
+def test_size_zero_and_wrong_class_arguments_are_refused_at_the_call(build, error):
+    """``all_permutations`` checks n when it is called, not when iterated."""
+    with pytest.raises(error):
+        build()
+
+
 def test_all_permutations_counts():
+    assert list(all_permutations(1)) == [Permutation((1,))]
     assert len(list(all_permutations(3))) == 6
     assert len(list(all_permutations(4))) == 24
 
