@@ -25,9 +25,11 @@ plain term dict by T_{s_i}, with s_i the shared instance built once per
 (n, i); ``mult_generator`` checks its arguments and calls it, and
 ``multiply`` walks the left factor's dict through it along each reduced
 word, relabels by the rotation power and merges every term of the right
-factor into one output dict.  A scalar product with a one-term factor is
-a key shift and a scaling, with no merge.  The public functions refuse
-an argument of another class with TypeError (``weyl._check_type``).
+factor into one output dict.  The scaling and the relabeling by a
+rotation power are one helper each (``_scaled``, ``_relabeled``), shared
+with ``HeckeElement.scaled`` and ``mult_rotation``.  The public functions
+refuse an argument of another class with TypeError
+(``weyl._check_type``).
 
 The one-dimensional character of the Steinberg quotient sends every
 T_{s_i} to -1 and T_r to (-1)^{n-1} eps^e; ``steinberg_character``
@@ -121,18 +123,10 @@ class HeckeScalar(_TermMap):
         return cls(n, {(1, 0): 1, (0, 0): -1})
 
     def __mul__(self, other: "HeckeScalar") -> "HeckeScalar":
-        """The product; with a one-term factor, a key shift of the other's
-        terms (a bijection, so no two merge) and a scaling, in their order."""
         self._check(other)
-        n, left, right = self.n, self._terms, other._terms
-        if len(left) == 1:
-            left, right = right, left
-        if len(right) == 1:
-            ((q, e), c), = right.items()
-            return self._wrap({(qe + q, (ee + e) % n): v * c for (qe, ee), v in left.items()})
-        terms = {}
+        n, terms, right = self.n, {}, other._terms.items()
         _merge(terms, [((q1 + q2, (e1 + e2) % n), c1 * c2)
-                       for (q1, e1), c1 in left.items() for (q2, e2), c2 in right.items()])
+                       for (q1, e1), c1 in self._terms.items() for (q2, e2), c2 in right])
         return self._wrap(terms)
 
     def __repr__(self) -> str:
@@ -193,8 +187,7 @@ class HeckeElement(_TermMap):
         return list(self._terms.items())
 
     def scaled(self, c: HeckeScalar) -> "HeckeElement":
-        products = ((x, c * v) for x, v in self._terms.items())
-        return self._wrap({x: cv for x, cv in products if cv})
+        return self._wrap(_scaled(self._terms, c))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -203,12 +196,24 @@ class HeckeElement(_TermMap):
         return " + ".join(bits)
 
 
+def _scaled(terms: dict, c: HeckeScalar) -> dict:
+    """The terms c v T_x of a term dict, those with c v = 0 dropped."""
+    products = ((x, c * v) for x, v in terms.items())
+    return {x: cv for x, cv in products if cv._terms}
+
+
+def _relabeled(terms: dict, r: ExtAffineElement) -> dict:
+    """The terms v T_{x r} of a term dict, for r of length zero: a
+    bijection of the keys, so no two terms merge."""
+    return {x * r: v for x, v in terms.items()}
+
+
 def _step(terms: dict, n: int, i: int) -> dict:
     """The terms of h T_{s_i}, from the terms of h, for 0 <= i < n, unchecked.
 
     An ascent x gives c T_{x s_i}; a descent gives q c T_{x s_i} +
     (q - 1) c T_x, with q c a shift of the q exponents of c, and
-    (q - 1) c = q c - c built as one dict, in the key order of ``qc - c``.
+    (q - 1) c = q c - c merged into one dict.
     """
     s = _simple_reflection(n, i)
     pairs = []
@@ -218,14 +223,7 @@ def _step(terms: dict, n: int, i: int) -> dict:
             continue
         qc = {(qe + 1, ee): v for (qe, ee), v in c._terms.items()}
         q1c = dict(qc)
-        for key, v in c._terms.items():
-            old = q1c.get(key)
-            if old is None:
-                q1c[key] = -v
-            elif old == v:
-                del q1c[key]
-            else:
-                q1c[key] = old - v
+        _merge(q1c, ((key, -v) for key, v in c._terms.items()))
         pairs += ((x * s, HeckeScalar._of(n, qc)), (x, HeckeScalar._of(n, q1c)))
     out = {}
     _merge(out, pairs)
@@ -246,12 +244,11 @@ def mult_rotation(h: HeckeElement, m: int = 1) -> HeckeElement:
     """Multiply on the right by T_r^m, the m-th power of the (invertible,
     length-zero) rotation basis element, for any integer m.
 
-    A pure relabeling of indices by r^m, a bijection: no q-corrections
+    A pure relabeling of indices by r^m (``_relabeled``): no q-corrections
     occur and no two terms merge.
     """
     _check_type("h", h, HeckeElement)
-    r = ExtAffineElement.rotation(h.n, m)
-    return h._wrap({x * r: c for x, c in h._terms.items()})
+    return h._wrap(_relabeled(h._terms, ExtAffineElement.rotation(h.n, m)))
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -272,11 +269,9 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         for i in word:
             terms = _step(terms, n, i)
         if m:
-            r = _rotation(n, m)
-            terms = {x * r: v for x, v in terms.items()}
+            terms = _relabeled(terms, _rotation(n, m))
         if c._terms != _ONE:
-            products = ((x, c * v) for x, v in terms.items())
-            terms = {x: cv for x, cv in products if cv._terms}
+            terms = _scaled(terms, c)
         _merge(out, terms.items())
     return a._wrap(out)
 

@@ -137,13 +137,6 @@ MUTANTS = [
          "tests/test_hecke.py::test_multiply_is_the_fold_on_the_oracle_balls"),
     ),
     Mutant(
-        "one-term-scalar-product-skips-mod-n", "hecke.py",
-        "(qe + q, (ee + e) % n)",
-        "(qe + q, ee + e)",
-        ("tests/test_hecke.py::test_one_term_product_is_the_merge_product",
-         "tests/test_hecke.py::test_scalar_arithmetic"),
-    ),
-    Mutant(
         "character-table-without-the-rotation-shift", "hecke.py",
         "(x.rotation_exponent(), x.w.sign(), c)",
         "(0, x.w.sign(), c)",

@@ -18,10 +18,8 @@ and reads w_y^{-1} from ``Permutation.inverse``, then finds each descent
 by a fresh scan from index 0; the library reads both lists off the
 closed form of r^{-m} and resumes its scan where a peel cannot have
 made a new descent.  ``multiply`` is the fold of ``mult_generator``,
-``mult_rotation`` and ``scaled`` over the right factor's terms, and
-``scalar_product`` the merge of every pair of terms, where the library
-walks one term dict through its step kernel and shifts the keys of a
-one-term scalar factor.
+``mult_rotation`` and ``scaled`` over the right factor's terms, where
+the library walks one term dict through its step kernel.
 
 ``eval_recursive`` keeps its own descent-suffix computation and never
 calls ``weyl.dominance_shift``, which shares the dominance thresholds
@@ -41,9 +39,8 @@ from fractions import Fraction
 
 from steinwhit import weyl
 from steinwhit.affine_weyl import ExtAffineElement, _rotation
-from steinwhit.hecke import HeckeElement, HeckeScalar, mult_generator, mult_rotation
+from steinwhit.hecke import HeckeElement, mult_generator, mult_rotation
 from steinwhit.padic import _RATIONAL_RE, MatrixFormatError, PAdicMatrix
-from steinwhit.values import _merge
 from steinwhit.weyl import Permutation, Weight
 from steinwhit.whittaker import WhittakerValue
 
@@ -98,14 +95,6 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             yield acc.scaled(c)
 
     return a._wrap({})._sum(products())
-
-
-def scalar_product(a: HeckeScalar, b: HeckeScalar) -> HeckeScalar:
-    """Every pair of terms of a and b, multiplied and merged in order."""
-    n, terms = a.n, {}
-    _merge(terms, [((q1 + q2, (e1 + e2) % n), c1 * c2)
-                   for (q1, e1), c1 in a._terms.items() for (q2, e2), c2 in b._terms.items()])
-    return HeckeScalar._of(n, terms)
 
 
 def descent_suffix_counts(w: Permutation) -> Weight:

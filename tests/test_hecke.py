@@ -334,18 +334,6 @@ def test_multiply_is_the_fold_on_the_oracle_balls():
             _same_element(multiply(a, b), oracles.multiply(a, b))
 
 
-@settings(max_examples=200, deadline=None)
-@given(hecke_scalars, st.integers(-2, 2), st.integers(-4, 4), st.sampled_from([-2, -1, 1, 3]))
-def test_one_term_product_is_the_merge_product(c, q_exp, eps_exp, coeff):
-    """A one-term factor, on either side, shifts the other's keys: the
-    product equals the merge of every pair of terms, key order included."""
-    t = HeckeScalar.monomial(N, coeff, q_exp, eps_exp)
-    for left, right in ((c, t), (t, c), (t, t)):
-        got, want = left * right, oracles.scalar_product(left, right)
-        assert got == want and repr(got) == repr(want)
-        assert list(got._terms.items()) == list(want._terms.items())
-
-
 def test_scaling_by_a_zero_divisor_drops_the_term():
     # (1 - eps)(1 + eps + eps^2) = 1 - eps^3 = 0 in Z[eps]/(eps^3 - 1)
     norm = HeckeScalar(N, {(0, 0): 1, (0, 1): 1, (0, 2): 1})
