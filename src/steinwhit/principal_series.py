@@ -20,11 +20,19 @@ representatives, listed by ``generator_cosets`` (the centre is the one
 coset p . I).  Each coset term g . rep is one ``padic._minors_pass`` on
 the rows that ``padic._times`` gives for g . rep: ``_coset_passes`` is
 the one source of coset terms, behind ``apply_generator`` and
-``_check_identities``, the identity engine of ``run_eigen_checks`` and
-``whittaker.verify_functional_equations``.  The functions here read only
-each pass's label.  A coset sum is one ``PhaseSum._sum`` of its terms'
-values, each built unchecked from the coefficients that ``InducedFunction``
-checked once (``_label_value``).
+``_check_identities``.  The functions here read only each pass's label.
+A coset sum is one ``PhaseSum._sum`` of its terms' values, each built
+unchecked from the coefficients that ``InducedFunction`` checked once
+(``_label_value``).
+
+``_check_identities`` is the identity engine of ``run_eigen_checks`` and
+``whittaker.verify_functional_equations``.  It takes a list of points
+and, per identity, f on the cell of a minors pass and f's values at
+those points, computed by the caller; it neither draws points nor calls
+back into a suite.  The suites draw their points from ``_sample_points``
+(the identity matrix, then seeded random group elements); any other
+list of points of one (n, p), such as the n! permutation matrices,
+runs through the same engine.
 """
 
 from __future__ import annotations
@@ -182,32 +190,38 @@ def apply_generator(func: InducedFunction, gen, g: PAdicMatrix) -> PhaseSum:
     return func._zero._sum(map(func._label_value, passes))
 
 
-def _check_identities(
-    n: int, p: int, samples: int, seed: int, identities: list, value_at
-) -> list[CheckResult]:
+def _sample_points(n: int, p: int, samples: int, seed: int) -> list[PAdicMatrix]:
+    """The suites' points: the identity matrix, then ``samples`` draws of
+    ``random_group_element`` from ``random.Random(seed)``.  ``samples`` is
+    an ``int`` >= 0 and ``seed`` an ``int`` (else TypeError, ValueError),
+    so that a seed named in a failure record replays its points."""
+    _check_int("samples", samples, 0)
+    _check_int("seed", seed)
+    rng = random.Random(seed)
+    return [PAdicMatrix.identity(n, p)] + [random_group_element(rng, n, p) for _ in range(samples)]
+
+
+def _check_identities(points: list[PAdicMatrix], seed: int, identities: list) -> list[CheckResult]:
     """Check each identity sum_rep f(g . rep) = c eps^e f(g) over the cosets
-    of a generator, given as (check name, f on the cell of a minors pass,
-    gen, (c, e), text of each side), at the identity matrix and at
-    ``samples`` points drawn from ``seed``: one ``CheckResult`` each.
-    ``samples`` is an ``int`` >= 0 (else TypeError, ValueError).
+    of a generator at every point g of ``points``, one (n, p) for all:
+    one ``CheckResult`` each.  An identity is (check name, f on the cell of
+    a minors pass, f_at, gen, (c, e), text of each side), with ``f_at[k]``
+    the value f(points[k]).
 
     Each coset term is one minors pass on the point's stored rows, shared
-    by every identity on its generator.  ``value_at(g)`` maps an
-    identity's cell function to f(g), read once per point.  A failed check
-    records in its detail the first point where it failed (point 0 is the
-    identity) as CLI JSON, and both sides of the identity there.
+    by every identity on its generator.  A failed check records in its
+    detail the first point k where it failed, with ``seed`` (read only for
+    that text), the point as CLI JSON and both sides of the identity there.
     """
-    _check_int("samples", samples, 0)
-    rng = random.Random(seed)
-    points = [PAdicMatrix.identity(n, p)] + [random_group_element(rng, n, p) for _ in range(samples)]
+    n, p = points[0].n, points[0].p
     zero = PhaseSum.zero(n, p)
     details: dict[str, str] = {}  # the first failure of each check
     for k, g in enumerate(points):
-        f_at_g, rows, passes = value_at(g), g.rows, {}
-        for name, cell, gen, (c, e), (lhs_text, rhs_text) in identities:
+        rows, passes = g.rows, {}
+        for name, cell, f_at, gen, (c, e), (lhs_text, rhs_text) in identities:
             if gen not in passes:
                 passes[gen] = _coset_passes(rows, n, p, gen)
-            lhs, rhs = zero._sum(map(cell, passes[gen])), f_at_g(cell).times_monomial(c, e)
+            lhs, rhs = zero._sum(map(cell, passes[gen])), f_at[k].times_monomial(c, e)
             if lhs != rhs and name not in details:
                 details[name] = (
                     f"point {k} (seed {seed}): g = {matrix_to_json(g)}; "
@@ -243,33 +257,31 @@ def run_eigen_checks(
 ) -> list[CheckResult]:
     """Eigenvector dichotomy checks at the identity plus random points.
 
-    The eigen-identities of minus and plus go through ``_check_identities``,
-    with f(g) from one ``cell_label(g)`` per point; the fixed checks follow.
+    The eigen-identities of minus and plus go through ``_check_identities``
+    at the points of ``_sample_points``, with both functions' values read
+    from one ``cell_label`` per point; the fixed checks follow.
     """
     minus = InducedFunction.eigenvector(n, p, eps_exp, "minus")
     plus = InducedFunction.eigenvector(n, p, eps_exp, "plus")
+    points = _sample_points(n, p, samples, seed)
+    labels = [cell_label(g) for g in points]
+    minus_at, plus_at = [minus._label_value(x) for x in labels], [plus._label_value(x) for x in labels]
     sign = (-1) ** (n - 1)
     identities = [
-        (f"minus-eigenvalue:reflection[{i}]", minus._label_value, i, (-1, 0),
+        (f"minus-eigenvalue:reflection[{i}]", minus._label_value, minus_at, i, (-1, 0),
          (f"sum of minus(g rep) over the cosets of s_{i}", "-minus(g)")) for i in range(n)
     ]
-    identities.append(("minus-eigenvalue:rotation", minus._label_value, "rotation", (sign, eps_exp),
+    identities.append(("minus-eigenvalue:rotation", minus._label_value, minus_at, "rotation", (sign, eps_exp),
                        ("minus(g u)", f"{'-' if sign < 0 else ''}eps^{eps_exp} minus(g)")))
     identities += [
-        (f"plus-eigenvalue:reflection[{i}]", plus._label_value, i, (p, 0),
+        (f"plus-eigenvalue:reflection[{i}]", plus._label_value, plus_at, i, (p, 0),
          (f"sum of plus(g rep) over the cosets of s_{i}", f"{p} plus(g)")) for i in range(1, n)
     ]
+    results = _check_identities(points, seed, identities)
 
-    def value_at(g: PAdicMatrix):
-        label = cell_label(g)
-        return lambda cell: cell(label)
-
-    results = _check_identities(n, p, samples, seed, identities, value_at)
-
-    # The fixed checks; a failure names where it failed and both sides.
-    one = PAdicMatrix.identity(n, p)
-    lhs = apply_generator(plus, "rotation", one)
-    rhs = plus.eval(one).times_monomial(sign, eps_exp)
+    # The fixed checks, at the identity points[0]; a failure names where it failed and both sides.
+    lhs = apply_generator(plus, "rotation", points[0])
+    rhs = plus_at[0].times_monomial(sign, eps_exp)
     detail = "" if lhs != rhs else f"plus(u) = {lhs!r} equals {'-' if sign < 0 else ''}eps^{eps_exp} plus(1) = {rhs!r}"
     results.append(CheckResult("plus-rotation-fails-at-identity", not detail, detail))
 

@@ -14,11 +14,17 @@ is dominant for w; on the support
             * eps^(e * sum(kbar)),
 
 with e the rotation eigenvalue exponent (right translation by the
-rotation matrix multiplies every value by eps^e).  ``eval_cell`` applies
-this closed form, the one evaluation of a cell in the library; the
-support test reads the same dominance thresholds as ``weyl.is_dominant``.
-The diagonal recursion and the longest-element shift lemma, through
-which the closed form is derived, live in the tests as its oracle.
+rotation matrix multiplies every value by eps^e).  The label e is the
+Hecke label of ``hecke.steinberg_character`` twisted by the character
+g -> (-1)^((n-1) v(det g)): T_x, for x of rotation exponent m, acts on
+W by (-1)^((n-1) m) times ``steinberg_character(x, e)``, so the two
+labels differ only on the x of odd m when n is even.
+
+``eval_cell`` applies this closed form, the one evaluation of a cell in
+the library; the support test reads the same dominance thresholds as
+``weyl.is_dominant``.  The diagonal recursion and the longest-element
+shift lemma, through which the closed form is derived, live in the
+tests as its oracle.
 
 At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
 is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
@@ -28,7 +34,11 @@ that is also the phase key of ``PhaseSum`` (``_psi_of_terms``, the one
 psi routine).  ``verify_functional_equations`` is a table of identities
 for ``principal_series._check_identities``; each coset term's value goes
 from the closed form and the psi pair straight into a one-term
-``PhaseSum`` (``_pass_phase_sum``).
+``PhaseSum`` (``_pass_phase_sum``).  W(g) at each point, the side every
+identity is compared with, is read through the public ``eval_matrix``
+and not through ``_pass_value`` of the point's pass: the suite then
+checks the evaluator that ``steinwhit eval`` prints, and a fault in it
+fails the suite.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import PAdicMatrix, _minors_pass, _p_power
-from .principal_series import _check_identities
+from .principal_series import _check_identities, _sample_points
 from .reporting import CheckResult
 from .values import PhaseSum, _reduced_phase
 from .weyl import Permutation, Weight, _check_int, _check_type, _dominance_thresholds, _torus_character, dominance_shift
@@ -266,24 +276,22 @@ def verify_functional_equations(
 ) -> list[CheckResult]:
     """Random-point checks of the defining transformation identities.
 
-    For each sampled g: every reflection coset sum returns -W(g), right
-    rotation multiplies by eps^e, and the central scalar p acts
-    trivially.  W(g) is ``eval_matrix(g)``, once per point; every other
-    term is a minors pass of ``principal_series._check_identities``, which
-    also records the first failing point of each check, and its value is
-    built as a canonical one-term ``PhaseSum`` from the closed form and
-    psi, with no ``WhittakerValue`` and no validating constructor between.
+    For each point of ``principal_series._sample_points``: every reflection
+    coset sum returns -W(g), right rotation multiplies by eps^e, and the
+    central scalar p acts trivially.  W(g) is ``eval_matrix(g)``, once per
+    point; every other term is a minors pass of
+    ``principal_series._check_identities``, which also records the first
+    failing point of each check, and its value is built as a canonical
+    one-term ``PhaseSum`` from the closed form and psi, with no
+    ``WhittakerValue`` and no validating constructor between.
     """
-
-    def value_at(g: PAdicMatrix):
-        w_g = phase_sum(eval_matrix(g, eps_exp), n, p)
-        return lambda cell: w_g
-
     cell = functools.partial(_pass_phase_sum, zero=PhaseSum.zero(n, p), eps_exp=eps_exp)
+    points = _sample_points(n, p, samples, seed)
+    w_at = [phase_sum(eval_matrix(g, eps_exp), n, p) for g in points]
     identities = [
-        (f"reflection-sum[{i}]", cell, i, (-1, 0), (f"sum of W(g rep) over the cosets of s_{i}", "-W(g)"))
+        (f"reflection-sum[{i}]", cell, w_at, i, (-1, 0), (f"sum of W(g rep) over the cosets of s_{i}", "-W(g)"))
         for i in range(n)
     ]
-    identities.append(("rotation-eigenvalue", cell, "rotation", (1, eps_exp), ("W(g u)", f"eps^{eps_exp} W(g)")))
-    identities.append(("central-invariance", cell, "center", (1, 0), ("W(p g)", "W(g)")))
-    return _check_identities(n, p, samples, seed, identities, value_at)
+    identities.append(("rotation-eigenvalue", cell, w_at, "rotation", (1, eps_exp), ("W(g u)", f"eps^{eps_exp} W(g)")))
+    identities.append(("central-invariance", cell, w_at, "center", (1, 0), ("W(p g)", "W(g)")))
+    return _check_identities(points, seed, identities)

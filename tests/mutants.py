@@ -273,6 +273,26 @@ MUTANTS = [
          "tests/test_readme.py::test_every_refused_call_raises_the_exception_of_its_row"),
     ),
     Mutant(
+        "engine-reads-point-0-values", "principal_series.py",
+        "f_at[k].times_monomial(c, e)",
+        "f_at[0].times_monomial(c, e)",
+        ("tests/test_principal_series.py::test_engine_reads_each_point_at_its_own_value",
+         "tests/test_acceptance.py::test_criterion_03_eigenvector_dichotomy",
+         "tests/test_acceptance.py::test_criterion_04_functional_equations"),
+    ),
+    Mutant(
+        "minus-coefficient-wrong-at-the-longest-w", "principal_series.py",
+        "                c = Fraction((-1) ** ell, p**ell)\n",
+        "                c = Fraction((-1) ** ell, p**ell) * (1 + (ell == n * (n - 1) // 2))\n",
+        ("tests/test_principal_series.py::test_principal_identities_hold_at_the_permutation_points",),
+    ),
+    Mutant(
+        "whittaker-suite-bypasses-eval-matrix", "whittaker.py",
+        "w_at = [phase_sum(eval_matrix(g, eps_exp), n, p) for g in points]",
+        "w_at = [phase_sum(_pass_value(_minors_pass(g.rows, p), p, eps_exp), n, p) for g in points]",
+        ("tests/test_whittaker.py::test_the_suite_checks_the_public_evaluator",),
+    ),
+    Mutant(
         "eval-matrix-takes-any-class", "whittaker.py",
         "    _check_type(\"g\", g, PAdicMatrix)\n"
         "    _check_int(\"eps_exp\", eps_exp)\n",

@@ -21,6 +21,12 @@ made a new descent.  ``multiply`` is the fold of ``mult_generator``,
 ``mult_rotation`` and ``scaled`` over the right factor's terms, where
 the library walks one term dict through its step kernel.
 
+``hecke_cosets`` lists the right cosets of J x J modulo J for any x
+of the extended affine Weyl group, as products of ``generator_cosets``
+along the reduced word of x, times the rotation power: the operator T_x
+on an Iwahori-fixed function, which the library builds only for one
+generator at a time.
+
 ``eval_recursive`` keeps its own descent-suffix computation and never
 calls ``weyl.dominance_shift``, which shares the dominance thresholds
 with the closed form: a fault in those thresholds then shows up as a
@@ -38,9 +44,10 @@ import helpers from ``test_padic``.
 from fractions import Fraction
 
 from steinwhit import weyl
-from steinwhit.affine_weyl import ExtAffineElement, _rotation
+from steinwhit.affine_weyl import ExtAffineElement, _rotation, realize
 from steinwhit.hecke import HeckeElement, mult_generator, mult_rotation
 from steinwhit.padic import _RATIONAL_RE, MatrixFormatError, PAdicMatrix
+from steinwhit.principal_series import generator_cosets
 from steinwhit.weyl import Permutation, Weight
 from steinwhit.whittaker import WhittakerValue
 
@@ -95,6 +102,23 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             yield acc.scaled(c)
 
     return a._wrap({})._sum(products())
+
+
+def hecke_cosets(x: ExtAffineElement, p: int) -> list[PAdicMatrix]:
+    """Right coset representatives of J x J modulo J: the products
+    rep_1 ... rep_k u^m, rep_j over ``generator_cosets(n, p, i_j)``, for
+    the reduced word (i_1, ..., i_k) of x and its rotation power m, u^m
+    the ``realize``d rotation power.  For a reduced word J x J is the
+    product of the double cosets J s_{i_j} J and of u^m, which normalizes
+    J, and the product map onto its p^k cosets is a bijection: so
+    (T_x f)(g) is the sum of f(g . rep) over this list."""
+    n = x.n
+    word, m = reduced_word(x)
+    reps = [PAdicMatrix.identity(n, p)]
+    for i in word:
+        reps = [a * b for a in reps for b in generator_cosets(n, p, i)]
+    u_m = realize(ExtAffineElement.rotation(n, m), p)
+    return [a * u_m for a in reps]
 
 
 def descent_suffix_counts(w: Permutation) -> Weight:

@@ -169,6 +169,49 @@ def test_failed_eigen_check_names_its_point(monkeypatch):
     assert m[3] != m[4]
 
 
+def _principal_identities(n, p, e, labels):
+    """The eigen-identities of ``run_eigen_checks`` for minus and plus, with
+    each function's values on the cells of ``labels``."""
+    minus = InducedFunction.eigenvector(n, p, e, "minus")
+    plus = InducedFunction.eigenvector(n, p, e, "plus")
+    minus_at, plus_at = [minus._label_value(x) for x in labels], [plus._label_value(x) for x in labels]
+    identities = [(f"minus[{i}]", minus._label_value, minus_at, i, (-1, 0), ("lhs", "rhs")) for i in range(n)]
+    identities.append(("minus[u]", minus._label_value, minus_at, "rotation", ((-1) ** (n - 1), e), ("lhs", "rhs")))
+    identities += [(f"plus[{i}]", plus._label_value, plus_at, i, (p, 0), ("lhs", "rhs")) for i in range(1, n)]
+    return identities
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (4, 3), (5, 2)])
+def test_principal_identities_hold_at_the_permutation_points(n, p):
+    """The engine on a list of points that no sampler drew: the n! matrices
+    P_w.  A function of the model is fixed by its values there (one
+    coefficient per w), so the eigen-identities, which hold at every P_w
+    for every e, hold everywhere at this (n, p)."""
+    points = [PAdicMatrix.permutation(p, w) for w in all_permutations(n)]
+    labels = [cell_label(g) for g in points]
+    assert [x[1] for x in labels] == list(all_permutations(n))
+    for e in range(n):
+        results = principal_series._check_identities(points, None, _principal_identities(n, p, e, labels))
+        assert [r.detail for r in results if not r.passed] == []
+
+
+def test_engine_reads_each_point_at_its_own_value():
+    """``f_at[k]`` is f at points[k]: with the true values every identity
+    holds at every point, and with the value at point 2 alone made wrong
+    the record names point 2, the first wrong one."""
+    n, p, e = 3, 2, 1
+    points = principal_series._sample_points(n, p, 2, 5)
+    labels = [cell_label(g) for g in points]
+    identities = _principal_identities(n, p, e, labels)
+    assert all(r.passed for r in principal_series._check_identities(points, 5, identities))
+    name, cell, f_at, gen, ce, texts = identities[0]
+    assert f_at[1] != f_at[0]
+    wrong = f_at[:2] + [f_at[2] + PhaseSum.monomial(n, p, 1)]
+    (result,) = principal_series._check_identities(points, 5, [(name, cell, wrong, gen, ce, texts)])
+    assert not result.passed
+    assert result.detail.startswith(f"point 2 (seed 5): g = {padic.matrix_to_json(points[2])}; lhs = ")
+
+
 def _fixed_results(n, p, e):
     """The fixed checks of ``run_eigen_checks`` by name; every other check passes."""
     results = {r.name: r for r in run_eigen_checks(n, p, e, samples=1, seed=5)}
@@ -231,9 +274,9 @@ def test_failed_affine_coset_check_names_t_and_both_matrices(monkeypatch):
 def test_one_minors_pass_per_coset_term(monkeypatch, n, p, samples):
     """Each point costs one pass for f(g) (``cell_label`` or
     ``eval_matrix``) and one per coset term per generator, shared by every
-    identity on it; the principal suite adds two passes for the plus
-    rotation at the identity and p per finite reflection for the
-    Casselman check."""
+    identity on it; the principal suite adds one pass for the plus
+    rotation at the identity, whose plus(1) is the engine's value at
+    point 0, and p per finite reflection for the Casselman check."""
     calls = []
     original = padic._minors_pass
 
@@ -244,7 +287,7 @@ def test_one_minors_pass_per_coset_term(monkeypatch, n, p, samples):
     for module in (padic, principal_series, whittaker):
         monkeypatch.setattr(module, "_minors_pass", counted)
     assert all(r.passed for r in run_eigen_checks(n, p, 1 % n, samples=samples, seed=3))
-    assert len(calls) == (samples + 1) * (n * p + 2) + (n - 1) * p + 2
+    assert len(calls) == (samples + 1) * (n * p + 2) + (n - 1) * p + 1
     calls.clear()
     assert all(r.passed for r in verify_functional_equations(n, p, 1 % n, samples=samples, seed=3))
     assert len(calls) == (samples + 1) * (n * p + 3)
@@ -406,6 +449,14 @@ _ID2 = Permutation.identity(2)
     # a negative sample count checked the identity alone, and passed
     (lambda: verify_functional_equations(2, 3, 0, samples=-1), ValueError, "samples must be >= 0"),
     (lambda: run_eigen_checks(2, 3, 0, samples=-1), ValueError, "samples must be >= 0"),
+    # seed went to random.Random unchecked: None drew fresh points from the
+    # OS on every call, so a record naming "seed None" could not be replayed
+    (lambda: run_eigen_checks(2, 3, 0, samples=1, seed=None), TypeError, "seed must be an int"),
+    (lambda: run_eigen_checks(2, 3, 0, samples=1, seed="1"), TypeError, "seed must be an int"),
+    (lambda: run_eigen_checks(2, 3, 0, samples=1, seed=True), TypeError, "seed must be an int"),
+    (lambda: verify_functional_equations(2, 3, 0, samples=1, seed=None), TypeError, "seed must be an int"),
+    (lambda: verify_functional_equations(2, 3, 0, samples=1, seed="1"), TypeError, "seed must be an int"),
+    (lambda: verify_functional_equations(2, 3, 0, samples=1, seed=True), TypeError, "seed must be an int"),
     # n was never checked: True built a 1 x 1 matrix, 0 a 0 x 0 one, and the
     # cosets of the centre were cached under the key (True, 2, "center")
     (lambda: PAdicMatrix.identity(True, 2), TypeError, "n must be an int"),
@@ -417,7 +468,8 @@ _ID2 = Permutation.identity(2)
         "one-param-row-n-plus-1", "one-param-column-n-plus-1", "one-param-float-row", "one-param-float-column",
         "weight-bool-exponent", "eval-cell-float-eps", "eval-cell-bool-eps", "eval-cell-float-weight",
         "eval-cell-bool-weight", "eval-matrix-float-eps", "eval-matrix-bool-eps", "whittaker-negative-samples",
-        "eigen-negative-samples", "identity-bool-n", "identity-n-0", "cosets-bool-n"])
+        "eigen-negative-samples", "eigen-seed-none", "eigen-str-seed", "eigen-bool-seed", "whittaker-seed-none",
+        "whittaker-str-seed", "whittaker-bool-seed", "identity-bool-n", "identity-n-0", "cosets-bool-n"])
 def test_each_argument_is_checked_by_its_one_rule(build, error, match):
     """p by ``padic._check_prime``, integer arguments by
     ``weyl._check_int``, at every entry point; each row was accepted or

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinwhit import cli, padic, principal_series, whittaker
-from steinwhit.affine_weyl import ExtAffineElement, realize
+from steinwhit.affine_weyl import ExtAffineElement, length_ext, realize
+from steinwhit.hecke import steinberg_character
 from steinwhit.padic import (
     Cell,
     PAdicMatrix,
@@ -46,7 +47,8 @@ from steinwhit.whittaker import (
     serialize,
     verify_functional_equations,
 )
-from oracles import eval_recursive
+from oracles import eval_recursive, hecke_cosets
+from test_affine_weyl import _bfs_ball
 from test_padic import _pass_with_psi, det, iwasawa_inputs, minors_pass_inputs
 from test_principal_series import _multi_term_function
 from test_values import assert_canonical_keys, is_phase_key
@@ -524,6 +526,56 @@ def test_failed_check_names_its_point(monkeypatch, tmp_path, capsys):
     assert not w_g.is_zero()
     assert repr(w_g) == m[3]
     assert repr(w_g.times_monomial(1, e)) == m[4]
+
+
+def test_the_suite_checks_the_public_evaluator(monkeypatch):
+    """W(g) is read through ``whittaker.eval_matrix``, the evaluator that
+    ``steinwhit eval`` prints: with its nonzero values negated, every
+    identity fails, first at the identity, where W = 1."""
+    evaluate = whittaker.eval_matrix
+
+    def flipped(g, eps_exp=0):
+        v = evaluate(g, eps_exp)
+        return v if v.zero else WhittakerValue.monomial(-v.sign, v.eps_exp, v.q_exp, v.psi)
+
+    monkeypatch.setattr(whittaker, "eval_matrix", flipped)
+    results = verify_functional_equations(3, 2, 1, samples=2, seed=5)
+    assert len(results) == 5 and not any(r.passed for r in results)
+    assert all(r.detail.startswith("point 0 (seed 5): ") for r in results)
+
+
+def _times_scalar(value: PhaseSum, chi) -> PhaseSum:
+    """value times a ``HeckeScalar``, the sum of c q^a eps^b, at q = p."""
+    terms = (value.times_monomial(Fraction(c) * Fraction(value.p) ** a, b) for (a, b), c in chi._terms.items())
+    return sum(terms, PhaseSum.zero(value.n, value.p))
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 3), (4, 2, 2)])
+def test_w_label_is_the_hecke_label_twisted_by_the_valuation_of_det(n, p, radius):
+    """(T_x W)(g) = (-1)^((n-1) m) chi(T_x) W(g), chi the Hecke label's
+    ``steinberg_character``, for every x of length <= radius times r^m,
+    m in {-1, 0, 1}, at every e, at the identity and two seeded points;
+    T_x sums W(g . rep) over ``oracles.hecke_cosets(x)``.  Without the
+    twist the identity fails exactly where the twist is -1 (even n, odd m)
+    and W(g) is not zero: the two labels agree for odd n only."""
+    points = principal_series._sample_points(n, p, 2, 7)
+    xs = [y * ExtAffineElement.rotation(n, m) for y in _bfs_ball(n, radius) for m in (-1, 0, 1)]
+    untwisted_failures = 0
+    for x in xs:
+        reps = hecke_cosets(x, p)
+        assert len(reps) == p ** length_ext(x)
+        twist = -1 if (n - 1) * x.rotation_exponent() % 2 else 1
+        for e in range(n):
+            chi = steinberg_character(x, e)
+            for g in points:
+                w_g = phase_sum(eval_matrix(g, e), n, p)
+                lhs = sum((phase_sum(eval_matrix(g * rep, e), n, p) for rep in reps), PhaseSum.zero(n, p))
+                untwisted = _times_scalar(w_g, chi)
+                assert lhs == untwisted.times_monomial(twist), (x, e, padic.matrix_to_json(g))
+                fails = lhs != untwisted
+                assert fails == (twist == -1 and not w_g.is_zero()), (x, e, padic.matrix_to_json(g))
+                untwisted_failures += fails
+    assert (untwisted_failures > 0) == (n % 2 == 0)
 
 
 def test_cached_cell_constants_agree_with_the_recursion_at_n5():
