@@ -29,16 +29,17 @@ descents in place on plain integer lists in one loop, always the
 smallest index first, so it returns the lexicographically least reduced
 word.
 
-An element is a slotted frozen value, as its ``Permutation`` is: no
-instance ``__dict__``, a hash of (lam, window), and an ``==`` that
-compares both fields of two elements, each in one frame.  Entries are
-validated at the boundary: the public constructors refuse any entry
-that is not an ``int`` (``bool`` included), while products, inverses,
-powers and ``normalize_central`` build their results from valid ones,
-unchecked (``_of``, writing the slots through their descriptors).  A
-product is one frame: one class test (another class gets
-``NotImplemented``), one size check, w.mu added in place (skipped when
-mu is zero, as for s_1, ..., s_{n-1}), and the windows composed inline.
+An element is a slotted frozen value (``weyl._FrozenValue``), as its
+``Permutation`` is: no instance ``__dict__``, a hash of (lam, window),
+and an ``==`` that compares both fields of two elements, each in one
+frame.  Entries are validated at the boundary: the public constructors
+refuse any entry that is not an ``int`` (``bool`` included), while
+products, inverses, powers and ``normalize_central`` build their
+results from valid ones, unchecked (``_of``, writing the slots through
+their descriptors).  A product is one frame: one class test (another
+class gets ``NotImplemented``), one size check, w.mu added in place
+(skipped when mu is zero, as for s_1, ..., s_{n-1}), and the windows
+composed inline.
 The public generators check their arguments (``int`` n and index,
 ``bool`` refused; n >= 2 for a reflection, n >= 1 for a rotation) and
 then cost only their arithmetic: each s_i is built once per
@@ -49,10 +50,9 @@ then cost only their arithmetic: each s_i is built once per
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .padic import PAdicMatrix
-from .weyl import Permutation, Weight, _check_int, _check_type, _set_window
+from .weyl import Permutation, Weight, _check_int, _check_type, _FrozenValue, _set_window
 
 __all__ = [
     "ExtAffineElement",
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class ExtAffineElement:
+class ExtAffineElement(_FrozenValue):
     """Pair (lam, w) in Z^n semidirect S_n.
 
     A slotted frozen value: it hashes as (lam, w.window), and it equals
@@ -72,18 +71,20 @@ class ExtAffineElement:
     gets ``NotImplemented``).
     """
 
+    __slots__ = _fields = ("lam", "w")
     lam: tuple[int, ...]
     w: Permutation
 
-    def __post_init__(self) -> None:
-        lam = tuple(self.lam)
-        if any(type(c) is not int for c in lam):
-            raise TypeError(f"translation entries must be int: {self.lam!r}")
-        if not isinstance(self.w, Permutation):
-            raise TypeError(f"not a Permutation: {self.w!r}")
-        if len(lam) != self.w.n:
+    def __init__(self, lam: tuple[int, ...], w: Permutation) -> None:
+        entries = tuple(lam)
+        if any(type(c) is not int for c in entries):
+            raise TypeError(f"translation entries must be int: {lam!r}")
+        if not isinstance(w, Permutation):
+            raise TypeError(f"not a Permutation: {w!r}")
+        if len(entries) != w.n:
             raise ValueError("translation part and permutation sizes differ")
-        object.__setattr__(self, "lam", lam)
+        _set_lam(self, entries)
+        _set_w(self, w)
 
     @classmethod
     def _of(cls, lam: tuple[int, ...], w: Permutation) -> "ExtAffineElement":
@@ -192,8 +193,8 @@ class ExtAffineElement:
         return f"ExtAffineElement({self.lam}, {self.w.window})"
 
 
-# the slots' own setters, so that ``_of`` and ``__mul__`` bypass the
-# frozen ``__setattr__``
+# the slots' own setters, so that the constructor, ``_of`` and ``__mul__``
+# bypass the frozen ``__setattr__``
 _set_lam = ExtAffineElement.lam.__set__
 _set_w = ExtAffineElement.w.__set__
 

@@ -15,6 +15,9 @@ exactly.  Reports go to standard output, diagnostics to standard error.
 exits 2 whatever the document holds; ``table`` checks --scale and a
 negative --range before its size guard, so these exit 2 whatever
 --range and --n ask for.
+Each command imports only what it runs: the verify suites, ``argparse``
+and ``csv`` load on first use, so an ``eval`` process reads no module of
+the Hecke algebra or the principal series.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
 error, 3 singular input matrix, 4 size guard violation (``eval`` of a
 matrix with n above 18; ``decompose`` of a matrix with n above 56,
@@ -28,15 +31,12 @@ n = 5, p = 31 and 20 samples).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import itertools
 import json
 import re
 import sys
 
-from .hecke import verify_presentation
 from .padic import (
     MatrixFormatError,
     SingularMatrixError,
@@ -46,7 +46,6 @@ from .padic import (
     is_prime,
     iwahori_cell,
 )
-from .principal_series import run_eigen_checks
 from .reporting import CheckResult, failure_line
 from .weyl import all_permutations
 from .whittaker import (
@@ -213,6 +212,8 @@ def _print_documents(fmt: str, docs: list[dict], columns: tuple[str, ...]) -> No
     if fmt == "json":
         print(json.dumps(docs, sort_keys=True))
         return
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -257,6 +258,9 @@ def _verify_suites(args: argparse.Namespace) -> list[tuple[str, CheckResult]]:
         )
     if args.suite in ("hecke", "all") and args.n > _HECKE_MAX_N:
         raise GuardError(f"verify guard: need n <= {_HECKE_MAX_N} for the {args.suite} suite")
+    from .hecke import verify_presentation
+    from .principal_series import run_eigen_checks
+
     named: list[tuple[str, CheckResult]] = []
     if args.suite in ("hecke", "all"):
         for r in verify_presentation(args.n):
@@ -287,6 +291,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="steinwhit",
         description="Exact Whittaker values on Iwahori cells of GL(n, Q_p).",

@@ -93,10 +93,9 @@ import math
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import Permutation, _check_int, _check_type
+from .weyl import Permutation, _check_int, _check_type, _FrozenValue
 
 __all__ = [
     "Cell",
@@ -328,8 +327,7 @@ def _combined(rows, right) -> tuple[_Row, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class PAdicMatrix:
+class PAdicMatrix(_FrozenValue):
     """Square matrix of exact rationals sharing one prime.
 
     The stored form is ``rows``: row r is the integer vector a_r over the
@@ -337,7 +335,9 @@ class PAdicMatrix:
     gcd(d_r, *a_r) = 1.  That pair is unique for a given row (d_r is the
     lcm of its entries' denominators), so equality and hashing compare
     (p, rows), and every kernel of this module reads and writes integer
-    rows with no ``Fraction`` in between.  The public constructors
+    rows with no ``Fraction`` in between.  It is a frozen value
+    (``weyl._FrozenValue``) over the slots p and rows; its ``__dict__``
+    holds only the cached ``_column_form``.  The public constructors
     (``PAdicMatrix(p, entries)``, ``from_rows`` and the named ones) check
     and clear their input once: p must be an ``int`` (``bool`` refused,
     TypeError) and prime (``is_prime``, else ValueError), and the entries
@@ -348,6 +348,8 @@ class PAdicMatrix:
     that want rationals.
     """
 
+    __slots__ = ("p", "rows", "__dict__")
+    _fields = ("p", "rows")
     p: int
     rows: tuple[_Row, ...]
 
@@ -361,15 +363,15 @@ class PAdicMatrix:
             if len(a) != n:
                 raise ValueError("matrix must be square")
             rows.append((a, d))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", tuple(rows))
+        _set_p(self, p)
+        _set_rows(self, tuple(rows))
 
     @classmethod
     def _of_rows(cls, p: int, rows: tuple[_Row, ...]) -> "PAdicMatrix":
         """Wrap square canonical rows built in this module, unchecked."""
         m = object.__new__(cls)
-        object.__setattr__(m, "p", p)
-        object.__setattr__(m, "rows", rows)
+        _set_p(m, p)
+        _set_rows(m, rows)
         return m
 
     @property
@@ -492,6 +494,12 @@ class PAdicMatrix:
     def __repr__(self) -> str:
         body = "; ".join(map(" ".join, _entry_strings(self)))
         return f"PAdicMatrix(p={self.p}, [{body}])"
+
+
+# the slots' own setters, so that the constructors bypass the frozen
+# ``__setattr__``
+_set_p = PAdicMatrix.p.__set__
+_set_rows = PAdicMatrix.rows.__set__
 
 
 def _entry_strings(m: PAdicMatrix) -> list[list[str]]:
@@ -672,15 +680,24 @@ def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[lis
     return w, b1
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Label and witnesses for g = n . diag(p^kbar) . t0 . P_w . j."""
+class Cell(_FrozenValue):
+    """Label and witnesses for g = n . diag(p^kbar) . t0 . P_w . j: a
+    frozen record (``weyl._FrozenValue``), its fields not checked."""
 
+    __slots__ = _fields = ("kbar", "w", "n_factor", "t0_factor", "j_factor")
     kbar: tuple[int, ...]
     w: Permutation
     n_factor: PAdicMatrix
     t0_factor: PAdicMatrix
     j_factor: PAdicMatrix
+
+    def __init__(self, kbar: tuple[int, ...], w: Permutation, n_factor: PAdicMatrix, t0_factor: PAdicMatrix,
+                 j_factor: PAdicMatrix) -> None:
+        _set_kbar(self, kbar)
+        _set_cell_w(self, w)
+        _set_n_factor(self, n_factor)
+        _set_t0_factor(self, t0_factor)
+        _set_j_factor(self, j_factor)
 
     def reconstruct(self) -> PAdicMatrix:
         """The product of the witnesses, as one product.
@@ -708,6 +725,11 @@ class Cell:
             s = up * t[r]
             right.append(([x * s for x in a], d * down * t_den))
         return PAdicMatrix._of_rows(p, _combined(n_factor.rows, right))
+
+
+_set_kbar, _set_cell_w, _set_n_factor, _set_t0_factor, _set_j_factor = (
+    getattr(Cell, name).__set__ for name in Cell._fields
+)
 
 
 def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:

@@ -3,18 +3,22 @@ failure report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .weyl import _FrozenValue
 
 __all__ = ["CheckResult", "failure_line"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named identity check: what was verified and whether it held."""
+class CheckResult(_FrozenValue):
+    """One named identity check: what was verified and whether it held; a
+    frozen record (``weyl._FrozenValue``), its fields not checked."""
 
+    __slots__ = _fields = ("name", "passed", "detail")
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self.__setstate__((name, passed, detail))
 
 
 def failure_line(suite: str, result: CheckResult) -> str:

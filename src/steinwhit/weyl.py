@@ -19,18 +19,28 @@ definition of the cone: ``dominance_shift(w)``, the suffix sums of the
 thresholds, is its vertex, and translating the cone by it moves it onto
 the ordinary dominant cone.
 
-``Permutation`` is a slotted frozen value: no instance ``__dict__``, a
-hash of the window alone and an ``==`` that compares the windows of two
-permutations, each in one frame.  Its constructor validates the window;
-the products and inverses of this package build theirs unchecked
-(``_of``), writing the slot through its descriptor.
+The library's value classes (``Permutation``, ``ExtAffineElement``,
+``PAdicMatrix``, ``Cell``, ``CheckResult``, ``WhittakerValue``) are
+plain slotted classes over one base, ``_FrozenValue``: a class names its
+fields in ``_fields``, and the base gives ``==`` by the fields (another
+class gets ``NotImplemented``), a hash of the fields, the ``repr``
+``Class(field=value, ...)``, and an assignment or deletion that raises
+``dataclasses.FrozenInstanceError``.  A constructor writes each field
+through its slot's own setter (``Class.field.__set__``) or through the
+base's ``__setstate__``; both bypass the frozen ``__setattr__``.
+``dataclasses`` is imported on that error path only.
+
+``Permutation`` is such a value with no instance ``__dict__``, a hash of
+the window alone and an ``==`` and ordering that compare the windows of
+two permutations, each in one frame.  Its constructor validates the
+window; the products and inverses of this package build theirs
+unchecked (``_of``), writing the slot through its descriptor.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
@@ -44,13 +54,66 @@ __all__ = [
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Permutation:
+class _FrozenValue:
+    """Base of the frozen value classes: ``==``, hash and ``repr`` by the
+    fields ``_fields`` of the subclass, and no assignment or deletion."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # ``copy`` and ``pickle`` write the fields back through the slots
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self._fields, state):
+            object.__setattr__(self, name, value)
+
+
+def _window_order(compare):
+    """A comparison of two permutations by their windows, as a tuple orders
+    them; another class gets ``NotImplemented``."""
+
+    def order(self, other) -> bool:
+        if other.__class__ is Permutation:
+            return compare(self.window, other.window)
+        return NotImplemented
+
+    return order
+
+
+class Permutation(_FrozenValue):
     """A permutation of {1, ..., n} in one-line notation.
 
-    A slotted frozen value: it hashes as its window, and it equals exactly
-    the permutations with the same window (any other class gets
-    ``NotImplemented``, so a tuple compares unequal).
+    A slotted frozen value: it hashes as its window, it equals exactly
+    the permutations with the same window, and it orders as its window
+    (any other class gets ``NotImplemented``, so a tuple compares
+    unequal).
 
     >>> w = Permutation((2, 3, 1))
     >>> w(1), w(2), w(3)
@@ -61,17 +124,18 @@ class Permutation:
     (1, 2, 3)
     """
 
+    __slots__ = _fields = ("window",)
     window: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        window = tuple(self.window)
-        if any(type(v) is not int for v in window):
-            raise TypeError(f"permutation entries must be int: {self.window!r}")
-        n = len(window)
+    def __init__(self, window: tuple[int, ...]) -> None:
+        entries = tuple(window)
+        if any(type(v) is not int for v in entries):
+            raise TypeError(f"permutation entries must be int: {window!r}")
+        n = len(entries)
         _check_int("n", n, 1)
-        if sorted(window) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {window}")
-        object.__setattr__(self, "window", window)
+        if sorted(entries) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {entries}")
+        _set_window(self, entries)
 
     @classmethod
     def _of(cls, window: tuple[int, ...]) -> "Permutation":
@@ -87,6 +151,11 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self.window)
+
+    __lt__ = _window_order(operator.lt)
+    __le__ = _window_order(operator.le)
+    __gt__ = _window_order(operator.gt)
+    __ge__ = _window_order(operator.ge)
 
     @property
     def n(self) -> int:
@@ -187,7 +256,8 @@ class Permutation:
         return f"Permutation({self.window})"
 
 
-# the slot's own setter, so that ``_of`` bypasses the frozen ``__setattr__``
+# the slot's own setter, so that the constructor and ``_of`` bypass the
+# frozen ``__setattr__``
 _set_window = Permutation.window.__set__
 
 

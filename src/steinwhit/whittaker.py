@@ -45,14 +45,21 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import PAdicMatrix, _minors_pass, _p_power
-from .principal_series import _check_identities, _sample_points
 from .reporting import CheckResult
 from .values import PhaseSum, _reduced_phase
-from .weyl import Permutation, Weight, _check_int, _check_type, _dominance_thresholds, _torus_character, dominance_shift
+from .weyl import (
+    Permutation,
+    Weight,
+    _check_int,
+    _check_type,
+    _dominance_thresholds,
+    _FrozenValue,
+    _torus_character,
+    dominance_shift,
+)
 
 __all__ = [
     "WhittakerValue",
@@ -65,9 +72,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WhittakerValue:
-    """One exact monomial value, or the canonical zero.
+class WhittakerValue(_FrozenValue):
+    """One exact monomial value, or the canonical zero: a frozen value
+    (``weyl._FrozenValue``).
 
     ``zero`` must be a ``bool``, the sign and the exponents ``int`` and psi
     an ``int`` or a ``Fraction`` (stored as a ``Fraction``); types compare
@@ -75,35 +82,41 @@ class WhittakerValue:
     an ``int`` zero flag, with TypeError.
     """
 
+    __slots__ = _fields = ("zero", "sign", "eps_exp", "q_exp", "psi")
     zero: bool
     sign: int
     eps_exp: int
     q_exp: int
     psi: Fraction
 
-    def __post_init__(self) -> None:
-        if not (type(self.zero) is bool and type(self.sign) is type(self.eps_exp) is type(self.q_exp) is int
-                and type(self.psi) in (int, Fraction)):
-            raise TypeError(f"need a bool zero, int sign and exponents and an int or Fraction psi: {self.zero!r}, "
-                            f"{self.sign!r}, {self.eps_exp!r}, {self.q_exp!r}, {self.psi!r}")
-        if type(self.psi) is int:
-            object.__setattr__(self, "psi", Fraction(self.psi))
-        if self.zero and (self.sign, self.eps_exp, self.q_exp, self.psi) != (1, 0, 0, 0):
+    def __init__(self, zero: bool, sign: int, eps_exp: int, q_exp: int, psi: int | Fraction) -> None:
+        if not (type(zero) is bool and type(sign) is type(eps_exp) is type(q_exp) is int
+                and type(psi) in (int, Fraction)):
+            raise TypeError(f"need a bool zero, int sign and exponents and an int or Fraction psi: {zero!r}, "
+                            f"{sign!r}, {eps_exp!r}, {q_exp!r}, {psi!r}")
+        if type(psi) is int:
+            psi = Fraction(psi)
+        if zero and (sign, eps_exp, q_exp, psi) != (1, 0, 0, 0):
             raise ValueError("zero value must be canonical")
-        if self.sign not in (-1, 1):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        if not 0 <= self.psi < 1:
+        if not 0 <= psi < 1:
             raise ValueError("psi offset must lie in [0, 1)")
+        _set_zero(self, zero)
+        _set_sign(self, sign)
+        _set_eps_exp(self, eps_exp)
+        _set_q_exp(self, q_exp)
+        _set_psi(self, psi)
 
     @classmethod
     def _of(cls, zero: bool, sign: int, eps_exp: int, q_exp: int, psi: Fraction) -> "WhittakerValue":
         """Wrap fields built in this package from valid ones, unchecked."""
         v = object.__new__(cls)
-        object.__setattr__(v, "zero", zero)
-        object.__setattr__(v, "sign", sign)
-        object.__setattr__(v, "eps_exp", eps_exp)
-        object.__setattr__(v, "q_exp", q_exp)
-        object.__setattr__(v, "psi", psi)
+        _set_zero(v, zero)
+        _set_sign(v, sign)
+        _set_eps_exp(v, eps_exp)
+        _set_q_exp(v, q_exp)
+        _set_psi(v, psi)
         return v
 
     @classmethod
@@ -114,6 +127,10 @@ class WhittakerValue:
     def monomial(cls, sign: int, eps_exp: int, q_exp: int, psi: int | Fraction = 0) -> "WhittakerValue":
         return cls(False, sign, eps_exp, q_exp, psi)
 
+
+_set_zero, _set_sign, _set_eps_exp, _set_q_exp, _set_psi = (
+    getattr(WhittakerValue, name).__set__ for name in WhittakerValue._fields
+)
 
 _ZERO = Fraction(0)
 _ZERO_VALUE = WhittakerValue.zero_value()
@@ -285,6 +302,9 @@ def verify_functional_equations(
     one-term ``PhaseSum`` from the closed form and psi, with no
     ``WhittakerValue`` and no validating constructor between.
     """
+    # the engine loads on first use: a process that only evaluates never imports it
+    from .principal_series import _check_identities, _sample_points
+
     cell = functools.partial(_pass_phase_sum, zero=PhaseSum.zero(n, p), eps_exp=eps_exp)
     points = _sample_points(n, p, samples, seed)
     w_at = [phase_sum(eval_matrix(g, eps_exp), n, p) for g in points]

@@ -299,6 +299,23 @@ MUTANTS = [
         "    _check_int(\"eps_exp\", eps_exp)\n",
         ("tests/test_readme.py::test_every_refused_call_raises_the_exception_of_its_row",),
     ),
+    Mutant(
+        "whittaker-imports-the-engine-at-module-level", "whittaker.py",
+        "from .reporting import CheckResult\n",
+        "from .principal_series import _check_identities, _sample_points\n"
+        "from .reporting import CheckResult\n",
+        ("tests/test_imports.py::test_an_eval_process_loads_only_what_eval_runs",),
+    ),
+    Mutant(
+        "frozen-value-setattr-assigns", "weyl.py",
+        "    def __setattr__(self, name: str, value) -> None:\n"
+        "        from dataclasses import FrozenInstanceError\n"
+        "\n"
+        "        raise FrozenInstanceError(f\"cannot assign to field {name!r}\")\n",
+        "    def __setattr__(self, name: str, value) -> None:\n"
+        "        object.__setattr__(self, name, value)\n",
+        ("tests/test_affine_weyl.py::test_value_types_compare_and_hash_by_their_fields",),
+    ),
 ]
 
 

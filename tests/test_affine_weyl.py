@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,10 @@ from steinwhit.affine_weyl import (
     reduced_word,
 )
 from steinwhit.hecke import HeckeElement, HeckeScalar, mult_generator, mult_rotation, steinberg_character
-from steinwhit.padic import PAdicMatrix
+from steinwhit.padic import Cell, PAdicMatrix
+from steinwhit.reporting import CheckResult
 from steinwhit.weyl import Permutation
+from steinwhit.whittaker import WhittakerValue
 import oracles
 from oracles import affine_product
 
@@ -374,32 +378,97 @@ def _field_pairs(draw):
     return first, second
 
 
+# the fields of each value type, in order: ==, hash and repr read these
+FIELDS = {
+    Permutation: ("window",),
+    ExtAffineElement: ("lam", "w"),
+    PAdicMatrix: ("p", "rows"),
+    Cell: ("kbar", "w", "n_factor", "t0_factor", "j_factor"),
+    CheckResult: ("name", "passed", "detail"),
+    WhittakerValue: ("zero", "sign", "eps_exp", "q_exp", "psi"),
+}
+
+
+def _values_of(lam, window) -> list:
+    """One value of each type of ``FIELDS``, through its validating
+    constructor, from the fields (lam, window) of an element."""
+    u = Permutation(window)
+    x = ExtAffineElement(lam, u)
+    m = PAdicMatrix(3, realize(x, 3).entries)
+    return [u, x, m, Cell(lam, u, m, m, m), CheckResult(str(window), lam[0] > 0, str(lam)),
+            WhittakerValue(False, (-1) ** window[0], lam[0], sum(lam), Fraction(lam[-1] % 3, 3))]
+
+
+def _unchecked_copies(lam, window) -> list:
+    """The first three values of ``_values_of``, and the last, built by the
+    unchecked constructors of the library."""
+    u = Permutation._of(window)
+    m = PAdicMatrix._of_rows(3, realize(ExtAffineElement._of(lam, u), 3).rows)
+    return [u, ExtAffineElement._of(lam, u), m,
+            WhittakerValue._of(False, (-1) ** window[0], lam[0], sum(lam), Fraction(lam[-1] % 3, 3))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_field_pairs())
 def test_value_types_compare_and_hash_by_their_fields(pair):
-    """``Permutation`` and ``ExtAffineElement`` are slotted frozen values:
-    == holds exactly when the fields are equal, equal values hash equally,
-    an unchecked ``_of`` value equals and hashes like its validated copy,
-    another type compares unequal, every field refuses assignment, and no
-    instance has a ``__dict__``."""
+    """The six value types are slotted frozen values: == holds exactly
+    when the fields are equal, equal values hash equally, an unchecked
+    value equals, hashes and prints like its validated copy, another class
+    gets ``NotImplemented``, every field refuses assignment and deletion
+    with ``FrozenInstanceError``, and no instance has a ``__dict__`` but a
+    matrix's, which holds only its cached column form.  ``Permutation``
+    orders as its window."""
     (lam, window), (mu, other_window) = pair
-    u, v = Permutation(window), Permutation(other_window)
-    x, y = ExtAffineElement(lam, u), ExtAffineElement(mu, v)
-    assert (u == v) == (window == other_window) and (u != v) == (window != other_window)
-    assert (x == y) == (lam == mu and window == other_window) and (x != y) == (not x == y)
-    for a, b in ((u, v), (x, y)):
-        if a == b:
+    ours, theirs = _values_of(lam, window), _values_of(mu, other_window)
+    for a, b in zip(ours, theirs):
+        fields = FIELDS[type(a)]
+        same = [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        assert (a == b) == same and (a != b) == (not same)
+        if same:
             assert hash(a) == hash(b)
-    built = [Permutation._of(window), ExtAffineElement._of(lam, Permutation._of(window))]
-    for value, copy in zip(built, (u, x)):
-        assert value == copy and copy == value and hash(value) == hash(copy) and repr(value) == repr(copy)
-    for value in (u, x, *built):
-        for other in (window, (lam, window), None):
+    u, v = ours[0], theirs[0]
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(u, compare)(v) == getattr(window, compare)(other_window)
+        assert getattr(u, compare)(window) is NotImplemented
+    with pytest.raises(TypeError):
+        u < window
+    for value, checked in zip(_unchecked_copies(lam, window), ours[:3] + ours[-1:]):
+        assert value == checked and checked == value and hash(value) == hash(checked) and repr(value) == repr(checked)
+    for value in ours + _unchecked_copies(lam, window):
+        for other in (window, (lam, window), None, *[o for o in ours if type(o) is not type(value)]):
+            assert value.__eq__(other) is NotImplemented
             assert value != other and not value == other
-        for field in ("window",) if type(value) is Permutation else ("lam", "w"):
+        for field in FIELDS[type(value)] + ("other",):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field, getattr(value, field))
-        assert not hasattr(value, "__dict__")
+                setattr(value, field, getattr(value, field, None))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field)
+        if type(value) is PAdicMatrix:
+            value * value
+            assert list(vars(value)) == ["_column_form"]
+        else:
+            assert not hasattr(value, "__dict__")
+
+
+def test_value_type_reprs_copies_and_pickles_are_kept():
+    """Each value type prints as its dataclass did, and ``copy``,
+    ``deepcopy`` and ``pickle`` give back an equal value."""
+    g = PAdicMatrix.from_rows(3, [[1, "1/3"], [3, 2]])
+    cell = Cell((1, 0), Permutation((2, 1)), g, PAdicMatrix.identity(2, 3), g)
+    values = {
+        "Permutation((2, 3, 1))": Permutation((2, 3, 1)),
+        "ExtAffineElement((1, -2, 0), (3, 1, 2))": ExtAffineElement((1, -2, 0), Permutation((3, 1, 2))),
+        "PAdicMatrix(p=3, [1 1/3; 3 2])": g,
+        "Cell(kbar=(1, 0), w=Permutation((2, 1)), n_factor=PAdicMatrix(p=3, [1 1/3; 3 2]), "
+        "t0_factor=PAdicMatrix(p=3, [1 0; 0 1]), j_factor=PAdicMatrix(p=3, [1 1/3; 3 2]))": cell,
+        "CheckResult(name='b', passed=False, detail='why')": CheckResult("b", False, "why"),
+        "WhittakerValue(zero=False, sign=-1, eps_exp=2, q_exp=-3, psi=Fraction(1, 4))":
+            WhittakerValue(False, -1, 2, -3, Fraction(1, 4)),
+    }
+    for text, value in values.items():
+        assert repr(value) == text
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value and repr(copied) == text
 
 
 @settings(deadline=None)

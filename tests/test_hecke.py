@@ -362,7 +362,7 @@ def test_internal_arithmetic_calls_no_validating_constructor(monkeypatch):
         run()
     calls = []
     for cls, name in ((HeckeScalar, "__init__"), (HeckeElement, "__init__"),
-                      (ExtAffineElement, "__post_init__"), (Permutation, "__post_init__")):
+                      (ExtAffineElement, "__init__"), (Permutation, "__init__")):
         def counted(self, *args, _original=getattr(cls, name), **kwargs):
             calls.append(type(self).__name__)
             _original(self, *args, **kwargs)
