@@ -25,8 +25,8 @@ _HOMES = {
     "eval_cell": "whittaker",
     "eval_matrix": "whittaker",
     "is_dominant": "weyl",
-    "iwahori_cell": "padic",
-    "iwasawa": "padic",
+    "iwahori_cell": "iwahori",
+    "iwasawa": "iwahori",
     "length_ext": "affine_weyl",
     "matrix_from_json": "padic",
     "matrix_to_json": "padic",

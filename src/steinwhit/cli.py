@@ -15,9 +15,10 @@ exactly.  Reports go to standard output, diagnostics to standard error.
 exits 2 whatever the document holds; ``table`` checks --scale and a
 negative --range before its size guard, so these exit 2 whatever
 --range and --n ask for.
-Each command imports only what it runs: the verify suites, ``argparse``
-and ``csv`` load on first use, so an ``eval`` process reads no module of
-the Hecke algebra or the principal series.
+Each command imports only what it runs: the verify suites, the witness
+decomposition of ``decompose`` (``iwahori``), ``argparse`` and ``csv``
+load on first use, so an ``eval`` process reads no module of the Hecke
+algebra, the principal series or the witnesses.
 Exit codes: 0 success, 1 verification failure, 2 parse or configuration
 error, 3 singular input matrix, 4 size guard violation (``eval`` of a
 matrix with n above 18; ``decompose`` of a matrix with n above 56,
@@ -44,7 +45,6 @@ from .padic import (
     _matrix_document,
     _matrix_of_entries,
     is_prime,
-    iwahori_cell,
 )
 from .reporting import CheckResult, failure_line
 from .weyl import all_permutations
@@ -170,6 +170,8 @@ def _check_config(n: int, p: int, eps_exp: int) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .iwahori import iwahori_cell
+
     g = _read_matrix(args.matrix, "decompose", _DECOMPOSE_MAX_N)
     cell = iwahori_cell(g)
     kbar = list(cell.kbar)

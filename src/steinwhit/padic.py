@@ -1,4 +1,4 @@
-"""Exact p-adic matrices and the Iwahori cell decomposition.
+"""Exact p-adic matrices.
 
 Everything is a rational number viewed inside Q_p, with one prime per
 matrix.  No completions, no floats.
@@ -8,10 +8,10 @@ over the integer d_r, as the pair (a_r, d_r) with d_r > 0 and
 gcd(d_r, *a_r) = 1.  For a given row that pair is unique (d_r is the lcm
 of the row's denominators in lowest terms), so two matrices are equal
 exactly when their primes and rows are.  Every kernel here reads and
-writes that form, with no ``Fraction`` in between: ``iwasawa``
-eliminates on integer columns, the minors pass reads the rows as they
-are, ``iwahori_cell`` builds and checks its witnesses on rows, and
-``matrix_to_json``, ``repr`` and ``decompose`` write each entry from its
+writes that form, with no ``Fraction`` in between: ``iwahori.iwasawa``
+eliminates on integer columns, ``minors._minors_pass`` reads the rows as
+they are, ``iwahori.iwahori_cell`` builds and checks its witnesses on rows,
+and ``matrix_to_json``, ``repr`` and ``decompose`` write each entry from its
 row with one gcd (``_entry_strings``).  Entries come in by one rule,
 ``_entry_pair``, as integer pairs: an ``int`` (not a ``bool``), a
 ``Fraction``, or a string "a" or "a/b" in lowest terms, the grammar of
@@ -41,45 +41,26 @@ product, and on reused factors the row combination is the slower one (by
 times on the coset representatives, 2-vCPU Xeon VM), while for a factor
 used once building the column form is the waste.
 
-Every invertible g lies in exactly one Iwahori cell,
+The package reaches the cell of a matrix g by two independent
+algorithms, each in its own module over this one, so that a process
+compiles only the one it runs:
 
-    g = n . diag(p^kbar) . t0 . P_w . j,
+* ``minors``: the cell label read off the minors on the bottom rows of
+  g, with the phase terms of psi on n (``cell_label`` and
+  ``_minors_pass``), for ``eval``, ``verify`` and the principal series;
+* ``iwahori``: the label with exact witnesses, by elimination
+  (``iwasawa``, ``residue_bruhat`` and ``iwahori_cell``), for
+  ``steinwhit decompose``.
 
-with n upper unitriangular over Q, t0 diagonal with unit entries, P_w the
-permutation matrix of w and j in the Iwahori subgroup J (integral, upper
-triangular and invertible mod p).  The pair (kbar, w) labels the cell;
-the other factors are witnesses.  Two independent algorithms find it,
-and each has its own consumers:
-
-* the minors pass (``_minors_pass``): the label read off the valuations
-  of the minors on the bottom rows of g, and from the same minors the
-  integer terms of the additive character's phase on n, of which
-  ``whittaker`` forms the phase only on the support.  One fraction-free
-  (Bareiss) column elimination, bottom row first, computes exactly the
-  minors the label needs, those that border the least minimizing column
-  set of the level below, in O(n^3) exact integer operations, on the
-  rows of g given as integer vectors over any positive denominators.
-  ``cell_label`` and ``whittaker.eval_matrix`` call it on a matrix's
-  stored rows; ``principal_series._coset_passes`` on the rows of each
-  coset term g . rep as ``_times`` leaves them, for ``apply_generator``
-  and the identity checks of both verification suites.  The formulas
-  and their proofs are in the docstrings of ``cell_label`` and
-  ``_minors_pass``.
-* ``iwahori_cell``: the label with exact witnesses, by elimination, for
-  ``steinwhit decompose``:
-  ``iwasawa`` writes g = b k with b upper triangular over Q and k in
-  K = GL_n(Z_p), by column operations over Z_p on integer columns;
-  ``residue_bruhat`` finds w and b1 of k = b1 P_w b2 mod p, by row/column
-  clearing from a bottom-most pivot per column; back substitution
-  against the integer lift of b1 gives j, and pushing b1 through the
-  diagonal of b gives n and t0.  With ``check`` the witnesses are
-  verified, once, to lie in their subgroups and to reconstruct g
-  exactly; ``iwasawa`` itself checks nothing (its tests hold it to a
-  ``Fraction`` oracle).
+This module keeps what both read: the matrix type, the entry reader and
+writer, valuations, primality, the product kernels and ``Cell``, the
+record of a label and its witnesses (``sampling`` builds points with it).
+The old names ``padic.cell_label``, ``padic.iwasawa``,
+``padic.residue_bruhat`` and ``padic.iwahori_cell`` still resolve, by a
+module ``__getattr__`` that loads their module on first access.
 
 A broken invariant of a decomposition raises ``DecompositionError``, which
-``python -O`` does not switch off.  Lifts from F_p to Z always use the
-representatives {0, ..., p-1}.  Primes are decided by ``is_prime``
+``python -O`` does not switch off.  Primes are decided by ``is_prime``
 (deterministic Miller-Rabin) below ``PRIME_BOUND``, and a p from a
 library caller passes one rule, ``_check_prime``, which ``values``
 shares.
@@ -92,7 +73,6 @@ import json
 import math
 import operator
 import re
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .weyl import Permutation, _check_int, _check_type, _FrozenValue
@@ -104,15 +84,11 @@ __all__ = [
     "PAdicMatrix",
     "PRIME_BOUND",
     "SingularMatrixError",
-    "cell_label",
     "frac_psi_phase",
     "frac_valuation",
     "is_prime",
-    "iwahori_cell",
-    "iwasawa",
     "matrix_from_json",
     "matrix_to_json",
-    "residue_bruhat",
 ]
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -572,114 +548,6 @@ def matrix_from_json(doc) -> PAdicMatrix:
     return _matrix_of_entries(*_matrix_document(doc))
 
 
-def iwasawa(g: PAdicMatrix) -> tuple[PAdicMatrix, PAdicMatrix]:
-    """g = b k with b upper triangular over Q and k in GL_n(Z_p).
-
-    Column elimination over Z_p on rows n..1.  In each row the pivot among
-    the not-yet-fixed columns is an entry of least valuation v (ties to
-    the smallest column index); it is swapped into place and its column
-    is scaled so that the pivot becomes exactly p^v, and the columns to
-    its left are cleared against it.  Every column operation is a right
-    multiplication by an element of K, so b is upper triangular with
-    diagonal p^kbar and k = b^{-1} g.
-
-    The working columns are integer vectors over one denominator, cut to
-    the rows not yet fixed and reduced by their gcd after each update.  k
-    is never updated: until step i its row i is a coordinate row, and
-    step i adds to it exactly the multiples of the coordinate rows that
-    clear row i of the working matrix.  So row i of k is row i of the
-    working matrix at step i over p^v, with its columns put back in their
-    original order.
-    """
-    _check_type("g", g, PAdicMatrix)
-    n, p = g.n, g.p
-    cols = _columns(g.rows)
-    order = list(range(n))  # working column j is column order[j] of g
-    b = [[(0, 1)] * n for _ in range(n)]  # entries as integer pairs (x, y) for x / y
-    k: list = [None] * n
-    for i in range(n - 1, -1, -1):
-        best, best_v = None, 0
-        for j in range(i + 1):
-            a, d = cols[j]
-            if a[i]:
-                v = _int_valuation(a[i], p) - _int_valuation(d, p)
-                if best is None or v < best_v:
-                    best, best_v = j, v
-        if best is None:
-            raise SingularMatrixError("matrix is singular")
-        cols[best], cols[i] = cols[i], cols[best]
-        order[best], order[i] = order[i], order[best]
-        up, down = _p_power(p, best_v)
-        k_row = [(0, 1)] * n
-        for j in range(i + 1):
-            a, d = cols[j]
-            k_row[order[j]] = (a[i] * down, d * up)
-        k[i] = _row_of(k_row)
-        piv, _ = cols.pop()
-        t = piv[i]
-        for r in range(i):
-            if piv[r]:
-                b[r][i] = (piv[r] * up, t * down)
-        b[i][i] = (up, down)
-        # column j -= (a_ij / a_ii) column i, over the denominator d t
-        for j, (a, d) in enumerate(cols):
-            c = a[i]
-            if c:
-                a = [x * t - c * y for x, y in zip(a[:i], piv)]
-                d *= t
-                e = math.gcd(d, *a)
-                cols[j] = ([x // e for x in a], d // e)
-            else:
-                cols[j] = (a[:i], d)
-    return PAdicMatrix._of_rows(p, tuple(map(_row_of, b))), PAdicMatrix._of_rows(p, tuple(k))
-
-
-def residue_bruhat(rows: list[list[int]], p: int) -> tuple[Permutation, list[list[int]]]:
-    """w and b1 of m = b1 P_w b2 over F_p, with b1 and b2 upper triangular.
-
-    Columns are processed left to right; the pivot is the bottom-most
-    nonzero entry in a not-yet-pivoted row.  b2 is not kept, but its column
-    operations clear m, which must end at P_w.  Raises SingularMatrixError
-    when no pivot exists.
-    """
-    n = len(rows)
-    a = [[e % p for e in row] for row in rows]
-    b1 = [[int(i == j) for j in range(n)] for i in range(n)]
-    assigned = [False] * n
-    w_of_col = [0] * n
-    for j in range(n):
-        r = next((x for x in range(n - 1, -1, -1) if not assigned[x] and a[x][j] % p), None)
-        if r is None:
-            raise SingularMatrixError("matrix is singular mod p")
-        assigned[r] = True
-        w_of_col[j] = r + 1
-        val = a[r][j] % p
-        inv = pow(val, -1, p)
-        # Scale row r so the pivot is 1; b1 gets column r scaled by the old pivot.
-        a[r] = [(e * inv) % p for e in a[r]]
-        for x in range(n):
-            b1[x][r] = (b1[x][r] * val) % p
-        # Clear upward in column j: row x -= c * row r for x < r.
-        for x in range(r):
-            c = a[x][j] % p
-            if c:
-                a[x] = [(a[x][t] - c * a[r][t]) % p for t in range(n)]
-                for y in range(n):
-                    b1[y][r] = (b1[y][r] + c * b1[y][x]) % p
-        # Clear rightward in row r: col t -= c * col j for t > j.
-        for t in range(j + 1, n):
-            c = a[r][t] % p
-            if c:
-                for x in range(n):
-                    a[x][t] = (a[x][t] - c * a[x][j]) % p
-    w = Permutation(tuple(w_of_col))
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != (1 if i + 1 == w(j + 1) else 0):
-                raise DecompositionError(f"reduction did not reach a permutation matrix: {a}")
-    return w, b1
-
-
 class Cell(_FrozenValue):
     """Label and witnesses for g = n . diag(p^kbar) . t0 . P_w . j: a
     frozen record (``weyl._FrozenValue``), its fields not checked."""
@@ -732,230 +600,19 @@ _set_kbar, _set_cell_w, _set_n_factor, _set_t0_factor, _set_j_factor = (
 )
 
 
-def iwahori_cell(g: PAdicMatrix, check: bool = True) -> Cell:
-    """Decompose g into its Iwahori cell with exact witnesses.
-
-    ``iwasawa`` gives g = b k with diag(b) = p^kbar, and ``residue_bruhat``
-    gives k = b1 P_w b2 mod p; b1 is lifted to the integers with entries in
-    {0, ..., p-1}.  Then
-
-        j = P_{w^-1} b1^{-1} k,   t0 = diag(b1),   n = b b1 t0^{-1} p^{-kbar},
-
-    and j is found by back substitution against the triangular b1 on
-    integer rows.  Every row of n2 = b1 t0^{-1} p^{-kbar} is an integer
-    vector over one denominator, and n = b n2 is one ``_combined``
-    product.  (kbar, w) is the unique cell label.  The witnesses n and
-    t0 are always verified to lie in their subgroups; with ``check``, j is
-    verified to lie in J and the cell to reconstruct g entry for entry,
-    once each.  A failure raises DecompositionError.
-    """
-    b, k = iwasawa(g)  # checks g's class
-    n, p = g.n, g.p
-    kbar = tuple(_int_valuation(a[i], p) - _int_valuation(d, p) for i, (a, d) in enumerate(b.rows))
-    k_rows = k.rows
-    if any(d % p == 0 for _, d in k_rows):
-        raise DecompositionError(f"Iwasawa k factor is not integral: {k!r}")
-    w, b1 = residue_bruhat([[x * pow(d, -1, p) for x in row] for row, d in k_rows], p)
-    # y = b1^{-1} k, bottom row first; each row an integer vector over one denominator
-    y: list = [None] * n
-    for r in range(n - 1, -1, -1):
-        row, d = k_rows[r]
-        terms = [(b1[r][c], y[c]) for c in range(r + 1, n) if b1[r][c]]
-        den = math.lcm(d, *(e for _, (_, e) in terms))
-        acc = [x * (den // d) for x in row]
-        for coef, (vec, e) in terms:
-            f = coef * (den // e)
-            acc = [x - f * z for x, z in zip(acc, vec)]
-        den *= b1[r][r]
-        y[r] = _reduced(acc, den)
-    j_factor = PAdicMatrix._of_rows(p, tuple(y[w(r) - 1] for r in range(1, n + 1)))
-    # n = b n2 with n2 = b1 t0^{-1} p^{-kbar}: column c of b1 over
-    # b1[c][c] p^{k_c}, so every row of n2 is an integer vector over D, the
-    # lcm of those denominators
-    up_down = [_p_power(p, kv) for kv in kbar]
-    dens = [b1[c][c] * up for c, (up, _) in enumerate(up_down)]
-    den = math.lcm(*dens)
-    scale = [den // e * down for e, (_, down) in zip(dens, up_down)]
-    n2 = [(list(map(operator.mul, row, scale)), den) for row in b1]
-    t0 = PAdicMatrix._of_rows(p, tuple((tuple(b1[i][i] if c == i else 0 for c in range(n)), 1) for i in range(n)))
-    cell = Cell(kbar, w, PAdicMatrix._of_rows(p, _combined(b.rows, n2)), t0, j_factor)
-    if not cell.n_factor.is_upper_unitriangular():
-        raise DecompositionError(f"n witness is not upper unitriangular: {cell.n_factor!r}")
-    if any(
-        any(a[:i]) or any(a[i + 1:]) or not a[i] or _int_valuation(a[i], p) != _int_valuation(d, p)
-        for i, (a, d) in enumerate(t0.rows)
-    ):
-        raise DecompositionError(f"t0 witness is not a diagonal of units: {t0!r}")
-    if check:
-        if not cell.j_factor.is_in_iwahori():
-            raise DecompositionError(f"j witness is not in the Iwahori subgroup: {cell.j_factor!r}")
-        if cell.reconstruct() != g:
-            raise DecompositionError(f"cell witnesses do not reconstruct {g!r}")
-    return cell
+# perfbench/workloads.py and perfbench/tracer.py read these names from
+# their earlier home, this module: name -> the module that defines it now
+_MOVED = {"cell_label": "minors", "iwahori_cell": "iwahori", "iwasawa": "iwahori", "residue_bruhat": "iwahori"}
 
 
-def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
-    """The (kbar, w) label of the cell of g, from minors on its bottom rows.
+def __getattr__(name: str):
+    """Import the home of a moved name on first access (PEP 562) and keep
+    the name here; any other name raises AttributeError."""
+    home = _MOVED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-    Let D_{i,S} be the minor of g on its bottom i rows and the columns in
-    S, and m_i the least valuation of D_{i,S} over all i-sets S (m_0 = 0).
-    Then
-
-        k_{n-i+1} = m_i - m_{i-1},
-
-    and the least S with v(D_{i,S}) = m_i is T_i = w^{-1}({n-i+1, ..., n}),
-    so w^{-1}(n-i+1) is the one column of T_i outside T_{i-1}.
-
-    Why: in g = n . t . P_w . j with t = diag(p^kbar) t0, the bottom i rows
-    of n are [0 | U] with U unitriangular, so left multiplication by n
-    keeps every bottom-row minor.  The bottom i rows of t . P_w are those
-    rows of t times the coordinate rows of the columns T_i, so
-    D_{i,S}(g) = +-(t_{n-i+1} ... t_n) det j[T_i, S].  As j is integral and
-    upper triangular mod p with unit diagonal, det j[T_i, S] is integral,
-    a unit for S = T_i, and divisible by p unless T_i <= S entry by entry
-    in sorted order (minors of a triangular matrix vanish below that
-    order).  So T_i is the least minimizer in every order that refines
-    the entrywise one; the least in the order of the bitmasks
-    sum_{s in S} 2^s is the one the pass finds.
-
-    The sets T_i are nested, T_i = T_{i-1} u {w^{-1}(n-i+1)}, so the
-    minimum m_i over all i-sets is already reached among the n - i + 1
-    sets T_{i-1} u {j}.  ``_minors_pass`` computes exactly those minors,
-    one level at a time, by a fraction-free elimination that also records
-    the phase terms of ``eval_matrix``.  If every candidate minor of some
-    level vanishes, g is singular and SingularMatrixError is raised.
-
-    >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
-    ((0, 1), Permutation((2, 1)))
-    """
-    kbar, w, _ = _minors_pass(g.rows, g.p)
-    return kbar, w
-
-
-def _minors_pass(
-    rows: Sequence[tuple[Sequence[int], int]], p: int
-) -> tuple[tuple[int, ...], Permutation, list[tuple[int, int, int]]]:
-    """The label (kbar, w) of ``cell_label`` and the phase terms of psi on n.
-
-    g is given by its cleared rows: row r of g is a_r / d_r for the pair
-    (a_r, d_r) of an integer vector and any positive integer.  d_r need
-    not be the lcm of the row's denominators, and a_r need not be
-    reduced: the coset terms g . rep of the principal series and of the
-    functional equations arrive unreduced from ``_times``.
-
-    The elimination.  A fraction-free (Bareiss) column elimination on the
-    integer matrix A with rows a_r, taking the rows bottom first.  At the
-    step for row r the pivot is the live column c whose working entry
-    W[r][c] has the least valuation, ties to the least c (the scan stops
-    at the first entry of valuation 0, and tests x % p^best before taking
-    the valuation of any later entry).  Column c is then frozen, and
-    every other live column j is updated on the rows above r:
-
-        W[i][j] = (W[i][j] t - W[i][c] W[r][j]) // prev,
-
-    with t = W[r][c] the new pivot and prev the one before it (1 at the
-    start); the division is exact.  Row r gives k_r = v(t) - v(prev) -
-    v(d_r) and w^{-1}(r) = c.  Each step touches r entries of each live
-    column, O(n^3) integer operations in all, with integers no larger
-    than the minors of A.
-
-    Why it is the label of ``cell_label``:
-
-    * Bordered minors.  By Sylvester's identity, after the steps for the
-      rows below r (the set B, with the pivot columns P) the working entry
-      W[i][j] is the minor of A on the rows {i} u B and the columns P u {j},
-      bordered in a fixed order of its rows and columns.  The minors of A
-      are those of g times the product of the d_r of their rows, so every
-      minor on the same rows is shifted by the same valuation, whatever
-      the d_r are: the minimizing columns do not move, and k_r subtracts
-      v(d_r).
-    * Candidate sets.  By induction P = T_{l-1}, the least minimizing set
-      one level down, so the entries of row r are the minors on the
-      candidate sets T_{l-1} u {j}.  The nesting shown in ``cell_label``
-      puts T_l among them, so the least valuation among them is m_l; and
-      among the candidates with that valuation the least bitmask is the
-      least j, the pivot.  (A Laplace table of every minor on the bottom
-      rows, about n 2^(n-1) multiply-adds, gives the same (kbar, w); it is
-      kept in the tests as the oracle of this pass.)
-    * Singular input.  For invertible g the bottom rows have full rank, so
-      some candidate minor of each level is nonzero; for singular g the
-      last level, det A, is 0.  So SingularMatrixError is raised exactly
-      when g is singular.
-
-    The phase.  Write g = n . b' with b' = p^kbar . t0 . P_w . j.  For
-    1 <= i < n let T be the least minimizing column set of the bottom
-    rows i+1..n (T_{n-i} above), R the rows i+2..n, and
-
-        N_i = D_{{i} u R, T}(g),   D_i = D_{{i+1} u R, T}(g).
-
-    Then on the support (kbar dominant for w)
-
-        psi(n_{i,i+1}) = psi(N_i / D_i),
-
-    so the value of psi on n is the sum of the phases of the N_i / D_i.
-    Both are entries of the pivot column frozen at the step for row i+1:
-    D_i is its pivot t and N_i the entry one row above it, bordered in
-    the same order, so their ratio carries no sign.  (By Cramer's rule
-    that ratio is the coefficient of row i+1 when row i of g, cut to the
-    columns T, is written in the rows {i+1} u R cut to T.)  The cleared
-    minors differ in one row, so the ratio of the minors of g is
-    W[i][c] d_{i+1} / (t d_i), for any positive d_r and unreduced a_r;
-    it is only formed when its valuation is negative, as psi sees nothing
-    else.  For each i with W[i][c] nonzero the pass records the integers
-    (W[i][c] d_{i+1}, t d_i, u) with u = v(t d_i): the valuation is
-    negative when p^u does not divide the first.  ``whittaker`` forms the
-    ratios only on the support, where the formula holds.
-
-    Why: left multiplication by n adds to row i of b' the multiple
-    n_{i,i+1} of row i+1 plus multiples of the rows in R, and to the rows
-    in R multiples of rows in R, so
-
-        N_i / D_i = n_{i,i+1} + D_{{i} u R, T}(b') / D_{{i+1} u R, T}(b').
-
-    Row r of b' is p^{k_r} t0_r times row w^{-1}(r) of j.  With
-    a = w^{-1}(i), b = w^{-1}(i+1) and S' = w^{-1}(R), T = {b} u S' and the
-    second term is +-p^{k_i - k_{i+1}} (t0_i / t0_{i+1}) det j[{a} u S', T]
-    / det j[T, T].  The denominator is a unit, because j[T, T] is upper
-    triangular mod p with unit diagonal.  If a < b, dominance gives
-    k_i - k_{i+1} >= 0, so the term is p-integral.  If a > b, dominance
-    gives k_i - k_{i+1} >= -1; the sorted rows {a} u S' are then entrywise
-    >= the sorted columns T and differ from them somewhere, so the minor
-    is divisible by p by the lemma of ``cell_label``, and the term is
-    again p-integral.  Either way psi does not see it.
-    """
-    n = len(rows)
-    kbar = [0] * n
-    window = [0] * n
-    dvs = [_int_valuation(d, p) for _, d in rows]
-    # live column j -> its working entries on the rows not yet taken
-    cols = dict(enumerate(map(list, zip(*(a for a, _ in rows)))))
-    prev, prev_v = 1, 0
-    terms = []
-    for r in range(n - 1, -1, -1):
-        best = None
-        for j, col in cols.items():
-            x = col[r]
-            if x and (best is None or x % bound):
-                best, best_v = j, _int_valuation(x, p)
-                if not best_v:
-                    break
-                bound = p**best_v
-        if best is None:
-            raise SingularMatrixError("matrix is singular")
-        piv = cols.pop(best)
-        t = piv.pop()
-        kbar[r] = best_v - prev_v - dvs[r]
-        window[best] = r + 1
-        if r and piv[-1]:
-            # N_i / D_i for i = r, over the denominators d_{r-1}, d_r
-            terms.append((piv[-1] * rows[r][1], t * rows[r - 1][1], best_v + dvs[r - 1]))
-        for j, col in cols.items():
-            s = col.pop()
-            if s:
-                cols[j] = [(x * t - y * s) // prev for x, y in zip(col, piv)]
-            elif t != prev:
-                cols[j] = [x * t // prev for x in col]
-        prev, prev_v = t, best_v
-    # each row set one entry of window and each column was popped once, so
-    # window is a permutation by construction
-    return tuple(kbar), Permutation._of(tuple(window)), terms
+    value = getattr(import_module(f"{__package__}.{home}"), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,7 @@ single w is ``casselman``; the two distinguished combinations are
 
 Convolution operators act by right translation over explicit coset
 representatives, listed by ``generator_cosets`` (the centre is the one
-coset p . I).  Each coset term g . rep is one ``padic._minors_pass`` on
+coset p . I).  Each coset term g . rep is one ``minors._minors_pass`` on
 the rows that ``padic._times`` gives for g . rep: ``_coset_passes`` is
 the one source of coset terms, behind ``apply_generator`` and
 ``_check_identities``.  The functions here read only each pass's label.
@@ -42,7 +42,8 @@ import random
 from fractions import Fraction
 
 from .affine_weyl import ExtAffineElement, realize
-from .padic import PAdicMatrix, _minors_pass, _times, cell_label, matrix_to_json
+from .minors import _minors_pass, cell_label
+from .padic import PAdicMatrix, _times, matrix_to_json
 from .reporting import CheckResult
 from .sampling import random_group_element
 from .values import PhaseSum

@@ -18,7 +18,14 @@ class CheckResult(_FrozenValue):
     detail: str
 
     def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        self.__setstate__((name, passed, detail))
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_detail(self, detail)
+
+
+# the slots' own setters, so that the constructor bypasses the frozen
+# ``__setattr__``
+_set_name, _set_passed, _set_detail = (getattr(CheckResult, name).__set__ for name in CheckResult._fields)
 
 
 def failure_line(suite: str, result: CheckResult) -> str:

@@ -28,7 +28,7 @@ tests as its oracle.
 
 At an arbitrary invertible matrix g = n . p^kbar . t0 . P_w . j the value
 is psi(n) times the cell value.  ``eval_matrix`` reads the label and the
-phase terms of psi(n) off ``padic._minors_pass`` and builds no witness.
+phase terms of psi(n) off ``minors._minors_pass`` and builds no witness.
 psi(n) is formed only on the support, as the lowest-terms pair (a, p^u)
 that is also the phase key of ``PhaseSum`` (``_psi_of_terms``, the one
 psi routine).  ``verify_functional_equations`` is a table of identities
@@ -47,7 +47,8 @@ import functools
 import json
 from fractions import Fraction
 
-from .padic import PAdicMatrix, _minors_pass, _p_power
+from .minors import _minors_pass
+from .padic import PAdicMatrix, _p_power
 from .reporting import CheckResult
 from .values import PhaseSum, _reduced_phase
 from .weyl import (
@@ -193,7 +194,7 @@ def eval_matrix(g: PAdicMatrix, eps_exp: int = 0) -> WhittakerValue:
     On g = n . p^kbar . t0 . P_w . j the value is psi(n) times the value
     on the cell (kbar, w).  The label and the phase terms of psi on n come
     from one fraction-free elimination over the minors on the bottom rows
-    of g (``_minors_pass`` in ``padic``, where the phase formula is
+    of g (``_minors_pass`` in ``minors``, where the phase formula is
     proved), and psi is formed only on the support; no witness is built.
     eps_exp is an ``int`` (``bool`` refused, TypeError).
 

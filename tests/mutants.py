@@ -99,7 +99,7 @@ MUTANTS = [
          "tests/test_values.py::test_partial_root_sum_does_not_vanish"),
     ),
     Mutant(
-        "psi-without-the-row-denominators", "padic.py",
+        "psi-without-the-row-denominators", "minors.py",
         "terms.append((piv[-1] * rows[r][1], t * rows[r - 1][1], best_v + dvs[r - 1]))",
         "terms.append((piv[-1], t, best_v))",
         ("tests/test_padic.py::test_minors_pass_matches_the_laplace_oracle",),
@@ -232,7 +232,7 @@ MUTANTS = [
          "tests/test_padic.py::test_document_reader_matches_the_fraction_oracle"),
     ),
     Mutant(
-        "n-witness-without-the-down-factor", "padic.py",
+        "n-witness-without-the-down-factor", "iwahori.py",
         "scale = [den // e * down for e, (_, down) in zip(dens, up_down)]",
         "scale = [den // e for e in dens]",
         ("tests/test_padic.py::test_cell_witnesses_live_in_their_groups",),
@@ -305,6 +305,21 @@ MUTANTS = [
         "from .principal_series import _check_identities, _sample_points\n"
         "from .reporting import CheckResult\n",
         ("tests/test_imports.py::test_an_eval_process_loads_only_what_eval_runs",),
+    ),
+    Mutant(
+        "cli-imports-the-witnesses-at-module-level", "cli.py",
+        "from .reporting import CheckResult, failure_line\n",
+        "from .iwahori import iwahori_cell\n"
+        "from .reporting import CheckResult, failure_line\n",
+        ("tests/test_imports.py::test_an_eval_process_loads_only_what_eval_runs",
+         "tests/test_imports.py::test_a_verify_process_never_loads_the_witnesses"),
+    ),
+    Mutant(
+        "moved-padic-name-not-kept", "padic.py",
+        "    value = getattr(import_module(f\"{__package__}.{home}\"), name)\n"
+        "    globals()[name] = value\n",
+        "    value = getattr(import_module(f\"{__package__}.{home}\"), name)\n",
+        ("tests/test_imports.py::test_moved_names_resolve_from_padic_to_the_objects_of_their_modules",),
     ),
     Mutant(
         "frozen-value-setattr-assigns", "weyl.py",

@@ -12,7 +12,8 @@ from itertools import product
 
 from steinwhit.affine_weyl import ExtAffineElement
 from steinwhit.hecke import HeckeScalar, steinberg_character, verify_presentation
-from steinwhit.padic import cell_label, iwahori_cell
+from steinwhit.iwahori import iwahori_cell
+from steinwhit.minors import cell_label
 from steinwhit.principal_series import run_eigen_checks
 from steinwhit.reporting import failure_line
 from steinwhit.sampling import random_cell_product, random_iwahori

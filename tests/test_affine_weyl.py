@@ -17,7 +17,7 @@ from steinwhit.affine_weyl import (
 from steinwhit.hecke import HeckeElement, HeckeScalar, mult_generator, mult_rotation, steinberg_character
 from steinwhit.padic import Cell, PAdicMatrix
 from steinwhit.reporting import CheckResult
-from steinwhit.weyl import Permutation
+from steinwhit.weyl import Permutation, _FrozenValue
 from steinwhit.whittaker import WhittakerValue
 import oracles
 from oracles import affine_product
@@ -469,6 +469,26 @@ def test_value_type_reprs_copies_and_pickles_are_kept():
         assert repr(value) == text
         for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is type(value) and copied == value and repr(copied) == text
+
+
+def test_check_result_fills_its_slots_without_setstate(monkeypatch):
+    """``CheckResult`` sets its fields through the slots' own setters, as
+    ``Cell`` and ``WhittakerValue`` do, not through the Python loop of
+    ``__setstate__``, which is left to ``copy`` and ``pickle``."""
+
+    def refused(self, state):
+        raise AssertionError("a constructor went through __setstate__")
+
+    monkeypatch.setattr(_FrozenValue, "__setstate__", refused)
+    result = CheckResult("rotation-eigenvalue", False, "point 0")
+    assert (result.name, result.passed, result.detail) == ("rotation-eigenvalue", False, "point 0")
+    assert CheckResult("plain", True).detail == ""
+    with pytest.raises(AssertionError, match="__setstate__"):
+        copy.copy(result)
+    monkeypatch.undo()
+    for copied in (copy.copy(result), copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert type(copied) is CheckResult and copied == result
+        assert (copied.name, copied.passed, copied.detail) == ("rotation-eigenvalue", False, "point 0")
 
 
 @settings(deadline=None)

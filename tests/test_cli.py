@@ -390,7 +390,8 @@ def test_decompose_prints_entries_as_fractions_do(capsys, monkeypatch):
     """The witnesses are printed from their stored rows; each entry must
     read as ``str(Fraction)`` of the same entry, zeros and negative
     entries included, on matrices with mixed denominators."""
-    from steinwhit.padic import PAdicMatrix, _entry_strings, iwahori_cell
+    from steinwhit.iwahori import iwahori_cell
+    from steinwhit.padic import PAdicMatrix, _entry_strings
 
     rng = random.Random(31)
     seen = set()

@@ -7,14 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import steinwhit
+from steinwhit import padic
 
 # the sources this suite imports, so that a fresh process reads the same package
 SRC = Path(steinwhit.__file__).resolve().parent.parent
 IDENTITY_3 = '{"p": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}'
 # modules an ``eval`` process never runs
 NOT_FOR_EVAL = ["steinwhit.hecke", "steinwhit.principal_series", "steinwhit.sampling", "steinwhit.affine_weyl",
-                "dataclasses", "inspect", "csv"]
+                "steinwhit.iwahori", "dataclasses", "inspect", "csv"]
+# the names that moved out of ``padic``, each with its module now
+MOVED = {"cell_label": "steinwhit.minors", "iwahori_cell": "steinwhit.iwahori", "iwasawa": "steinwhit.iwahori",
+         "residue_bruhat": "steinwhit.iwahori"}
 
 
 def _fresh(code: str, stdin: str = "") -> list:
@@ -32,23 +38,63 @@ def test_importing_the_package_loads_no_submodule():
     assert "dataclasses" not in loaded
 
 
-def test_an_eval_process_loads_only_what_eval_runs():
-    """``python -m steinwhit.cli eval -``, run as ``-m`` runs it
-    (``runpy``), prints the value and imports none of ``NOT_FOR_EVAL``."""
-    out = _fresh(
+def _fresh_cli(argv: list, stdin: str = "") -> list:
+    """``python -m steinwhit.cli *argv``, run as ``-m`` runs it
+    (``runpy``) in a new interpreter: its exit code and the modules it
+    loaded."""
+    return _fresh(
         "import json, runpy, sys\n"
-        "sys.argv = ['steinwhit', 'eval', '-']\n"
+        f"sys.argv = ['steinwhit', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('steinwhit.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n",
-        stdin=IDENTITY_3,
+        stdin=stdin,
     )
-    code, loaded = out
+
+
+def test_an_eval_process_loads_only_what_eval_runs():
+    """``python -m steinwhit.cli eval -`` prints the value and imports none
+    of ``NOT_FOR_EVAL``."""
+    code, loaded = _fresh_cli(["eval", "-"], stdin=IDENTITY_3)
     assert code == 0
     assert "steinwhit.whittaker" in loaded
     assert [m for m in NOT_FOR_EVAL if m in loaded] == []
+
+
+@pytest.mark.parametrize("suite", ["principal", "whittaker"])
+def test_a_verify_process_never_loads_the_witnesses(suite):
+    """The suites read cell labels off the minors pass alone, so a
+    ``verify`` process passes without compiling ``iwahori``."""
+    code, loaded = _fresh_cli(["verify", suite, "--n", "2", "--p", "3", "--samples", "1"])
+    assert code == 0
+    assert "steinwhit.minors" in loaded and "steinwhit.iwahori" not in loaded
+
+
+def test_a_decompose_process_loads_the_witnesses():
+    code, loaded = _fresh_cli(["decompose", "-"], stdin=IDENTITY_3)
+    assert code == 0
+    assert "steinwhit.iwahori" in loaded
+
+
+def test_moved_names_resolve_from_padic_to_the_objects_of_their_modules():
+    """``padic.<name>`` and ``from steinwhit.padic import <name>`` give
+    the very object of the name's module, which loads on that first
+    access and not before."""
+    out = _fresh(
+        "import importlib, json, sys\n"
+        "from steinwhit import padic\n"
+        f"moved = {MOVED!r}\n"
+        "before = [m for m in sorted(set(moved.values())) if m in sys.modules]\n"
+        "from steinwhit.padic import iwasawa\n"
+        "same = [getattr(padic, name) is getattr(importlib.import_module(home), name) is vars(padic)[name]\n"
+        "        for name, home in moved.items()]\n"
+        "print(json.dumps([before, iwasawa is importlib.import_module('steinwhit.iwahori').iwasawa, same]))\n"
+    )
+    assert out == [[], True, [True] * len(MOVED)]
+    with pytest.raises(AttributeError, match="has no attribute '_minors_pass'"):
+        padic._minors_pass
 
 
 def test_every_public_name_resolves_and_star_binds_them_all():

@@ -14,6 +14,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import matrix_of_entries, matrix_repr
+from steinwhit.iwahori import iwahori_cell, iwasawa, residue_bruhat
+from steinwhit.minors import _minors_pass, cell_label
 from steinwhit.padic import (
     PRIME_BOUND,
     Cell,
@@ -22,16 +24,11 @@ from steinwhit.padic import (
     SingularMatrixError,
     _combined,
     _matrix_of_entries,
-    _minors_pass,
-    cell_label,
     frac_psi_phase,
     frac_valuation,
     is_prime,
-    iwahori_cell,
-    iwasawa,
     matrix_from_json,
     matrix_to_json,
-    residue_bruhat,
 )
 from steinwhit.sampling import (
     random_cell_product,
@@ -645,19 +642,19 @@ def test_check_raises_under_optimize_flag():
     raise even under ``python -O``, which strips ``assert`` statements."""
     script = textwrap.dedent(
         """
-        from steinwhit import padic
+        from steinwhit import iwahori, padic
         from steinwhit.weyl import Permutation
 
-        true_bruhat = padic.residue_bruhat
+        true_bruhat = iwahori.residue_bruhat
 
         def wrong_bruhat(rows, p):
             w, b1 = true_bruhat(rows, p)
             return w * Permutation.simple(w.n, 1), b1
 
-        padic.residue_bruhat = wrong_bruhat
+        iwahori.residue_bruhat = wrong_bruhat
         g = padic.PAdicMatrix.from_rows(3, [[1, 2], [3, 4]])
         try:
-            padic.iwahori_cell(g, check=True)
+            iwahori.iwahori_cell(g, check=True)
         except padic.DecompositionError as exc:
             print("raised", exc)
         else:
@@ -675,7 +672,7 @@ PLANTS = {
     # a row of k off by p: k stays in K and has the same residue
     "k_row": (
         """
-        true_iwasawa = padic.iwasawa
+        true_iwasawa = iwahori.iwasawa
 
         def planted(g):
             b, k = true_iwasawa(g)
@@ -683,14 +680,14 @@ PLANTS = {
             rows[-1][0] += g.p
             return b, padic.PAdicMatrix(g.p, tuple(map(tuple, rows)))
 
-        padic.iwasawa = planted
+        iwahori.iwasawa = planted
         """,
         "cell witnesses do not reconstruct",
     ),
     # b1 from the residue Bruhat decomposition with a wrong corner entry
     "b1_entry": (
         """
-        true_bruhat = padic.residue_bruhat
+        true_bruhat = iwahori.residue_bruhat
 
         def planted(rows, p):
             w, b1 = true_bruhat(rows, p)
@@ -698,21 +695,21 @@ PLANTS = {
             b1[0][-1] = (b1[0][-1] + 1) % p
             return w, b1
 
-        padic.residue_bruhat = planted
+        iwahori.residue_bruhat = planted
         """,
         "j witness is not in the Iwahori subgroup",
     ),
     # a unitriangular n witness that is not the right one
     "n_witness": (
         """
-        true_cell = padic.Cell
+        true_cell = iwahori.Cell
 
         def planted(kbar, w, n_factor, t0, j):
             rows = [list(row) for row in n_factor.entries]
             rows[0][-1] += 1
             return true_cell(kbar, w, padic.PAdicMatrix(n_factor.p, tuple(map(tuple, rows))), t0, j)
 
-        padic.Cell = planted
+        iwahori.Cell = planted
         """,
         "cell witnesses do not reconstruct",
     ),
@@ -726,15 +723,15 @@ def test_single_check_catches_planted_faults_under_optimize_flag(plant):
     code, message = PLANTS[plant]
     script = textwrap.dedent(
         """
-        from steinwhit import padic
+        from steinwhit import iwahori, padic
 
         g = padic.PAdicMatrix.from_rows(5, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-        assert padic.iwahori_cell(g, check=True).w.window == (3, 2, 1)
+        assert iwahori.iwahori_cell(g, check=True).w.window == (3, 2, 1)
         """
     ) + textwrap.dedent(code) + textwrap.dedent(
         """
         try:
-            padic.iwahori_cell(g, check=True)
+            iwahori.iwahori_cell(g, check=True)
         except padic.DecompositionError as exc:
             print("raised", exc)
         else:

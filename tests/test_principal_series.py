@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from steinwhit import padic, principal_series, whittaker
+from steinwhit import minors, padic, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, realize
 from steinwhit.hecke import steinberg_character
-from steinwhit.padic import PAdicMatrix, cell_label, matrix_from_json
+from steinwhit.minors import cell_label
+from steinwhit.padic import PAdicMatrix, matrix_from_json
 from steinwhit.principal_series import (
     InducedFunction,
     apply_generator,
@@ -278,13 +279,13 @@ def test_one_minors_pass_per_coset_term(monkeypatch, n, p, samples):
     rotation at the identity, whose plus(1) is the engine's value at
     point 0, and p per finite reflection for the Casselman check."""
     calls = []
-    original = padic._minors_pass
+    original = minors._minors_pass
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (padic, principal_series, whittaker):
+    for module in (minors, principal_series, whittaker):
         monkeypatch.setattr(module, "_minors_pass", counted)
     assert all(r.passed for r in run_eigen_checks(n, p, 1 % n, samples=samples, seed=3))
     assert len(calls) == (samples + 1) * (n * p + 2) + (n - 1) * p + 1

@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 from steinwhit import cli, padic, principal_series, whittaker
 from steinwhit.affine_weyl import ExtAffineElement, length_ext, realize
 from steinwhit.hecke import steinberg_character
-from steinwhit.padic import (
-    Cell,
-    PAdicMatrix,
-    SingularMatrixError,
-    _minors_pass,
-    cell_label,
-    frac_psi_phase,
-    iwahori_cell,
-)
+from steinwhit.iwahori import iwahori_cell
+from steinwhit.minors import _minors_pass, cell_label
+from steinwhit.padic import Cell, PAdicMatrix, SingularMatrixError, frac_psi_phase
 from steinwhit.principal_series import (
     InducedFunction,
     _coset_passes,
