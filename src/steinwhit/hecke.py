@@ -317,8 +317,11 @@ def _character_at(n: int, table: list, eps_exp: int) -> HeckeScalar:
 
 def character_of(h: HeckeElement, eps_exp: int) -> HeckeScalar:
     """The Steinberg character extended linearly: the sum of c chi(T_x)
-    over the terms c T_x of h, from its character table at one exponent."""
+    over the terms c T_x of h, from its character table at one exponent.
+    eps_exp must be an ``int`` (``bool`` refused, TypeError), also where h
+    is 0 and no term reads it."""
     _check_type("h", h, HeckeElement)
+    _check_int("eps_exp", eps_exp)
     return _character_at(h.n, _character_table(h), eps_exp)
 
 

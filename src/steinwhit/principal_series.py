@@ -235,13 +235,18 @@ def _casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
     """Check apply_generator(f_w, i, 1) = p [w = s_i] for every Casselman
     function f_w and finite reflection i, with the coset terms at the
     identity read once per generator: '' if it holds everywhere, else the
-    first failing (i, w) and both sides."""
-    casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
+    first failing (i, w) and both sides.
+
+    Each coset term lies in one cell, so the sum is 0 for every w that no
+    coset of s_i reaches, and such a w != s_i cannot fail.  Only the
+    reached w and s_i are built and checked, in window order, the order of
+    ``all_permutations``, so the first failure is the one that a loop over
+    all n! w finds."""
     one, zero, hit = PAdicMatrix.identity(n, p), PhaseSum.zero(n, p), PhaseSum.monomial(n, p, p)
     for i in range(1, n):
         passes, si = _coset_passes(one.rows, n, p, i), Permutation.simple(n, i)
-        for w, f in casselman.items():
-            lhs = zero._sum(map(f._label_value, passes))
+        for w in sorted({label[1] for label in passes} | {si}):
+            lhs = zero._sum(map(InducedFunction.casselman(w, p, eps_exp)._label_value, passes))
             rhs = hit if w == si else zero
             if lhs != rhs:
                 return (f"generator {i}, w = {w.window}: "

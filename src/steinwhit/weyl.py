@@ -289,7 +289,8 @@ def is_dominant(kbar: Weight, w: Permutation) -> bool:
 
     For each simple root alpha_i = alpha_{i,i+1} the pairing
     ``k_i - k_{i+1}`` must be >= 0 when ``w**-1 . alpha_i`` is positive and
-    >= -1 when it is negative.
+    >= -1 when it is negative.  Each entry of ``kbar`` must be an ``int``
+    (``bool`` refused, TypeError).
 
     >>> is_dominant((0, 0), Permutation.identity(2))
     True
@@ -301,6 +302,8 @@ def is_dominant(kbar: Weight, w: Permutation) -> bool:
     _check_type("w", w, Permutation)
     if len(kbar) != w.n:
         raise ValueError("weight length mismatch")
+    for k in kbar:
+        _check_int("kbar entry", k)
     return all(kbar[i] - kbar[i + 1] >= t for i, t in enumerate(_dominance_thresholds(w)))
 
 

@@ -287,6 +287,25 @@ MUTANTS = [
         ("tests/test_principal_series.py::test_principal_identities_hold_at_the_permutation_points",),
     ),
     Mutant(
+        "casselman-row-forgets-s_i", "principal_series.py",
+        "{label[1] for label in passes} | {si}",
+        "{label[1] for label in passes}",
+        ("tests/test_principal_series.py::test_casselman_check_equals_the_whole_basis_oracle",),
+    ),
+    Mutant(
+        "casselman-row-reads-only-s_i", "principal_series.py",
+        "sorted({label[1] for label in passes} | {si})",
+        "sorted({si})",
+        ("tests/test_principal_series.py::test_casselman_check_equals_the_whole_basis_oracle",),
+    ),
+    Mutant(
+        "verify-guard-forgets-the-samples", "cli.py",
+        "    return (samples + 1) * (p + 2) * _VERIFY_COSTS[n]\n",
+        "    return (p + 2) * _VERIFY_COSTS[n]\n",
+        ("tests/test_cli.py::test_verify_guard_weighs_samples",
+         "tests/test_cli.py::test_verify_guard_boundary"),
+    ),
+    Mutant(
         "whittaker-suite-bypasses-eval-matrix", "whittaker.py",
         "w_at = [phase_sum(eval_matrix(g, eps_exp), n, p) for g in points]",
         "w_at = [phase_sum(_pass_value(_minors_pass(g.rows, p), p, eps_exp), n, p) for g in points]",

@@ -32,6 +32,11 @@ calls ``weyl.dominance_shift``, which shares the dominance thresholds
 with the closed form: a fault in those thresholds then shows up as a
 disagreement instead of being checked against itself.
 
+``casselman_triangularity`` sums every one of the n! Casselman
+functions over the cosets of each finite s_i at the identity; the
+library builds only s_i and the w that a coset reaches, since every
+other w reads 0 = 0.
+
 ``matrix_of_entries`` and ``matrix_repr`` are the document reader and
 the ``repr`` that went through ``Fraction``: each entry is parsed by
 ``Fraction(e)`` and printed by ``str(Fraction)``, while the library
@@ -43,12 +48,13 @@ import helpers from ``test_padic``.
 
 from fractions import Fraction
 
-from steinwhit import weyl
+from steinwhit import principal_series, weyl
 from steinwhit.affine_weyl import ExtAffineElement, _rotation, realize
 from steinwhit.hecke import HeckeElement, mult_generator, mult_rotation
 from steinwhit.padic import _RATIONAL_RE, MatrixFormatError, PAdicMatrix
-from steinwhit.principal_series import generator_cosets
-from steinwhit.weyl import Permutation, Weight
+from steinwhit.principal_series import InducedFunction, generator_cosets
+from steinwhit.values import PhaseSum
+from steinwhit.weyl import Permutation, Weight, all_permutations
 from steinwhit.whittaker import WhittakerValue
 
 
@@ -274,3 +280,23 @@ def matrix_repr(m: PAdicMatrix) -> str:
     """``repr(m)``, written from the ``Fraction`` view."""
     body = "; ".join(" ".join(str(e) for e in row) for row in m.entries)
     return f"PAdicMatrix(p={m.p}, [{body}])"
+
+
+def casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
+    """The Casselman check over the whole basis: (T_{s_i} f_w)(1) = p [w = s_i]
+    for all n! Casselman functions f_w, in ``all_permutations`` order, and
+    every finite reflection i.  '' if it holds, else the first failing
+    (i, w) and both sides, in the words of the library's check.  The coset
+    terms come from ``principal_series._coset_passes``, read through the
+    module, so that a test can plant a fault in them for both."""
+    casselman = {w: InducedFunction.casselman(w, p, eps_exp) for w in all_permutations(n)}
+    one, zero, hit = PAdicMatrix.identity(n, p), PhaseSum.zero(n, p), PhaseSum.monomial(n, p, p)
+    for i in range(1, n):
+        passes, si = principal_series._coset_passes(one.rows, n, p, i), Permutation.simple(n, i)
+        for w, f in casselman.items():
+            lhs = zero._sum(map(f._label_value, passes))
+            rhs = hit if w == si else zero
+            if lhs != rhs:
+                return (f"generator {i}, w = {w.window}: "
+                        f"sum of f_w(rep) over the cosets of s_{i} = {lhs!r}; expected {rhs!r}")
+    return ""

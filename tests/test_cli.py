@@ -24,7 +24,7 @@ from steinwhit.cli import (
     build_parser,
     main,
 )
-from steinwhit.padic import PRIME_BOUND, SingularMatrixError
+from steinwhit.padic import PRIME_BOUND, SingularMatrixError, is_prime
 
 IDENTITY_2 = '{"p": 3, "entries": [["1", "0"], ["0", "1"]]}'
 ROTATION_2_P3 = '{"p": 3, "entries": [["0", "1"], ["3", "0"]]}'
@@ -585,13 +585,13 @@ def test_verify_guard_refuses_costly_configs(argv):
 
 
 def test_verify_guard_boundary(capsys, monkeypatch):
-    # (5, 31) at the default 20 samples is exactly the bound, the next
-    # prime is over it, and the hecke suite alone is guarded by n only
-    args = ["--n", "5", "--p", "31", "--samples", "1"]
-    code, out, _ = run(capsys, monkeypatch, ["verify", "all", *args])
+    # at the default 20 samples (5, 61) is the largest prime under the
+    # bound at n = 5 and passes, the next prime is over it, and the hecke
+    # suite alone is guarded by n only
+    code, out, _ = run(capsys, monkeypatch, ["verify", "all", "--n", "5", "--p", "61"])
     assert code == 0 and all(r["passed"] for r in json.loads(out))
     for suite in ("principal", "whittaker", "all"):
-        code, out, err = run(capsys, monkeypatch, ["verify", suite, "--n", "5", "--p", "37"])
+        code, out, err = run(capsys, monkeypatch, ["verify", suite, "--n", "5", "--p", "67"])
         assert (code, out) == (4, "") and "verify guard" in err
     assert run(capsys, monkeypatch, ["verify", "hecke", "--n", "7", "--p", "2"])[0] == 0
     code, out, err = run(capsys, monkeypatch, ["verify", "hecke", "--n", str(_HECKE_MAX_N + 1), "--p", "2"])
@@ -607,6 +607,24 @@ def test_verify_guard_weighs_samples():
     # more samples and a larger p cost more, at every n
     for n in range(2, 7):
         assert _verify_cost(n, 2, 20) < _verify_cost(n, 2, 21) < _verify_cost(n, 3, 21)
+
+
+def test_verify_guard_admits_every_config_of_the_model_with_the_n_factorial_loop():
+    """The earlier model also charged p F(n) for the Casselman check's loop
+    over all n! functions, under the same bound; at every n and every
+    prime below 10,000, the most samples it allowed are still allowed."""
+    fixed = {2: 2, 3: 11, 4: 84, 5: 900, 6: 8300}
+    per_point = {2: 6, 3: 13, 4: 27, 5: 40, 6: 90}
+    largest = {}
+    for n in range(2, 7):
+        for p in filter(is_prime, range(2, 10000)):
+            spare = 55_620 - p * fixed[n]
+            if spare < (p + 2) * per_point[n]:
+                continue
+            samples = spare // ((p + 2) * per_point[n]) - 1
+            assert _verify_cost(n, p, samples) <= _VERIFY_MAX_COST, (n, p, samples)
+            largest[n] = p
+    assert largest == {2: 6949, 3: 2311, 4: 499, 5: 59, 6: 5}  # its largest primes, at 0 samples
 
 
 def test_verify_guard_refuses_many_samples_at_small_p(capsys, monkeypatch):

@@ -510,14 +510,20 @@ def test_character_of_is_the_fold_on_drawn_elements(h, e):
     _same_scalar(character_of(h, e), _steinberg_fold(h, e))
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, Fraction(1), "1", None])
+@pytest.mark.parametrize("bad", [1.0, 0.5, Fraction(1), "1", None, True])
 def test_character_of_refuses_an_exponent_that_is_not_an_int(bad):
+    """``character_of`` checks the exponent itself, so True and the zero
+    element, where no term reads it, are refused too; ``_character_at``
+    keeps its check of each product m e."""
     x = ExtAffineElement.translation((1, 0, 0))
     for h in (HeckeElement.basis(x), HeckeElement.generator(N, 1), HeckeElement.basis(ExtAffineElement.rotation(N)) + HeckeElement.unit(N)):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="eps_exp must be an int"):
             character_of(h, bad)
-        with pytest.raises(TypeError):
-            hecke._character_at(N, hecke._character_table(h), bad)
+        if bad is not True:
+            with pytest.raises(TypeError):
+                hecke._character_at(N, hecke._character_table(h), bad)
+    with pytest.raises(TypeError, match="eps_exp must be an int"):
+        character_of(HeckeElement(N), bad)
     with pytest.raises(TypeError):
         steinberg_character(x, bad)
 

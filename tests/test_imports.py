@@ -72,6 +72,20 @@ def test_a_verify_process_never_loads_the_witnesses(suite):
     assert "steinwhit.minors" in loaded and "steinwhit.iwahori" not in loaded
 
 
+@pytest.mark.parametrize("suite, loads, never", [
+    ("principal", ["steinwhit.principal_series", "steinwhit.sampling"], ["steinwhit.hecke"]),
+    ("whittaker", ["steinwhit.principal_series", "steinwhit.sampling"], ["steinwhit.hecke"]),
+    ("hecke", ["steinwhit.hecke"], ["steinwhit.principal_series", "steinwhit.sampling"]),
+    ("all", ["steinwhit.hecke", "steinwhit.principal_series", "steinwhit.sampling"], []),
+])
+def test_each_verify_suite_loads_only_its_own_modules(suite, loads, never):
+    """The Hecke algebra is imported by the suites that run it alone, and
+    the principal series and its sampler likewise."""
+    code, loaded = _fresh_cli(["verify", suite, "--n", "2", "--p", "3", "--samples", "1"])
+    assert code == 0
+    assert [m for m in loads if m not in loaded] == [] and [m for m in never if m in loaded] == []
+
+
 def test_a_decompose_process_loads_the_witnesses():
     code, loaded = _fresh_cli(["decompose", "-"], stdin=IDENTITY_3)
     assert code == 0

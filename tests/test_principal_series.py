@@ -18,8 +18,9 @@ from steinwhit.principal_series import (
 )
 from steinwhit.sampling import random_group_element, random_iwahori
 from steinwhit.values import PhaseSum
-from steinwhit.weyl import Permutation, all_permutations
+from steinwhit.weyl import Permutation, all_permutations, is_dominant
 from steinwhit.whittaker import eval_cell, eval_matrix, verify_functional_equations
+import oracles
 
 
 def test_casselman_value_at_identity():
@@ -221,22 +222,63 @@ def _fixed_results(n, p, e):
     return {name: results[name] for name in fixed}
 
 
-def test_failed_casselman_check_names_generator_w_and_both_sides(monkeypatch):
-    """A planted Casselman function f_{s_1} with coefficient 2: the first
-    failing (i, w) is (1, s_1), whose sum reads 2p instead of p."""
-    n, p, e = 3, 3, 1
+def _plant_casselman(monkeypatch, n, p):
+    """The Casselman function f_{s_1} with coefficient 2."""
     s1 = Permutation.simple(n, 1)
 
     def planted(cls, w, p_, eps_exp):
         return cls(w.n, p_, eps_exp, {w: PhaseSum.monomial(w.n, p_, 2 if w == s1 else 1)})
 
     monkeypatch.setattr(InducedFunction, "casselman", classmethod(planted))
+
+
+def test_failed_casselman_check_names_generator_w_and_both_sides(monkeypatch):
+    """A planted Casselman function f_{s_1} with coefficient 2: the first
+    failing (i, w) is (1, s_1), whose sum reads 2p instead of p."""
+    n, p, e = 3, 3, 1
+    _plant_casselman(monkeypatch, n, p)
     results = _fixed_results(n, p, e)
     assert [name for name, r in results.items() if not r.passed] == ["casselman-triangularity"]
     assert results["casselman-triangularity"].detail == (
         "generator 1, w = (2, 1, 3): sum of f_w(rep) over the cosets of s_1 = "
         f"{PhaseSum.monomial(n, p, 2 * p)!r}; expected {PhaseSum.monomial(n, p, p)!r}"
     )
+
+
+def _plant_for_the_oracle(monkeypatch, plant, n, p):
+    """Plant a fault at (n, p); the window of the first w of generator 1
+    that must then fail, or None for no fault.  "casselman" is the planted
+    f_{s_1} above; "cosets-after-s1" moves every coset of s_1 to the cell
+    of the longest element, after s_1 in window order, so that the first
+    failure is the unreached s_1; "coset-before-s1" moves one coset of s_1
+    to the identity cell, before s_1, so that the first failure is a
+    reached w other than s_1."""
+    s1, cosets = Permutation.simple(n, 1), principal_series.generator_cosets
+    if plant == "none":
+        return None
+    if plant == "casselman":
+        _plant_casselman(monkeypatch, n, p)
+        return s1.window
+    if plant == "cosets-after-s1":
+        moved, first = (PAdicMatrix.permutation(p, Permutation.longest(n)),) * p, s1.window
+    else:
+        moved, first = (PAdicMatrix.identity(n, p),) + cosets(n, p, 1)[1:], tuple(range(1, n + 1))
+    monkeypatch.setattr(principal_series, "generator_cosets",
+                        lambda n_, p_, gen: moved if gen == 1 else cosets(n_, p_, gen))
+    return first
+
+
+@pytest.mark.parametrize("plant", ["none", "casselman", "cosets-after-s1", "coset-before-s1"])
+@pytest.mark.parametrize("n, p", [(3, 2), (4, 3), (5, 2)])
+def test_casselman_check_equals_the_whole_basis_oracle(monkeypatch, n, p, plant):
+    """The check builds only s_i and the w that a coset of s_i reaches; its
+    verdict and detail are those of the loop over all n! Casselman
+    functions, byte for byte, for every e, with and without a fault."""
+    first = _plant_for_the_oracle(monkeypatch, plant, n, p)
+    for e in range(n):
+        want = oracles.casselman_triangularity(n, p, e)
+        assert principal_series._casselman_triangularity(n, p, e) == want
+        assert (want == "") if first is None else want.startswith(f"generator 1, w = {first}: ")
 
 
 def test_failed_plus_rotation_check_prints_both_sides(monkeypatch):
@@ -445,6 +487,11 @@ _ID2 = Permutation.identity(2)
     (lambda: eval_cell((1, 0), _ID2, True), TypeError, "eps_exp must be an int"),
     (lambda: eval_cell((1.0, 0), _ID2, 1), TypeError, "kbar entry must be an int"),
     (lambda: eval_cell((True, 0), _ID2, 1), TypeError, "kbar entry must be an int"),
+    # is_dominant compared each entry as it came: 0.5 and True were read
+    # as numbers, a string failed inside the subtraction
+    (lambda: is_dominant((0.5, 0), _ID2), TypeError, "kbar entry must be an int"),
+    (lambda: is_dominant((True, 0), _ID2), TypeError, "kbar entry must be an int"),
+    (lambda: is_dominant(("a", "b"), _ID2), TypeError, "kbar entry must be an int"),
     (lambda: eval_matrix(_ONE, 0.5), TypeError, "eps_exp must be an int"),
     (lambda: eval_matrix(_ONE, True), TypeError, "eps_exp must be an int"),
     # a negative sample count checked the identity alone, and passed
@@ -468,7 +515,8 @@ _ID2 = Permutation.identity(2)
         "apply-str-index", "apply-bool-index", "steinberg-bool-eps", "one-param-row-0", "one-param-column-0",
         "one-param-row-n-plus-1", "one-param-column-n-plus-1", "one-param-float-row", "one-param-float-column",
         "weight-bool-exponent", "eval-cell-float-eps", "eval-cell-bool-eps", "eval-cell-float-weight",
-        "eval-cell-bool-weight", "eval-matrix-float-eps", "eval-matrix-bool-eps", "whittaker-negative-samples",
+        "eval-cell-bool-weight", "dominant-float-weight", "dominant-bool-weight", "dominant-str-weight",
+        "eval-matrix-float-eps", "eval-matrix-bool-eps", "whittaker-negative-samples",
         "eigen-negative-samples", "eigen-seed-none", "eigen-str-seed", "eigen-bool-seed", "whittaker-seed-none",
         "whittaker-str-seed", "whittaker-bool-seed", "identity-bool-n", "identity-n-0", "cosets-bool-n"])
 def test_each_argument_is_checked_by_its_one_rule(build, error, match):
