@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .padic import PAdicMatrix, SingularMatrixError, _int_valuation
-from .weyl import Permutation
+from .weyl import Permutation, _check_type
 
 __all__ = ["cell_label"]
 
@@ -57,11 +57,13 @@ def cell_label(g: PAdicMatrix) -> tuple[tuple[int, ...], Permutation]:
     sets T_{i-1} u {j}.  ``_minors_pass`` computes exactly those minors,
     one level at a time, by a fraction-free elimination that also records
     the phase terms of ``eval_matrix``.  If every candidate minor of some
-    level vanishes, g is singular and SingularMatrixError is raised.
+    level vanishes, g is singular and SingularMatrixError is raised.  g is
+    a ``PAdicMatrix`` (else TypeError).
 
     >>> cell_label(PAdicMatrix.from_rows(3, [[0, 1], [3, 0]]))
     ((0, 1), Permutation((2, 1)))
     """
+    _check_type("g", g, PAdicMatrix)
     kbar, w, _ = _minors_pass(g.rows, g.p)
     return kbar, w
 

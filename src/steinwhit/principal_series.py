@@ -94,20 +94,24 @@ class InducedFunction:
 
     @classmethod
     def eigenvector(cls, n: int, p: int, eps_exp: int, kind: str) -> "InducedFunction":
+        """The eigenvector ``kind``: ``"plus"`` has coeff(w) = 1 for every w,
+        ``"minus"`` has coeff(w) = (-1/p)^len(w), so it depends on w only
+        through len(w) <= n(n-1)/2.
+
+        One unit ``PhaseSum.monomial(n, p, 1)`` is built and checked (n, then
+        p); ``plus`` maps every w to it, and ``minus`` maps w to the unit
+        times (-1/p)^len(w), one shared coefficient per length.  The build
+        is n! keys and, for ``minus``, one ``Permutation.length`` per key.
+        """
         if kind not in ("minus", "plus"):
             raise ValueError(f"kind must be 'minus' or 'plus', got {kind!r}")
-        coeffs = {}
-        for w in all_permutations(n):
-            if kind == "minus":
-                ell = w.length()
-                c = Fraction((-1) ** ell, p**ell)
-            else:
-                c = Fraction(1)
-            coeffs[w] = PhaseSum.monomial(n, p, c)
-        return cls(n, p, eps_exp, coeffs)
+        unit = PhaseSum.monomial(n, p, 1)
+        if kind == "plus":
+            return cls(n, p, eps_exp, dict.fromkeys(all_permutations(n), unit))
+        by_length = [unit.times_monomial(Fraction(-1, p) ** ell) for ell in range(n * (n - 1) // 2 + 1)]
+        return cls(n, p, eps_exp, {w: by_length[w.length()] for w in all_permutations(n)})
 
     def eval(self, g: PAdicMatrix) -> PhaseSum:
-        _check_type("g", g, PAdicMatrix)
         return self._label_value(cell_label(g))
 
     def _label_value(self, label: tuple) -> PhaseSum:

@@ -3,7 +3,7 @@ failure report."""
 
 from __future__ import annotations
 
-from .weyl import _FrozenValue
+from .weyl import _check_type, _FrozenValue
 
 __all__ = ["CheckResult", "failure_line"]
 
@@ -29,12 +29,14 @@ _set_name, _set_passed, _set_detail = (getattr(CheckResult, name).__set__ for na
 
 
 def failure_line(suite: str, result: CheckResult) -> str:
-    """``FAIL suite:name``, followed by the detail when there is one.
+    """``FAIL suite:name``, followed by the detail when there is one;
+    ``result`` is a ``CheckResult`` (else TypeError).
 
     >>> failure_line("whittaker", CheckResult("rotation-eigenvalue", False, "point 0"))
     'FAIL whittaker:rotation-eigenvalue point 0'
     >>> failure_line("principal", CheckResult("casselman-triangularity", False))
     'FAIL principal:casselman-triangularity'
     """
+    _check_type("result", result, CheckResult)
     detail = f" {result.detail}" if result.detail else ""
     return f"FAIL {suite}:{result.name}{detail}"

@@ -12,14 +12,20 @@ factors are built from integer pairs straight into the canonical rows of
 Each product is one ``padic._combined``.  The verification suites draw a
 fresh point per sample in every call, so the samplers run on the
 ``verify`` path.
+
+Every sampler checks rng by the class rule (a ``random.Random``), and the
+three matrix builders check n (an ``int`` >= 1) and p (a prime ``int``)
+too, before any draw, so that no p makes ``_random_unit`` loop forever
+and every matrix is one that ``PAdicMatrix`` allows.  The checks draw
+nothing from rng, so a seed's matrices do not depend on them.
 """
 
 from __future__ import annotations
 
 import random
 
-from .padic import Cell, DecompositionError, PAdicMatrix, _combined, _row_of
-from .weyl import Permutation, Weight
+from .padic import Cell, DecompositionError, PAdicMatrix, _check_prime, _combined, _row_of
+from .weyl import Permutation, Weight, _check_int, _check_type
 
 __all__ = [
     "random_cell_product",
@@ -33,13 +39,23 @@ __all__ = [
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:
+    _check_type("rng", rng, random.Random)
     window = list(range(1, n + 1))
     rng.shuffle(window)
     return Permutation(tuple(window))
 
 
 def random_weight(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> Weight:
+    _check_type("rng", rng, random.Random)
     return tuple(rng.randint(lo, hi) for _ in range(n))
+
+
+def _check_builder(rng: random.Random, n: int, p: int) -> None:
+    """The matrix builders' one check: rng a ``random.Random``, n an ``int``
+    >= 1 and p a prime ``int`` (else TypeError, ValueError)."""
+    _check_type("rng", rng, random.Random)
+    _check_int("n", n, 1)
+    _check_prime(p)
 
 
 def _random_unit(rng: random.Random, p: int) -> tuple[int, int]:
@@ -60,6 +76,7 @@ def _random_unit(rng: random.Random, p: int) -> tuple[int, int]:
 def random_upper_unipotent(rng: random.Random, n: int, p: int) -> PAdicMatrix:
     """Upper unitriangular matrix whose entries above the diagonal are
     a / p^k, with |a| <= p^2 and 0 <= k <= 2."""
+    _check_builder(rng, n, p)
     rows = []
     for i in range(n):
         pairs = [(int(i == j), 1) for j in range(i + 1)]
@@ -71,6 +88,7 @@ def random_upper_unipotent(rng: random.Random, n: int, p: int) -> PAdicMatrix:
 
 
 def random_torus_units(rng: random.Random, n: int, p: int) -> PAdicMatrix:
+    _check_builder(rng, n, p)
     units = [_random_unit(rng, p) for _ in range(n)]
     return PAdicMatrix._of_rows(p, tuple(
         _row_of([unit if i == j else (0, 1) for j in range(n)]) for i, unit in enumerate(units)
@@ -83,6 +101,7 @@ def random_iwahori(rng: random.Random, n: int, p: int) -> PAdicMatrix:
     The units are drawn as ``random_torus_units`` draws them; row k of
     T_O . N^-_pO is u_k times row k of the lower factor, so the product is
     one ``padic._combined`` of the upper rows with those rows."""
+    _check_builder(rng, n, p)
     upper = [[int(i == j) for j in range(n)] for i in range(n)]
     lower = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -181,11 +181,20 @@ class Permutation(_FrozenValue):
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
-        """The order-reversing permutation n, n-1, ..., 1."""
+        """The order-reversing permutation n, n-1, ..., 1; n is an ``int``
+        >= 1 (``bool`` refused)."""
+        _check_int("n", n, 1)
         return cls(tuple(range(n, 0, -1)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
+        """The transposition swapping the distinct positions i and j, each an
+        ``int`` in 1..n (else TypeError, ValueError)."""
+        _check_int("n", n, 1)
+        _check_int("i", i)
+        _check_int("j", j)
+        if i == j or min(i, j) < 1 or max(i, j) > n:
+            raise ValueError(f"need distinct positions in 1..{n}, got ({i}, {j})")
         window = list(range(1, n + 1))
         window[i - 1], window[j - 1] = window[j - 1], window[i - 1]
         return cls(tuple(window))

@@ -150,7 +150,9 @@ def serialize(value: WhittakerValue) -> dict:
 
 
 def phase_sum(value: WhittakerValue, n: int, p: int) -> PhaseSum:
-    """The value as an element of the exact cyclotomic value ring."""
+    """The value as an element of the exact cyclotomic value ring; ``value``
+    is a ``WhittakerValue`` (else TypeError)."""
+    _check_type("value", value, WhittakerValue)
     if value.zero:
         return PhaseSum.zero(n, p)
     coeff = Fraction(value.sign) * Fraction(p) ** value.q_exp

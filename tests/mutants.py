@@ -282,9 +282,37 @@ MUTANTS = [
     ),
     Mutant(
         "minus-coefficient-wrong-at-the-longest-w", "principal_series.py",
-        "                c = Fraction((-1) ** ell, p**ell)\n",
-        "                c = Fraction((-1) ** ell, p**ell) * (1 + (ell == n * (n - 1) // 2))\n",
+        "        by_length = [unit.times_monomial(Fraction(-1, p) ** ell) for ell in range(n * (n - 1) // 2 + 1)]\n",
+        "        by_length = [unit.times_monomial(Fraction(-1, p) ** ell) for ell in range(n * (n - 1) // 2 + 1)]\n"
+        "        by_length[-1] = by_length[-1].times_monomial(2)\n",
         ("tests/test_principal_series.py::test_principal_identities_hold_at_the_permutation_points",),
+    ),
+    Mutant(
+        "eigenvector-drops-the-sign", "principal_series.py",
+        "Fraction(-1, p)",
+        "Fraction(1, p)",
+        ("tests/test_principal_series.py::test_eigenvectors_equal_the_per_permutation_oracle",
+         "tests/test_principal_series.py::test_principal_identities_hold_at_the_permutation_points"),
+    ),
+    Mutant(
+        "sampler-skips-the-prime-check", "sampling.py",
+        "    _check_prime(p)\n",
+        "",
+        ("tests/test_sampling.py::test_samplers_refuse_a_p_that_made_them_loop",),
+    ),
+    Mutant(
+        "transposition-wraps-position-0", "weyl.py",
+        "if i == j or min(i, j) < 1 or max(i, j) > n:",
+        "if i == j or max(i, j) > n:",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[transposition-position-0]",
+         "tests/test_readme.py::test_every_refused_call_raises_the_exception_of_its_row"),
+    ),
+    Mutant(
+        "cell-label-skips-the-class-check", "minors.py",
+        "    _check_type(\"g\", g, PAdicMatrix)\n",
+        "",
+        ("tests/test_principal_series.py::test_each_argument_is_checked_by_its_one_rule[cell-label-of-none]",
+         "tests/test_principal_series.py::test_arguments_of_another_class_are_refused"),
     ),
     Mutant(
         "casselman-row-forgets-s_i", "principal_series.py",

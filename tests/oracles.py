@@ -37,6 +37,10 @@ functions over the cosets of each finite s_i at the identity; the
 library builds only s_i and the w that a coset reaches, since every
 other w reads 0 = 0.
 
+``eigenvector`` builds the coefficient of every w on its own, one
+validated ``PhaseSum.monomial`` per permutation; the library builds one
+checked unit and shares one coefficient per length.
+
 ``matrix_of_entries`` and ``matrix_repr`` are the document reader and
 the ``repr`` that went through ``Fraction``: each entry is parsed by
 ``Fraction(e)`` and printed by ``str(Fraction)``, while the library
@@ -300,3 +304,17 @@ def casselman_triangularity(n: int, p: int, eps_exp: int) -> str:
                 return (f"generator {i}, w = {w.window}: "
                         f"sum of f_w(rep) over the cosets of s_{i} = {lhs!r}; expected {rhs!r}")
     return ""
+
+
+def eigenvector(n: int, p: int, eps_exp: int, kind: str) -> InducedFunction:
+    """``InducedFunction.eigenvector`` with one validated monomial per w:
+    (-1)^len(w) / p^len(w) for ``"minus"``, 1 for ``"plus"``."""
+    coeffs = {}
+    for w in all_permutations(n):
+        if kind == "minus":
+            ell = w.length()
+            c = Fraction((-1) ** ell, p**ell)
+        else:
+            c = Fraction(1)
+        coeffs[w] = PhaseSum.monomial(n, p, c)
+    return InducedFunction(n, p, eps_exp, coeffs)

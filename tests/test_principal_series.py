@@ -16,7 +16,15 @@ from steinwhit.principal_series import (
     generator_cosets,
     run_eigen_checks,
 )
-from steinwhit.sampling import random_group_element, random_iwahori
+from steinwhit.reporting import failure_line
+from steinwhit.sampling import (
+    random_group_element,
+    random_iwahori,
+    random_permutation,
+    random_torus_units,
+    random_upper_unipotent,
+    random_weight,
+)
 from steinwhit.values import PhaseSum
 from steinwhit.weyl import Permutation, all_permutations, is_dominant
 from steinwhit.whittaker import eval_cell, eval_matrix, verify_functional_equations
@@ -66,6 +74,52 @@ def test_arguments_of_another_class_are_refused():
 def test_eigenvector_kind_is_validated():
     with pytest.raises(ValueError):
         InducedFunction.eigenvector(2, 3, 0, "spherical")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_eigenvectors_equal_the_per_permutation_oracle(n, p):
+    """The coefficients shared per length are, key by key and in key order,
+    the ones that one validated monomial per w gives."""
+    for e in range(n):
+        for kind in ("minus", "plus"):
+            got, want = InducedFunction.eigenvector(n, p, e, kind), oracles.eigenvector(n, p, e, kind)
+            assert got.eps_exp == want.eps_exp
+            assert len(got.coeffs) == len(want.coeffs)
+            for (w, c), (v, d) in zip(got.coeffs.items(), want.coeffs.items()):
+                assert w.window == v.window
+                assert repr(c) == repr(d)
+                assert list(c._terms.items()) == list(d._terms.items())
+
+
+def test_eigenvector_validates_one_unit(monkeypatch):
+    """Each call runs ``PhaseSum.__init__`` twice, for the unit and for
+    ``InducedFunction``'s zero, where one validated monomial per w ran it
+    n! + 1 times; the coefficients are at most one object per length."""
+    calls = []
+
+    def counted(self, *args, _original=PhaseSum.__init__, **kwargs):
+        calls.append(1)
+        _original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseSum, "__init__", counted)
+    for n in range(2, 8):
+        for kind in ("minus", "plus"):
+            calls.clear()
+            func = InducedFunction.eigenvector(n, 2, 1, kind)
+            assert len(calls) == 2, (n, kind)
+            assert len({id(c) for c in func.coeffs.values()}) <= n * (n - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("e", range(7))
+def test_both_suites_pass_at_n_7(e):
+    """Above the ``verify`` guard (n <= 6), in the library."""
+    for suite in (run_eigen_checks, verify_functional_equations):
+        assert [r.name for r in suite(7, 2, e, 2, 5) if not r.passed] == []
+
+
+def test_the_principal_suite_passes_at_n_8():
+    assert [r.name for r in run_eigen_checks(8, 2, 1, 1, 5) if not r.passed] == []
 
 
 def test_generator_cosets_counts_and_labels():
@@ -510,6 +564,28 @@ _ID2 = Permutation.identity(2)
     (lambda: PAdicMatrix.identity(True, 2), TypeError, "n must be an int"),
     (lambda: PAdicMatrix.identity(0, 2), ValueError, "n must be >= 1"),
     (lambda: generator_cosets(True, 2, "center"), TypeError, "n must be an int"),
+    # the samplers built matrices that no PAdicMatrix constructor allows, or
+    # failed inside a draw
+    (lambda: random_upper_unipotent(random.Random(0), 2, 1), ValueError, "p must be prime"),
+    (lambda: random_torus_units(random.Random(0), 2, 4), ValueError, "p must be prime"),
+    (lambda: random_group_element(random.Random(0), 2, 4), ValueError, "p must be prime"),
+    (lambda: random_iwahori(random.Random(0), 0, 3), ValueError, "n must be >= 1"),
+    (lambda: random_iwahori(random.Random(0), 2, 0), ValueError, "p must be prime"),
+    (lambda: random_torus_units(random.Random(0), 2, -3), ValueError, "p must be prime"),
+    (lambda: random_group_element(None, 2, 3), TypeError, "rng must be"),
+    (lambda: random_permutation(None, 2), TypeError, "rng must be"),
+    (lambda: random_weight(None, 2), TypeError, "rng must be"),
+    # longest took True as 1; transposition swapped a position with itself,
+    # wrapped position 0 to n and raised IndexError past n
+    (lambda: Permutation.longest(True), TypeError, "n must be an int"),
+    (lambda: Permutation.transposition(3, 1, 1), ValueError, "positions in 1..3"),
+    (lambda: Permutation.transposition(3, 0, 2), ValueError, "positions in 1..3"),
+    (lambda: Permutation.transposition(3, 1, 4), ValueError, "positions in 1..3"),
+    (lambda: Permutation.transposition(3, 1.0, 2), TypeError, "i must be an int"),
+    # an argument of another class ended in AttributeError
+    (lambda: whittaker.phase_sum(None, 2, 3), TypeError, "value must be an instance of WhittakerValue"),
+    (lambda: cell_label(None), TypeError, "g must be an instance of PAdicMatrix"),
+    (lambda: failure_line("x", None), TypeError, "result must be an instance of CheckResult"),
 ], ids=["phase-sum-i-minus-i-at-4", "phase-sum-zero-at-4", "phase-sum-monomial-at-9", "phase-sum-bool-p",
         "phase-sum-bool-n", "cosets-float-index", "cosets-str-index", "cosets-bool-index", "apply-float-index",
         "apply-str-index", "apply-bool-index", "steinberg-bool-eps", "one-param-row-0", "one-param-column-0",
@@ -518,10 +594,16 @@ _ID2 = Permutation.identity(2)
         "eval-cell-bool-weight", "dominant-float-weight", "dominant-bool-weight", "dominant-str-weight",
         "eval-matrix-float-eps", "eval-matrix-bool-eps", "whittaker-negative-samples",
         "eigen-negative-samples", "eigen-seed-none", "eigen-str-seed", "eigen-bool-seed", "whittaker-seed-none",
-        "whittaker-str-seed", "whittaker-bool-seed", "identity-bool-n", "identity-n-0", "cosets-bool-n"])
+        "whittaker-str-seed", "whittaker-bool-seed", "identity-bool-n", "identity-n-0", "cosets-bool-n",
+        "upper-unipotent-p-1", "torus-units-p-4", "group-element-p-4", "iwahori-n-0", "iwahori-p-0",
+        "torus-units-p-minus-3", "group-element-rng-none", "permutation-rng-none", "weight-rng-none",
+        "longest-bool-n", "transposition-equal-positions", "transposition-position-0",
+        "transposition-position-n-plus-1", "transposition-float-position", "phase-sum-of-none",
+        "cell-label-of-none", "failure-line-of-none"])
 def test_each_argument_is_checked_by_its_one_rule(build, error, match):
     """p by ``padic._check_prime``, integer arguments by
-    ``weyl._check_int``, at every entry point; each row was accepted or
+    ``weyl._check_int`` and objects by ``weyl._check_type``, at every entry
+    point; each row was accepted or
     failed otherwise before.  The cosets of s_1 are cached first, so that a
     cache keyed without types would answer the index True from them."""
     generator_cosets(3, 2, 1), generator_cosets(2, 3, 1)

@@ -1,11 +1,17 @@
 """The samplers build their factors from integer pairs; each matrix must be
-the one the public constructors build from the same draws."""
+the one the public constructors build from the same draws.  A p at which
+no draw is a unit mod p is refused before the first draw."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import steinwhit
 from steinwhit.padic import PAdicMatrix
 from steinwhit.sampling import random_group_element, random_iwahori, random_torus_units, random_upper_unipotent
 
@@ -69,3 +75,31 @@ def test_sampled_points_are_frozen():
     assert repr(random_group_element(rng, 3, 2)) == (
         "PAdicMatrix(p=2, [-29/9 55/36 -17/36; -7/3 4/3 -1/2; -8/9 4/9 -2/9])"
     )
+
+
+# the sources this suite imports, so that a fresh process reads the same package
+SRC = Path(steinwhit.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("call, refusal", [
+    ("random_torus_units(random.Random(0), 2, 1)", "ValueError: p must be prime, got 1"),
+    ("random_iwahori(random.Random(0), 2, 1)", "ValueError: p must be prime, got 1"),
+    ("random_cell_product(random.Random(0), 2, 1)", "ValueError: p must be prime, got 1"),
+    ("random_group_element(random.Random(0), 2, True)", "TypeError: p must be an int, not True"),
+])
+def test_samplers_refuse_a_p_that_made_them_loop(call, refusal):
+    """No draw is a unit mod 1, so ``_random_unit`` looped forever.  Each
+    call runs in a new interpreter with a timeout, so that a sampler that
+    loops again fails this test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import random\n"
+        "from steinwhit.sampling import *\n"
+        "try:\n"
+        f"    {call}\n"
+        "except (TypeError, ValueError) as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10,
+                          check=True)
+    assert proc.stdout == refusal + "\n"
